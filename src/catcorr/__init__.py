@@ -42,7 +42,6 @@ from .errors import (
 from .kernels import WEYL_HEISENBERG, Family, FamilyParams, overlap, su2, su11
 from .linalg import eig_herm, eig_sym, sqrtm_psd
 from .oracle import (
-    MeasurementBasis,
     discord_by_measurement_search,
     fibonacci_sphere,
     measurement_distance,
@@ -77,7 +76,6 @@ __all__ = [
     "Family",
     "FamilyParams",
     "InvalidDensityError",
-    "MeasurementBasis",
     "MeasurementSide",
     "Parity",
     "PureSplit",

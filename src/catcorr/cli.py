@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .correlations import (
 from .dephasing import (
     DephasingParams,
     apply_dephasing,
+    dephased_bloch,
     discord_trajectory,
     sudden_death_time,
 )
@@ -35,7 +35,6 @@ from .errors import CatcorrError, DomainError
 from .kernels import WEYL_HEISENBERG, FamilyParams, overlap, su2, su11
 from .oracle import discord_by_measurement_search, pair_density_from_overlaps
 from .states import (
-    BlochForm,
     Parity,
     SuperpositionSpec,
     bloch_compose,
@@ -63,16 +62,33 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header, rows, trailer=None) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    if trailer is not None:
-        lines.append(trailer)
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _emit_table(args, columns, rows, summary=None) -> None:
+    """Write value rows as CSV or as JSON {"columns", "rows"}.
+
+    summary, a (key, value) pair, becomes a top-level JSON key or a
+    trailing "# key=value" CSV comment.
+    """
+    if args.format == "json":
+        payload = {
+            "columns": columns,
+            "rows": [{key: (_jnum(val) if isinstance(val, float) else val)
+                      for key, val in zip(columns, row)} for row in rows],
+        }
+        if summary is not None:
+            payload[summary[0]] = summary[1]
+        _emit(_json_text(payload), args.out)
+        return
+    lines = [",".join(columns)]
+    lines.extend(",".join([_fmt(val) if isinstance(val, float) else val for val in row])
+                 for row in rows)
+    if summary is not None:
+        key, val = summary
+        lines.append(f"# {key}={_fmt(val) if isinstance(val, float) else val}")
+    _emit("\n".join(lines) + "\n", args.out)
 
 
 def _family_from_args(args) -> FamilyParams:
@@ -87,11 +103,9 @@ def _family_from_args(args) -> FamilyParams:
         if abs(2.0 * args.j - twice_j) > 1e-9 or twice_j <= 0:
             raise DomainError("--j must be a positive integer or half-integer")
         return su2(int(twice_j))
-    if args.family == "su11":
-        if args.bargmann is None:
-            raise DomainError("--family su11 needs --bargmann")
-        return su11(args.bargmann)
-    raise DomainError(f"unknown family {args.family!r}")
+    if args.bargmann is None:
+        raise DomainError("--family su11 needs --bargmann")
+    return su11(args.bargmann)
 
 
 def _spec_from_args(args) -> SuperpositionSpec:
@@ -125,29 +139,32 @@ def _selection_from_args(args) -> tuple:
     raise DomainError("select a bipartition: --pure --k K or --pair I J")
 
 
-def _labeled_lambdas_pure(report) -> tuple:
-    lams = report.k_eigenvalues
-    return float(lams[0]), float(lams[1]), float(lams[2])
+def _point(spec: SuperpositionSpec, mode: str, selection, side: MeasurementSide) -> tuple:
+    """Closed report, numeric report and labeled (lam1, lam2, lam3) of one spec."""
+    if mode == "pure":
+        closed = geometric_discord_pure_closed(spec, selection)
+        rho = pure_split(spec, selection).projector()
+        lams = tuple(closed.k_eigenvalues)
+    else:
+        i, j = selection
+        closed = mixed_discord_closed(spec, i, j, side)
+        rho = reduced_pair_density(spec, i, j)
+        lams = mixed_k_eigenvalues(spec, i, j, side)
+    return closed, geometric_discord_numeric(rho, side), lams
 
 
 def cmd_report(args) -> int:
     spec = _spec_from_args(args)
     side = MeasurementSide(args.side)
     mode, selection = _selection_from_args(args)
+    closed, numeric, (lam1, lam2, lam3) = _point(spec, mode, selection, side)
     if mode == "pure":
-        closed = geometric_discord_pure_closed(spec, selection)
-        rho = pure_split(spec, selection).projector()
-        lam1, lam2, lam3 = _labeled_lambdas_pure(closed)
         selection_repr = str(selection)
         selection_json = {"mode": "pure", "k": selection}
     else:
         i, j = selection
-        closed = mixed_discord_closed(spec, i, j, side)
-        rho = reduced_pair_density(spec, i, j)
-        lam1, lam2, lam3 = mixed_k_eigenvalues(spec, i, j, side)
         selection_repr = f"{i}-{j}"
         selection_json = {"mode": "mixed", "pair": [i, j]}
-    numeric = geometric_discord_numeric(rho, side)
 
     payload = {
         "spec": {
@@ -172,7 +189,7 @@ def cmd_report(args) -> int:
         t = args.time if args.time is not None else 0.0
         params = DephasingParams(rate=args.rate, time=t)
         if mode == "pure":
-            evolved = apply_dephasing(rho, params.gamma)
+            evolved = apply_dephasing(pure_split(spec, selection).projector(), params.gamma)
             discord_t = geometric_discord_numeric(evolved, side).discord
             concurrence_t = concurrence_mixed(evolved)
             t0 = math.inf if closed.concurrence > 0.0 else 0.0
@@ -198,48 +215,22 @@ def cmd_report(args) -> int:
               "lambda1", "lambda2", "lambda3"]
     row = [str(spec.n), spec.parity.value,
            " ".join(_fmt(p) for p in spec.overlaps), mode, selection_repr,
-           side.value, _fmt(closed.discord), _fmt(numeric.discord),
-           closed.branch.value, _fmt(closed.concurrence),
-           _fmt(lam1), _fmt(lam2), _fmt(lam3)]
+           side.value] + [payload[key] for key in header[6:]]
     if "trajectory" in payload:
         block = payload["trajectory"]
         header += ["rate", "time", "gamma", "discord_t", "concurrence_t",
                    "sudden_death_time"]
-        row += [_fmt(block["rate"]), _fmt(block["time"]), _fmt(block["gamma"]),
-                _fmt(block["discord"]), _fmt(block["concurrence"]),
-                block["sudden_death_time"] if isinstance(block["sudden_death_time"], str)
-                else _fmt(block["sudden_death_time"])]
-    _emit(_csv_text(header, [row]), args.out)
+        row += [block[key] for key in ("rate", "time", "gamma", "discord",
+                                       "concurrence", "sudden_death_time")]
+    _emit_table(args, header, [row])
     return 0
 
 
-@dataclass(frozen=True)
-class SweepRequest:
-    """Validated description of one overlap-grid sweep."""
-
-    mode: str
-    n: int
-    parity: Parity
-    k: int | None
-    pair: tuple | None
-    grid: np.ndarray
-    side: MeasurementSide
-    fmt: str
-
-    def __post_init__(self):
-        if self.mode not in ("pure", "mixed"):
-            raise DomainError("sweep mode must be pure or mixed")
-        if len(self.grid) < 2:
-            raise DomainError("a sweep grid needs at least 2 steps")
-        if self.grid.min() < 0.0 or self.grid.max() > 1.0:
-            raise DomainError("overlap grid must stay within [0, 1]")
-        if self.mode == "pure" and self.k is None:
-            raise DomainError("pure sweeps need --k")
-        if self.mode == "mixed" and self.pair is None:
-            raise DomainError("mixed sweeps need --pair")
+_SWEEP_COLUMNS = ["p", "discord_closed", "discord_numeric", "branch",
+                  "concurrence", "lambda1", "lambda2", "lambda3"]
 
 
-def _sweep_request_from_args(args) -> SweepRequest:
+def cmd_sweep(args) -> int:
     if args.n is None:
         raise DomainError("sweeps need --n")
     if args.steps < 2:
@@ -252,56 +243,25 @@ def _sweep_request_from_args(args) -> SweepRequest:
         grid = np.array([overlap(z, params) for z in zs])
     else:
         grid = np.linspace(args.p_start, args.p_stop, args.steps)
-    pair = tuple(args.pair) if args.pair is not None else None
-    mode = "pure" if args.pure else "mixed"
-    if mode == "mixed" and pair is None:
-        pair = (1, 2)
-    return SweepRequest(mode=mode, n=args.n, parity=Parity(args.parity), k=args.k,
-                        pair=pair, grid=grid, side=MeasurementSide(args.side),
-                        fmt=args.format)
-
-
-_SWEEP_COLUMNS = ["p", "discord_closed", "discord_numeric", "branch",
-                  "concurrence", "lambda1", "lambda2", "lambda3"]
-
-
-def cmd_sweep(args) -> int:
-    request = _sweep_request_from_args(args)
+    if grid.min() < 0.0 or grid.max() > 1.0:
+        raise DomainError("overlap grid must stay within [0, 1]")
+    if args.pure:
+        if args.pair is not None:
+            raise DomainError("give either --pure/--k or --pair, not both")
+        if args.k is None:
+            raise DomainError("pure sweeps need --k")
+        mode, selection = "pure", args.k
+    else:
+        mode, selection = "mixed", tuple(args.pair) if args.pair is not None else (1, 2)
+    side = MeasurementSide(args.side)
+    parity = Parity(args.parity)
     rows = []
-    for p in request.grid:
-        spec = SuperpositionSpec(overlaps=(float(p),) * request.n, parity=request.parity)
-        if request.mode == "pure":
-            closed = geometric_discord_pure_closed(spec, request.k)
-            numeric = geometric_discord_numeric(
-                pure_split(spec, request.k).projector(), request.side)
-            lam1, lam2, lam3 = _labeled_lambdas_pure(closed)
-        else:
-            i, j = request.pair
-            closed = mixed_discord_closed(spec, i, j, request.side)
-            numeric = geometric_discord_numeric(
-                reduced_pair_density(spec, i, j), request.side)
-            lam1, lam2, lam3 = mixed_k_eigenvalues(spec, i, j, request.side)
-        rows.append({
-            "p": float(p),
-            "discord_closed": closed.discord,
-            "discord_numeric": numeric.discord,
-            "branch": closed.branch.value,
-            "concurrence": closed.concurrence,
-            "lambda1": lam1,
-            "lambda2": lam2,
-            "lambda3": lam3,
-        })
-    if request.fmt == "json":
-        payload = {
-            "columns": _SWEEP_COLUMNS,
-            "rows": [{key: (_jnum(val) if isinstance(val, float) else val)
-                      for key, val in row.items()} for row in rows],
-        }
-        _emit(_json_text(payload), args.out)
-        return 0
-    csv_rows = [[_fmt(row[c]) if isinstance(row[c], float) else row[c]
-                 for c in _SWEEP_COLUMNS] for row in rows]
-    _emit(_csv_text(_SWEEP_COLUMNS, csv_rows), args.out)
+    for p in grid:
+        spec = SuperpositionSpec(overlaps=(float(p),) * args.n, parity=parity)
+        closed, numeric, lams = _point(spec, mode, selection, side)
+        rows.append([float(p), closed.discord, numeric.discord, closed.branch.value,
+                     closed.concurrence, *lams])
+    _emit_table(args, _SWEEP_COLUMNS, rows)
     return 0
 
 
@@ -311,8 +271,7 @@ _EVOLVE_COLUMNS = ["t", "gamma", "discord", "concurrence"]
 def cmd_evolve(args) -> int:
     spec = _spec_from_args(args)
     side = MeasurementSide(args.side)
-    pair = tuple(args.pair) if args.pair is not None else (1, 2)
-    i, j = pair
+    i, j = args.pair if args.pair is not None else (1, 2)
     if args.rate is None:
         raise DomainError("evolve needs --rate")
     if args.t_max is None or args.t_max <= 0.0:
@@ -324,21 +283,10 @@ def cmd_evolve(args) -> int:
     for t in times:
         traj = discord_trajectory(spec, i, j, args.rate, float(t), side)
         gamma = DephasingParams(rate=args.rate, time=float(t)).gamma
-        rows.append({"t": float(t), "gamma": gamma, "discord": traj.discord,
-                     "concurrence": traj.concurrence})
+        rows.append([float(t), gamma, traj.discord, traj.concurrence])
     t0 = sudden_death_time(spec, i, j, args.rate)
     t0_repr = "infinite" if math.isinf(t0) else _jnum(t0)
-    if args.format == "json":
-        payload = {
-            "columns": _EVOLVE_COLUMNS,
-            "rows": [{key: _jnum(val) for key, val in row.items()} for row in rows],
-            "sudden_death_time": t0_repr,
-        }
-        _emit(_json_text(payload), args.out)
-        return 0
-    csv_rows = [[_fmt(row[c]) for c in _EVOLVE_COLUMNS] for row in rows]
-    trailer = "# sudden_death_time=" + (t0_repr if isinstance(t0_repr, str) else _fmt(t0))
-    _emit(_csv_text(_EVOLVE_COLUMNS, csv_rows, trailer=trailer), args.out)
+    _emit_table(args, _EVOLVE_COLUMNS, rows, summary=("sudden_death_time", t0_repr))
     return 0
 
 
@@ -368,108 +316,89 @@ def _describe_sample(sample) -> str:
             f"side={side.value} rate={_fmt(rate)} t={_fmt(t)} gamma={_fmt(gamma)}")
 
 
-def _dephased_bloch(bloch: BlochForm, gamma: float) -> BlochForm:
-    """Bloch data of the two-sided dephased state, by direct scaling.
+def _gram_gap(spec, i, j, side, rate, t, gamma) -> float:
+    return float(np.max(np.abs(pair_density_from_overlaps(spec, i, j)
+                               - reduced_pair_density(spec, i, j))))
 
-    Each local channel shrinks the transverse Pauli components by
-    sqrt(1-gamma): transverse rows and columns of R pick up one factor
-    each, transverse local components likewise; everything along z is
-    untouched.
-    """
-    shrink = math.sqrt(1.0 - gamma)
-    weight = np.array([shrink, shrink, 1.0])
-    return BlochForm(x=bloch.x * weight, y=bloch.y * weight,
-                     r=bloch.r * np.outer(weight, weight))
+
+def _closed_gap(spec, i, j, side, rate, t, gamma) -> float:
+    rho = reduced_pair_density(spec, i, j)
+    return abs(mixed_discord_closed(spec, i, j, side).discord
+               - geometric_discord_numeric(rho, side).discord)
+
+
+def _kraus_gap(spec, i, j, side, rate, t, gamma) -> float:
+    rho = reduced_pair_density(spec, i, j)
+    evolved = apply_dephasing(rho, gamma)
+    rebuilt = bloch_compose(dephased_bloch(bloch_decompose(rho), gamma))
+    return float(np.max(np.abs(evolved - rebuilt)))
+
+
+def _trajectory_gap(spec, i, j, side, rate, t, gamma) -> float:
+    gamma = DephasingParams(rate=rate, time=t).gamma
+    evolved = apply_dephasing(reduced_pair_density(spec, i, j), gamma)
+    traj = discord_trajectory(spec, i, j, rate, t, side)
+    return max(abs(traj.discord - geometric_discord_numeric(evolved, side).discord),
+               abs(traj.concurrence - concurrence_mixed(evolved)))
+
+
+def _search_gap(spec, i, j, side, rate, t, gamma) -> float:
+    rho = reduced_pair_density(spec, i, j)
+    if t > 1.5:
+        rho = apply_dephasing(rho, DephasingParams(rate=rate, time=t).gamma)
+    return abs(discord_by_measurement_search(rho, side)
+               - geometric_discord_numeric(rho, side).discord)
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise DomainError("verify needs --samples of at least 1")
+    if args.search_samples < 1:
+        raise DomainError("verify needs --search-samples of at least 1")
     rng = np.random.default_rng(args.seed)
     samples = _random_verify_samples(rng, args.samples)
-    results = []
-
-    dev, worst = 0.0, None
-    for sample in samples:
-        spec, i, j, _, _, _, _ = sample
-        gap = float(np.max(np.abs(pair_density_from_overlaps(spec, i, j)
-                                  - reduced_pair_density(spec, i, j))))
-        if gap > dev:
-            dev, worst = gap, sample
-    results.append(("gram_vs_closed", len(samples), dev, worst))
-
-    dev, worst = 0.0, None
-    for sample in samples:
-        spec, i, j, side, _, _, _ = sample
-        rho = reduced_pair_density(spec, i, j)
-        gap = abs(mixed_discord_closed(spec, i, j, side).discord
-                  - geometric_discord_numeric(rho, side).discord)
-        if gap > dev:
-            dev, worst = gap, sample
-    results.append(("closed_vs_numeric", len(samples), dev, worst))
-
-    dev, worst = 0.0, None
-    for sample in samples:
-        spec, i, j, _, _, _, gamma = sample
-        rho = reduced_pair_density(spec, i, j)
-        evolved = apply_dephasing(rho, gamma)
-        rebuilt = bloch_compose(_dephased_bloch(bloch_decompose(rho), gamma))
-        gap = float(np.max(np.abs(evolved - rebuilt)))
-        if gap > dev:
-            dev, worst = gap, sample
-    results.append(("kraus_vs_bloch_scaling", len(samples), dev, worst))
-
-    dev, worst = 0.0, None
-    for sample in samples:
-        spec, i, j, side, rate, t, _ = sample
-        gamma = DephasingParams(rate=rate, time=t).gamma
-        evolved = apply_dephasing(reduced_pair_density(spec, i, j), gamma)
-        traj = discord_trajectory(spec, i, j, rate, t, side)
-        gap = max(abs(traj.discord - geometric_discord_numeric(evolved, side).discord),
-                  abs(traj.concurrence - concurrence_mixed(evolved)))
-        if gap > dev:
-            dev, worst = gap, sample
-    results.append(("trajectory_consistency", len(samples), dev, worst))
-
     search_samples = samples[: min(len(samples), args.search_samples)]
-    dev, worst = 0.0, None
-    for sample in search_samples:
-        spec, i, j, side, rate, t, _ = sample
-        rho = reduced_pair_density(spec, i, j)
-        if t > 1.5:
-            rho = apply_dephasing(rho, DephasingParams(rate=rate, time=t).gamma)
-        gap = abs(discord_by_measurement_search(rho, side)
-                  - geometric_discord_numeric(rho, side).discord)
-        if gap > dev:
-            dev, worst = gap, sample
-    results.append(("search_vs_spectrum", len(search_samples), dev, worst))
-
-    all_pass = True
+    checks = [("gram_vs_closed", samples, _gram_gap),
+              ("closed_vs_numeric", samples, _closed_gap),
+              ("kraus_vs_bloch_scaling", samples, _kraus_gap),
+              ("trajectory_consistency", samples, _trajectory_gap),
+              ("search_vs_spectrum", search_samples, _search_gap)]
     lines = []
-    for name, count, deviation, worst_sample in results:
+    passed = 0
+    for name, subset, gap in checks:
+        deviation, worst = 0.0, None
+        for sample in subset:
+            value = gap(*sample)
+            if value > deviation:
+                deviation, worst = value, sample
         ok = deviation <= args.tol
-        all_pass = all_pass and ok
-        lines.append(f"{name:<24} samples={count} max_deviation={_fmt(deviation)} "
+        passed += ok
+        lines.append(f"{name:<24} samples={len(subset)} max_deviation={_fmt(deviation)} "
                      + ("PASS" if ok else "FAIL"))
-        if not ok and worst_sample is not None:
-            lines.append(f"    worst: {_describe_sample(worst_sample)}")
-    verdict = "PASS" if all_pass else "FAIL"
-    passed = sum(1 for name, count, deviation, _ in results if deviation <= args.tol)
-    lines.append(f"verify: {verdict} ({passed}/{len(results)} assertions within "
-                 f"tol={_fmt(args.tol)})")
+        if not ok and worst is not None:
+            lines.append(f"    worst: {_describe_sample(worst)}")
+    all_pass = passed == len(checks)
+    lines.append(f"verify: {'PASS' if all_pass else 'FAIL'} ({passed}/{len(checks)} "
+                 f"assertions within tol={_fmt(args.tol)})")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if all_pass else 1
 
 
-def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_spec_arguments(parser: argparse.ArgumentParser, one_state: bool = True) -> None:
+    """State flags; a sweep builds its own overlap grid, so it gets no --p or --z."""
     parser.add_argument("--n", type=int, default=None,
-                        help="number of modes (inferred from --p when omitted)")
-    parser.add_argument("--p", type=float, nargs="+", default=None,
-                        help="per-mode branch overlaps in [0, 1]")
+                        help="number of modes (inferred from --p when omitted)"
+                        if one_state else "number of modes")
+    if one_state:
+        parser.add_argument("--p", type=float, nargs="+", default=None,
+                            help="per-mode branch overlaps in [0, 1]")
     parser.add_argument("--parity", choices=["even", "odd"], default="even",
                         help="relative phase parity of the superposition")
     parser.add_argument("--family", choices=["wh", "su2", "su11"], default=None,
                         help="coherent-state family used to translate --z into an overlap")
-    parser.add_argument("--z", type=float, default=None,
-                        help="family label amplitude (equal across modes)")
+    if one_state:
+        parser.add_argument("--z", type=float, default=None,
+                            help="family label amplitude (equal across modes)")
     parser.add_argument("--j", type=float, default=None,
                         help="spin length for --family su2 (integer or half-integer)")
     parser.add_argument("--bargmann", type=float, default=None,
@@ -505,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=cmd_report)
 
     sweep = sub.add_parser("sweep", help="discord and concurrence over an overlap grid")
-    _add_spec_arguments(sweep)
+    _add_spec_arguments(sweep, one_state=False)
     sweep.add_argument("--pure", action="store_true")
     sweep.add_argument("--k", type=int, default=None)
     sweep.add_argument("--pair", type=int, nargs=2, default=None, metavar=("I", "J"))

@@ -79,6 +79,18 @@ def geometric_discord_numeric(rho, side: MeasurementSide = MeasurementSide.FIRST
     )
 
 
+def _split_factors(spec: SuperpositionSpec, k: int) -> tuple:
+    """(1 - P^2) of each block of the k|(n-k) split and 1 + Pc cos(m pi)."""
+    if not 1 <= k <= spec.n - 1:
+        raise DomainError(f"split size k must lie in 1..{spec.n - 1}")
+    p_left = float(np.prod(spec.overlaps[:k]))
+    p_right = float(np.prod(spec.overlaps[k:]))
+    u_left = (1.0 - p_left) * (1.0 + p_left)
+    u_right = (1.0 - p_right) * (1.0 + p_right)
+    denom = 1.0 + spec.branch_product * spec.parity.sign
+    return u_left, u_right, denom
+
+
 def geometric_discord_pure_closed(spec: SuperpositionSpec, k: int) -> CorrelationReport:
     """Closed-form discord of the pure k|(n-k) split.
 
@@ -86,14 +98,7 @@ def geometric_discord_pure_closed(spec: SuperpositionSpec, k: int) -> Correlatio
     blocks over the squared branch denominator; it coincides with half
     the squared concurrence but is evaluated from its own expression.
     """
-    if not 1 <= k <= spec.n - 1:
-        raise DomainError(f"split size k must lie in 1..{spec.n - 1}")
-    normalization(spec)
-    p_left = float(np.prod(spec.overlaps[:k]))
-    p_right = float(np.prod(spec.overlaps[k:]))
-    u_left = (1.0 - p_left) * (1.0 + p_left)
-    u_right = (1.0 - p_right) * (1.0 + p_right)
-    denom = 1.0 + spec.branch_product * spec.parity.sign
+    u_left, u_right, denom = _split_factors(spec, k)
     discord = 0.5 * u_left * u_right / (denom * denom)
     # K spectrum of a pure state: (1, C^2, C^2) up to ordering
     csq = u_left * u_right / (denom * denom)
@@ -109,14 +114,7 @@ def geometric_discord_pure_closed(spec: SuperpositionSpec, k: int) -> Correlatio
 
 def concurrence_pure(spec: SuperpositionSpec, k: int) -> float:
     """Concurrence of the pure split, sqrt((1-P_k^2)(1-P_{n-k}^2))/(1+Pc)."""
-    if not 1 <= k <= spec.n - 1:
-        raise DomainError(f"split size k must lie in 1..{spec.n - 1}")
-    normalization(spec)
-    p_left = float(np.prod(spec.overlaps[:k]))
-    p_right = float(np.prod(spec.overlaps[k:]))
-    u_left = (1.0 - p_left) * (1.0 + p_left)
-    u_right = (1.0 - p_right) * (1.0 + p_right)
-    denom = 1.0 + spec.branch_product * spec.parity.sign
+    u_left, u_right, denom = _split_factors(spec, k)
     return math.sqrt(u_left) * math.sqrt(u_right) / denom
 
 
@@ -131,6 +129,21 @@ def concurrence_mixed(rho) -> float:
     return max(0.0, float(c[0] - c[1] - c[2] - c[3]))
 
 
+def _pair_factors(spec: SuperpositionSpec, i: int, j: int) -> tuple:
+    """Omitted product q and s = sqrt(1 - p^2) of modes i and j.
+
+    The branch denominator 1 + Pc cos(m pi) is left to the callers that
+    need it: it costs a product over all modes, and mixed_k_eigenvalues,
+    which runs once per sweep or trajectory row, does not use it.
+    """
+    q = spec.omitted_product(i, j)
+    p_i = spec.overlaps[i - 1]
+    p_j = spec.overlaps[j - 1]
+    s_i = math.sqrt((1.0 - p_i) * (1.0 + p_i))
+    s_j = math.sqrt((1.0 - p_j) * (1.0 + p_j))
+    return q, s_i, s_j
+
+
 def mixed_k_eigenvalues(spec: SuperpositionSpec, i: int, j: int,
                         side: MeasurementSide = MeasurementSide.FIRST) -> tuple:
     """Closed-form eigenvalues (lam1, lam2, lam3) of K for a mode pair.
@@ -140,7 +153,7 @@ def mixed_k_eigenvalues(spec: SuperpositionSpec, i: int, j: int,
     expanded polynomial form cancels catastrophically near unit
     overlaps. Measuring the first member puts p_i in the local slot.
     """
-    q = spec.omitted_product(i, j)
+    q, s_i, s_j = _pair_factors(spec, i, j)
     sign = spec.parity.sign
     p_i = spec.overlaps[i - 1]
     p_j = spec.overlaps[j - 1]
@@ -151,8 +164,6 @@ def mixed_k_eigenvalues(spec: SuperpositionSpec, i: int, j: int,
         p_meas, p_other = p_j, p_i
     z_local = two_nsq * (p_meas + p_other * q * sign)
     zz = two_nsq * (p_i * p_j + q * sign)
-    s_i = math.sqrt((1.0 - p_i) * (1.0 + p_i))
-    s_j = math.sqrt((1.0 - p_j) * (1.0 + p_j))
     xx = two_nsq * s_i * s_j
     lam1 = z_local * z_local + zz * zz
     lam2 = xx * xx
@@ -177,11 +188,9 @@ def mixed_discord_closed(spec: SuperpositionSpec, i: int, j: int,
     """Closed-form discord and concurrence of the (i, j) mode pair."""
     lam1, lam2, lam3 = mixed_k_eigenvalues(spec, i, j, side)
     branch, discord = branch_and_discord(lam1, lam2, lam3)
-    q = spec.omitted_product(i, j)
-    p_i = spec.overlaps[i - 1]
-    p_j = spec.overlaps[j - 1]
-    s_i = math.sqrt((1.0 - p_i) * (1.0 + p_i))
-    s_j = math.sqrt((1.0 - p_j) * (1.0 + p_j))
+    # Same value as concurrence_trajectory at t = 0, but (1+q)-(1-q)
+    # is not 2q in floating point, so it keeps its own expression.
+    q, s_i, s_j = _pair_factors(spec, i, j)
     denom = 1.0 + spec.branch_product * spec.parity.sign
     concurrence = q * s_i * s_j / denom
     lams = np.sort(np.array([lam1, lam2, lam3]))[::-1]

@@ -17,11 +17,12 @@ import numpy as np
 from .correlations import (
     CorrelationReport,
     MeasurementSide,
+    _pair_factors,
     branch_and_discord,
     mixed_k_eigenvalues,
 )
 from .errors import DomainError
-from .states import SuperpositionSpec, check_density
+from .states import BlochForm, SuperpositionSpec, check_density
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,14 @@ class DephasingParams:
         return -math.expm1(-self.rate * self.time)
 
 
-def kraus_ops(gamma: float) -> tuple:
-    """Kraus pair of the single-qubit phase damping channel."""
+def _check_gamma(gamma: float) -> None:
     if math.isnan(gamma) or not 0.0 <= gamma <= 1.0:
         raise DomainError("damping probability must lie in [0, 1]")
+
+
+def kraus_ops(gamma: float) -> tuple:
+    """Kraus pair of the single-qubit phase damping channel."""
+    _check_gamma(gamma)
     e0 = np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex)
     e1 = np.diag([0.0, math.sqrt(gamma)]).astype(complex)
     return e0, e1
@@ -64,6 +69,21 @@ def apply_dephasing(rho, gamma: float) -> np.ndarray:
     return out
 
 
+def dephased_bloch(bloch: BlochForm, gamma: float) -> BlochForm:
+    """Bloch data of the two-sided dephased state, by direct scaling.
+
+    Each local channel shrinks the transverse Pauli components by
+    sqrt(1-gamma): transverse rows and columns of R pick up one factor
+    each, transverse local components likewise; everything along z is
+    untouched.
+    """
+    _check_gamma(gamma)
+    shrink = math.sqrt(1.0 - gamma)
+    weight = np.array([shrink, shrink, 1.0])
+    return BlochForm(x=bloch.x * weight, y=bloch.y * weight,
+                     r=bloch.r * np.outer(weight, weight))
+
+
 def concurrence_trajectory(spec: SuperpositionSpec, i: int, j: int,
                            rate: float, time: float) -> float:
     """Pair concurrence after dephasing for a time at the given rate.
@@ -74,11 +94,7 @@ def concurrence_trajectory(spec: SuperpositionSpec, i: int, j: int,
     spin-flip eigenvalue candidates.
     """
     DephasingParams(rate=rate, time=time)
-    q = spec.omitted_product(i, j)
-    p_i = spec.overlaps[i - 1]
-    p_j = spec.overlaps[j - 1]
-    s_i = math.sqrt((1.0 - p_i) * (1.0 + p_i))
-    s_j = math.sqrt((1.0 - p_j) * (1.0 + p_j))
+    q, s_i, s_j = _pair_factors(spec, i, j)
     denom = 1.0 + spec.branch_product * spec.parity.sign
     prefactor = 0.5 * s_i * s_j / denom
     decayed = math.exp(-rate * time) * (1.0 + q) - (1.0 - q)

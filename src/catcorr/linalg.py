@@ -1,75 +1,43 @@
 """Dense eigensolvers for the small matrices this package cares about.
 
-The 3x3 symmetric measurement matrices are diagonalized with a cyclic
-Jacobi iteration driven to machine precision; the complex Hermitian 4x4
-problems (spin-flip spectra, matrix square roots) go through LAPACK via
-numpy. Eigenvalues are always returned in descending order.
+Both the real symmetric 3x3 measurement matrices and the complex
+Hermitian 4x4 problems (spin-flip spectra, matrix square roots) go
+through LAPACK via numpy. Eigenvalues are always returned in
+descending order. The discord routes stay independent through the
+measurement search, which needs no eigensolver, not through a
+separate implementation here.
 """
-
-import math
 
 import numpy as np
 
 from .errors import DomainError
 
-_OFF_DIAGONAL_TOL = 1e-14
+
+def _descending(a: np.ndarray, vectors: bool, name: str, kind: str):
+    """Symmetrized LAPACK eigensolve of a, largest eigenvalue first."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"{name} expects a square matrix")
+    adjoint = a.conj().T
+    if np.max(np.abs(a - adjoint)) > 1e-10:
+        raise DomainError(f"{name} expects a {kind} matrix (within 1e-10)")
+    values, vecs = np.linalg.eigh(0.5 * (a + adjoint))
+    if vectors:
+        return values[::-1].copy(), vecs[:, ::-1].copy()
+    return values[::-1].copy()
 
 
-def eig_sym(matrix, vectors: bool = False, sweep_limit: int = 100):
+def eig_sym(matrix, vectors: bool = False):
     """Eigenvalues (descending) of a small real symmetric matrix.
 
-    Uses cyclic Jacobi rotations until the off-diagonal Frobenius norm
-    drops below 1e-14. With vectors=True also returns the orthonormal
-    eigenvectors as columns, matching the eigenvalue order.
+    With vectors=True also returns the orthonormal eigenvectors as
+    columns, matching the eigenvalue order.
     """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("eig_sym expects a square matrix")
-    if np.max(np.abs(a - a.T)) > 1e-10:
-        raise DomainError("eig_sym expects a symmetric matrix (within 1e-10)")
-    a = 0.5 * (a + a.T)
-    dim = a.shape[0]
-    basis = np.eye(dim)
-    for _ in range(sweep_limit):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off < _OFF_DIAGONAL_TOL:
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # rotation angle that annihilates the (p, q) entry
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                if tau < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(dim)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                basis = basis @ rot
-    order = np.argsort(a.diagonal(), kind="stable")[::-1]
-    values = a.diagonal()[order].copy()
-    if vectors:
-        return values, basis[:, order]
-    return values
+    return _descending(np.array(matrix, dtype=float), vectors, "eig_sym", "symmetric")
 
 
 def eig_herm(matrix, vectors: bool = False):
     """Real eigenvalues (descending) of a complex Hermitian matrix."""
-    a = np.array(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("eig_herm expects a square matrix")
-    if np.max(np.abs(a - a.conj().T)) > 1e-10:
-        raise DomainError("eig_herm expects a Hermitian matrix (within 1e-10)")
-    values, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
-    if vectors:
-        return values[::-1].copy(), vecs[:, ::-1].copy()
-    return values[::-1].copy()
+    return _descending(np.array(matrix, dtype=complex), vectors, "eig_herm", "Hermitian")
 
 
 def sqrtm_psd(matrix) -> np.ndarray:

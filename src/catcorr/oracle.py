@@ -11,34 +11,12 @@ measurement-side enum, which is shared for type compatibility only.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .correlations import MeasurementSide
 from .errors import DomainError
-from .linalg import eig_herm, eig_sym  # noqa: F401  (re-exported for oracle users)
 from .states import PAULIS, SIGMA0, SuperpositionSpec, check_density, normalization
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Projective single-qubit measurement along a unit Bloch axis."""
-
-    axis: tuple
-
-    def __post_init__(self):
-        axis = tuple(float(c) for c in self.axis)
-        if len(axis) != 3:
-            raise DomainError("measurement axis needs three components")
-        norm = math.sqrt(sum(c * c for c in axis))
-        if abs(norm - 1.0) > 1e-12:
-            raise DomainError(f"measurement axis must be unit length, |e| = {norm}")
-        object.__setattr__(self, "axis", axis)
-
-    def projectors(self) -> tuple:
-        direction = sum(c * PAULIS[a + 1] for a, c in enumerate(self.axis))
-        return 0.5 * (SIGMA0 + direction), 0.5 * (SIGMA0 - direction)
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -103,17 +81,17 @@ def measurement_distance(rho, axis, side: MeasurementSide = MeasurementSide.FIRS
     is Tr[(rho - chi)^2] with chi the dephased-in-basis state.
     """
     rho = check_density(rho)
-    plus, minus = MeasurementBasis(axis=tuple(axis)).projectors()
-    chi = np.zeros_like(rho)
-    for proj in (plus, minus):
-        op = np.kron(proj, SIGMA0) if side is MeasurementSide.FIRST else np.kron(SIGMA0, proj)
-        chi = chi + op @ rho @ op
-    delta = rho - chi
-    return float(np.trace(delta @ delta.conj().T).real)
+    axis = np.array(axis, dtype=float)
+    if axis.shape != (3,):
+        raise DomainError("measurement axis needs three components")
+    norm = math.sqrt(float(axis @ axis))
+    if abs(norm - 1.0) > 1e-12:
+        raise DomainError(f"measurement axis must be unit length, |e| = {norm}")
+    return float(_batch_distance(rho, axis[None], side)[0])
 
 
 def _batch_distance(rho: np.ndarray, axes: np.ndarray, side: MeasurementSide) -> np.ndarray:
-    """measurement_distance over many axes at once."""
+    """measurement_distance over many unit axes at once, rho already checked."""
     sig = np.stack(PAULIS[1:])
     direction = np.einsum("nk,kab->nab", axes, sig)
     plus = 0.5 * (SIGMA0[None] + direction)

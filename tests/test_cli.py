@@ -171,6 +171,19 @@ def test_sweep_validation(capsys):
     assert code == 2
 
 
+def test_sweep_rejects_inputs_it_would_ignore(capsys):
+    # sweep has no --p or --z: argparse rejects them instead of running
+    # the default grid
+    for argv in (["sweep", "--n", "3", "--p", "0.9", "0.9", "0.9", "--pair", "1", "2"],
+                 ["sweep", "--n", "3", "--z", "0.4", "--pair", "1", "2"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+    code, out, err = run_cli(capsys, "sweep", "--n", "3", "--pure", "--k", "1",
+                             "--pair", "1", "2")
+    assert code == 2 and out == ""
+    assert err == "error: give either --pure/--k or --pair, not both\n"
+
+
 def test_evolve_matches_report_at_time_zero(capsys):
     _, evolve_out, _ = run_cli(capsys, "evolve", "--n", "4", "--p", "0.5", "0.5",
                                "0.5", "0.5", "--pair", "1", "2", "--rate", "1",
@@ -249,6 +262,15 @@ def test_verify_fails_honestly_at_machine_tolerance(capsys):
     assert code == 1
     assert "verify: FAIL" in out
     assert "worst:" in out
+
+
+def test_verify_rejects_sample_counts_below_one(capsys):
+    for argv in (["verify", "--samples", "0"],
+                 ["verify", "--samples", "-5"],
+                 ["verify", "--samples", "10", "--search-samples", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "at least 1" in err, argv
 
 
 def test_verify_deterministic_output(capsys):

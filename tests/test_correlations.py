@@ -203,6 +203,27 @@ def test_mixed_discord_approaches_werner_limit():
     assert abs(mixed_discord_closed(spec3, 1, 2).discord - 1.0 / 6.0) < 1e-5
 
 
+def test_werner_limit_three_modes_is_exactly_one_sixth():
+    # The paper's 2/n^2 limit fails at n = 3 (acceptance criterion 3
+    # records that); pin the true value with exact rationals.
+    sympy = pytest.importorskip("sympy")
+    n = sympy.Integer(3)
+    lam1 = (1 - sympy.Rational(4) / n) ** 2 + (1 - sympy.Rational(2) / n) ** 2
+    lam2 = lam3 = sympy.Rational(4) / (n * n)
+    floats = werner_limit_k_eigenvalues(3)
+    for exact, value in zip((lam1, lam2, lam3), floats):
+        assert abs(float(exact) - value) < 1e-15
+    branch, _ = branch_and_discord(lam1, lam2, lam3)
+    assert branch is Branch.MIXED_MINUS
+    exact_discord = sympy.Rational(1, 4) * (lam1 + lam3)
+    assert exact_discord == sympy.Rational(1, 6)
+    assert branch_and_discord(*floats) == (Branch.MIXED_MINUS, pytest.approx(1.0 / 6.0, abs=1e-15))
+    spec = SuperpositionSpec(overlaps=(1.0 - 1e-6,) * 3, parity=Parity.ODD)
+    near = mixed_discord_closed(spec, 1, 2)
+    assert near.branch is Branch.MIXED_MINUS
+    assert abs(near.discord - float(exact_discord)) < 1e-4
+
+
 def test_werner_limit_spectrum_matches_closed_form_near_one():
     p = 1.0 - 1e-8
     for n in (2, 3, 4, 6, 9):

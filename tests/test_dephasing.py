@@ -15,12 +15,20 @@ from catcorr.dephasing import (
     DephasingParams,
     apply_dephasing,
     concurrence_trajectory,
+    dephased_bloch,
     discord_trajectory,
     kraus_ops,
     sudden_death_time,
 )
 from catcorr.errors import DomainError
-from catcorr.states import Parity, SuperpositionSpec, pure_split, reduced_pair_density
+from catcorr.states import (
+    Parity,
+    SuperpositionSpec,
+    bloch_compose,
+    bloch_decompose,
+    pure_split,
+    reduced_pair_density,
+)
 from conftest import random_density, random_pair, random_spec
 
 
@@ -47,6 +55,18 @@ def test_kraus_completeness_and_frozen_value():
         kraus_ops(1.5)
     with pytest.raises(DomainError):
         kraus_ops(-0.1)
+
+
+def test_dephased_bloch_matches_kraus_and_checks_gamma(rng):
+    for _ in range(20):
+        rho = random_density(rng)
+        gamma = float(rng.uniform(0.0, 1.0))
+        rebuilt = bloch_compose(dephased_bloch(bloch_decompose(rho), gamma))
+        assert np.max(np.abs(rebuilt - apply_dephasing(rho, gamma))) < 1e-13
+    bloch = bloch_decompose(np.eye(4, dtype=complex) / 4.0)
+    for gamma in (1.5, -0.1, math.nan):
+        with pytest.raises(DomainError):
+            dephased_bloch(bloch, gamma)
 
 
 def test_apply_dephasing_preserves_density_structure(rng):

@@ -7,7 +7,6 @@ from catcorr.correlations import MeasurementSide, geometric_discord_numeric
 from catcorr.dephasing import apply_dephasing
 from catcorr.errors import DomainError
 from catcorr.oracle import (
-    MeasurementBasis,
     discord_by_measurement_search,
     fibonacci_sphere,
     measurement_distance,
@@ -29,20 +28,28 @@ def test_fibonacci_sphere_layout():
         fibonacci_sphere(0)
 
 
-def test_measurement_basis_projectors():
-    basis = MeasurementBasis(axis=(0.0, 0.0, 1.0))
-    plus, minus = basis.projectors()
-    assert np.max(np.abs(plus @ plus - plus)) < 1e-15
-    assert np.max(np.abs(plus + minus - np.eye(2))) < 1e-15
-    assert np.max(np.abs(plus @ minus)) < 1e-15
-    tilted = MeasurementBasis(axis=(1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0)))
-    p_t, m_t = tilted.projectors()
-    assert abs(np.trace(p_t).real - 1.0) < 1e-15
-    assert np.max(np.abs(p_t @ p_t - p_t)) < 1e-14
+def test_measurement_distance_axis_validation():
+    # the single-axis objective agrees with the explicit projector sum
+    rho = reduced_pair_density(SuperpositionSpec(overlaps=(0.5, 0.7, 0.3),
+                                                 parity=Parity.ODD), 1, 3)
+    eye = np.eye(2)
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]]))
+    for axis in fibonacci_sphere(8):
+        direction = sum(c * s for c, s in zip(axis, paulis))
+        for side in MeasurementSide:
+            chi = np.zeros((4, 4), dtype=complex)
+            for proj in (0.5 * (eye + direction), 0.5 * (eye - direction)):
+                op = np.kron(proj, eye) if side is MeasurementSide.FIRST else np.kron(eye, proj)
+                chi = chi + op @ rho @ op
+            expected = np.trace((rho - chi) @ (rho - chi)).real
+            assert abs(measurement_distance(rho, axis, side) - expected) < 1e-14
+    tilted = (1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0))
+    assert measurement_distance(rho, tilted) >= 0.0
     with pytest.raises(DomainError):
-        MeasurementBasis(axis=(1.0, 1.0, 0.0))
+        measurement_distance(rho, (1.0, 1.0, 0.0))
     with pytest.raises(DomainError):
-        MeasurementBasis(axis=(1.0, 0.0))
+        measurement_distance(rho, (1.0, 0.0))
 
 
 def test_measurement_distance_zero_for_classical_state():
