@@ -18,7 +18,6 @@ import numpy as np
 
 from .correlations import (
     MeasurementSide,
-    concurrence_mixed,
     geometric_discord_numeric,
     geometric_discord_pure_closed,
     mixed_discord_closed,
@@ -190,8 +189,8 @@ def cmd_report(args) -> int:
         params = DephasingParams(rate=args.rate, time=t)
         if mode == "pure":
             evolved = apply_dephasing(pure_split(spec, selection).projector(), params.gamma)
-            discord_t = geometric_discord_numeric(evolved, side).discord
-            concurrence_t = concurrence_mixed(evolved)
+            numeric_t = geometric_discord_numeric(evolved, side)
+            discord_t, concurrence_t = numeric_t.discord, numeric_t.concurrence
             t0 = math.inf if closed.concurrence > 0.0 else 0.0
         else:
             traj = discord_trajectory(spec, i, j, args.rate, t, side)
@@ -239,10 +238,14 @@ def cmd_sweep(args) -> int:
         params = _family_from_args(args)
         if args.z_start is None or args.z_stop is None:
             raise DomainError("family sweeps need --z-start and --z-stop")
-        zs = np.linspace(args.z_start, args.z_stop, args.steps)
-        grid = np.array([overlap(z, params) for z in zs])
+        start, stop = args.z_start, args.z_stop
     else:
-        grid = np.linspace(args.p_start, args.p_stop, args.steps)
+        start, stop = args.p_start, args.p_stop
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError("sweep grid bounds must be finite")
+    grid = np.linspace(start, stop, args.steps)
+    if args.family is not None:
+        grid = np.array([overlap(z, params) for z in grid])
     if grid.min() < 0.0 or grid.max() > 1.0:
         raise DomainError("overlap grid must stay within [0, 1]")
     if args.pure:
@@ -274,8 +277,8 @@ def cmd_evolve(args) -> int:
     i, j = args.pair if args.pair is not None else (1, 2)
     if args.rate is None:
         raise DomainError("evolve needs --rate")
-    if args.t_max is None or args.t_max <= 0.0:
-        raise DomainError("evolve needs a positive --t-max")
+    if args.t_max is None or not 0.0 < args.t_max < math.inf:
+        raise DomainError("evolve needs a positive, finite --t-max")
     if args.steps < 2:
         raise DomainError("a time grid needs at least 2 steps")
     times = np.linspace(0.0, args.t_max, args.steps)
@@ -338,8 +341,8 @@ def _trajectory_gap(spec, i, j, side, rate, t, gamma) -> float:
     gamma = DephasingParams(rate=rate, time=t).gamma
     evolved = apply_dephasing(reduced_pair_density(spec, i, j), gamma)
     traj = discord_trajectory(spec, i, j, rate, t, side)
-    return max(abs(traj.discord - geometric_discord_numeric(evolved, side).discord),
-               abs(traj.concurrence - concurrence_mixed(evolved)))
+    numeric = geometric_discord_numeric(evolved, side)
+    return max(abs(traj.discord - numeric.discord), abs(traj.concurrence - numeric.concurrence))
 
 
 def _search_gap(spec, i, j, side, rate, t, gamma) -> float:
@@ -355,6 +358,8 @@ def cmd_verify(args) -> int:
         raise DomainError("verify needs --samples of at least 1")
     if args.search_samples < 1:
         raise DomainError("verify needs --search-samples of at least 1")
+    if not 0.0 <= args.tol < math.inf:
+        raise DomainError("verify needs a finite, nonnegative --tol")
     rng = np.random.default_rng(args.seed)
     samples = _random_verify_samples(rng, args.samples)
     search_samples = samples[: min(len(samples), args.search_samples)]
@@ -394,8 +399,9 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, one_state: bool = True)
                             help="per-mode branch overlaps in [0, 1]")
     parser.add_argument("--parity", choices=["even", "odd"], default="even",
                         help="relative phase parity of the superposition")
+    labels = "--z into an overlap" if one_state else "--z-start/--z-stop into overlaps"
     parser.add_argument("--family", choices=["wh", "su2", "su11"], default=None,
-                        help="coherent-state family used to translate --z into an overlap")
+                        help=f"coherent-state family used to translate {labels}")
     if one_state:
         parser.add_argument("--z", type=float, default=None,
                             help="family label amplitude (equal across modes)")

@@ -22,13 +22,15 @@ import numpy as np
 from .errors import DomainError
 from .linalg import eig_herm, eig_sym, sqrtm_psd
 from .states import (
-    SIGMA_Y,
+    PAULI_PRODUCTS,
     BlochForm,
     SuperpositionSpec,
-    bloch_decompose,
+    _bloch,
     check_density,
     normalization,
 )
+
+_WITNESS_TOL = 1e-10
 
 
 class MeasurementSide(str, Enum):
@@ -60,21 +62,20 @@ class CorrelationReport:
 
 
 def k_matrix(bloch: BlochForm, side: MeasurementSide = MeasurementSide.FIRST) -> np.ndarray:
-    """K = x x^T + R R^T whose two smallest eigenvalues set the discord."""
-    if side is MeasurementSide.FIRST:
-        return np.outer(bloch.x, bloch.x) + bloch.r @ bloch.r.T
-    return np.outer(bloch.y, bloch.y) + bloch.r.T @ bloch.r
+    """K = x x^T + R R^T, whose two smallest eigenvalues set the discord (side two: t^T)."""
+    t = bloch.t if side is MeasurementSide.FIRST else bloch.t.T
+    return np.outer(t[1:, 0], t[1:, 0]) + t[1:, 1:] @ t[1:, 1:].T
 
 
 def geometric_discord_numeric(rho, side: MeasurementSide = MeasurementSide.FIRST) -> CorrelationReport:
     """Discord of an arbitrary two-qubit state via the K spectrum."""
     rho = check_density(rho)
-    lams = eig_sym(k_matrix(bloch_decompose(rho), side))
+    lams = eig_sym(k_matrix(_bloch(rho), side))
     return CorrelationReport(
         discord=0.25 * float(lams[1] + lams[2]),
         branch=Branch.NUMERIC_K,
         k_eigenvalues=lams,
-        concurrence=concurrence_mixed(rho),
+        concurrence=_concurrence(rho),
         measurement_side=side,
     )
 
@@ -120,8 +121,12 @@ def concurrence_pure(spec: SuperpositionSpec, k: int) -> float:
 
 def concurrence_mixed(rho) -> float:
     """Spin-flip concurrence of an arbitrary two-qubit density matrix."""
-    rho = check_density(rho)
-    flip = np.kron(SIGMA_Y, SIGMA_Y)
+    return _concurrence(check_density(rho))
+
+
+def _concurrence(rho: np.ndarray) -> float:
+    """Spin-flip concurrence of a density that check_density has already passed."""
+    flip = PAULI_PRODUCTS[2, 2]
     tilde = flip @ rho.conj() @ flip
     root = sqrtm_psd(rho)
     spectrum = eig_herm(root @ tilde @ root)
@@ -232,19 +237,12 @@ class DiscordWitness(str, Enum):
     NON_ZERO_DISCORD = "non_zero_discord"
 
 
-def zero_discord_witness(bloch: BlochForm, tol: float = 1e-10) -> DiscordWitness:
+def zero_discord_witness(bloch: BlochForm) -> DiscordWitness:
     """Necessary rank condition for vanishing discord.
 
-    Stacks (1, y^T) over (x, R); rank above two certifies nonzero
-    discord, rank at most two leaves zero discord possible.
+    The Pauli table stacks (1, y^T) over (x, R); rank above two certifies
+    nonzero discord, rank at most two leaves zero discord possible.
     """
-    extended = np.zeros((4, 4))
-    extended[0, 0] = 1.0
-    extended[0, 1:] = bloch.y
-    extended[1:, 0] = bloch.x
-    extended[1:, 1:] = bloch.r
-    singulars = np.linalg.svd(extended, compute_uv=False)
-    rank = int(np.sum(singulars > tol))
-    if rank > 2:
+    if np.linalg.matrix_rank(bloch.t, tol=_WITNESS_TOL) > 2:
         return DiscordWitness.NON_ZERO_DISCORD
     return DiscordWitness.ZERO_DISCORD_POSSIBLE

@@ -33,8 +33,8 @@ class DephasingParams:
     time: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise DomainError("dephasing rate must be positive")
+        if not 0.0 < self.rate < math.inf:
+            raise DomainError("dephasing rate must be positive and finite")
         if not self.time >= 0.0:
             raise DomainError("evolution time must be nonnegative")
 
@@ -72,16 +72,13 @@ def apply_dephasing(rho, gamma: float) -> np.ndarray:
 def dephased_bloch(bloch: BlochForm, gamma: float) -> BlochForm:
     """Bloch data of the two-sided dephased state, by direct scaling.
 
-    Each local channel shrinks the transverse Pauli components by
-    sqrt(1-gamma): transverse rows and columns of R pick up one factor
-    each, transverse local components likewise; everything along z is
-    untouched.
+    Each local channel shrinks the transverse (x, y) rows and columns of
+    the Pauli table by sqrt(1-gamma); identity and z ones are untouched.
     """
     _check_gamma(gamma)
     shrink = math.sqrt(1.0 - gamma)
-    weight = np.array([shrink, shrink, 1.0])
-    return BlochForm(x=bloch.x * weight, y=bloch.y * weight,
-                     r=bloch.r * np.outer(weight, weight))
+    weight = np.array([1.0, shrink, shrink, 1.0])
+    return BlochForm(bloch.t * np.outer(weight, weight))
 
 
 def concurrence_trajectory(spec: SuperpositionSpec, i: int, j: int,

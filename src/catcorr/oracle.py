@@ -18,6 +18,9 @@ from .correlations import MeasurementSide
 from .errors import DomainError
 from .states import PAULIS, SIGMA0, SuperpositionSpec, check_density, normalization
 
+_COARSE_STEPS = 512
+_REFINEMENT_TOL = 1e-8
+
 
 def fibonacci_sphere(count: int) -> np.ndarray:
     """count near-uniform unit vectors, golden-angle spiral layout."""
@@ -110,9 +113,7 @@ def _spherical(theta: float, phi: float) -> tuple:
     return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
 
 
-def discord_by_measurement_search(rho, side: MeasurementSide = MeasurementSide.FIRST,
-                                  coarse_steps: int = 512,
-                                  refinement_tol: float = 1e-8) -> float:
+def discord_by_measurement_search(rho, side: MeasurementSide = MeasurementSide.FIRST) -> float:
     """Geometric discord by direct minimization over measurement axes.
 
     A Fibonacci-sphere scan seeds a compass search in spherical
@@ -123,16 +124,14 @@ def discord_by_measurement_search(rho, side: MeasurementSide = MeasurementSide.F
     minimum from a fine enough seed grid.
     """
     rho = check_density(rho)
-    if coarse_steps < 16:
-        raise DomainError("the coarse stage needs at least 16 sphere points")
-    axes = fibonacci_sphere(coarse_steps)
+    axes = fibonacci_sphere(_COARSE_STEPS)
     values = _batch_distance(rho, axes, side)
     best_idx = int(np.argmin(values))
     best_value = float(values[best_idx])
     x, y, z = axes[best_idx]
     theta = math.acos(max(-1.0, min(1.0, z)))
     phi = math.atan2(y, x)
-    step = 2.0 * math.sqrt(math.pi / coarse_steps)
+    step = 2.0 * math.sqrt(math.pi / _COARSE_STEPS)
     moves = 0
     while step >= 1e-8:
         level_start = best_value
@@ -148,7 +147,7 @@ def discord_by_measurement_search(rho, side: MeasurementSide = MeasurementSide.F
             theta, phi = neighbors[idx]
             moves += 1
         level_gain = level_start - best_value
-        if step < 1e-4 and level_gain < refinement_tol:
+        if step < 1e-4 and level_gain < _REFINEMENT_TOL:
             break
         step *= 0.5
         moves = 0

@@ -21,9 +21,14 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA0, SIGMA_X, SIGMA_Y, SIGMA_Z)
+# PAULI_PRODUCTS[a, b] = sigma_a (x) sigma_b, shape (4, 4, 4, 4)
+PAULI_PRODUCTS = np.einsum("aij,bkl->abikjl", PAULIS, PAULIS).reshape(4, 4, 4, 4)
 
 # denominator threshold below which the superposition counts as null
 _NULL_STATE_TOL = 1e-14
+_HERM_TOL = 1e-12
+_TRACE_TOL = 1e-12
+_PSD_TOL = 1e-10
 
 
 class Parity(str, Enum):
@@ -187,52 +192,52 @@ def reduced_pair_density(spec: SuperpositionSpec, i: int, j: int) -> np.ndarray:
     return check_density(rho / trace)
 
 
-def check_density(rho, herm_tol: float = 1e-12, trace_tol: float = 1e-12,
-                  psd_tol: float = 1e-10) -> np.ndarray:
+def check_density(rho) -> np.ndarray:
     """Validate a 4x4 density matrix and return it as a complex array."""
     m = np.asarray(rho, dtype=complex)
     if m.shape != (4, 4):
         raise InvalidDensityError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > herm_tol:
+    if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
         raise InvalidDensityError("density is not Hermitian within tolerance")
     trace = complex(np.trace(m))
-    if abs(trace.real - 1.0) > trace_tol or abs(trace.imag) > trace_tol:
+    if abs(trace.real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
         raise InvalidDensityError(f"density trace is {trace}, expected 1")
     lowest = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-    if lowest < -psd_tol:
-        raise InvalidDensityError(f"density has eigenvalue {lowest} below -{psd_tol}")
+    if lowest < -_PSD_TOL:
+        raise InvalidDensityError(f"density has eigenvalue {lowest} below -{_PSD_TOL}")
     return m
 
 
 @dataclass(frozen=True, eq=False)
 class BlochForm:
-    """Local Bloch vectors and 3x3 correlation tensor of a two-qubit state."""
+    """Pauli table t[a, b] = Tr[rho sigma_a (x) sigma_b], t[0, 0] = 1, of a
+    two-qubit state; local Bloch vectors x, y and correlations r are views."""
 
-    x: np.ndarray
-    y: np.ndarray
-    r: np.ndarray
+    t: np.ndarray
+    x = property(lambda self: self.t[1:, 0])
+    y = property(lambda self: self.t[0, 1:])
+    r = property(lambda self: self.t[1:, 1:])
+
+
+def _bloch(rho: np.ndarray) -> BlochForm:
+    """Pauli table of a density that check_density has already passed."""
+    # diagonal of rho @ (sigma_a (x) sigma_b) summed in row order, rounding as np.trace does
+    t = np.einsum("ij,abji->abi", rho, PAULI_PRODUCTS).sum(axis=-1).real
+    t[0, 0] = 1.0
+    return BlochForm(t)
 
 
 def bloch_decompose(rho) -> BlochForm:
     """Pauli expectation values x_a, y_b, R_ab of a two-qubit density."""
-    rho = check_density(rho)
-    x = np.array([np.trace(rho @ np.kron(PAULIS[a], SIGMA0)).real for a in (1, 2, 3)])
-    y = np.array([np.trace(rho @ np.kron(SIGMA0, PAULIS[b])).real for b in (1, 2, 3)])
-    r = np.array(
-        [[np.trace(rho @ np.kron(PAULIS[a], PAULIS[b])).real for b in (1, 2, 3)]
-         for a in (1, 2, 3)]
-    )
-    return BlochForm(x=x, y=y, r=r)
+    return _bloch(check_density(rho))
 
 
 def bloch_compose(bloch: BlochForm) -> np.ndarray:
-    """Rebuild the density matrix from its Bloch decomposition."""
-    rho = np.kron(SIGMA0, SIGMA0)
-    for a in range(3):
-        rho = rho + bloch.x[a] * np.kron(PAULIS[a + 1], SIGMA0)
-        rho = rho + bloch.y[a] * np.kron(SIGMA0, PAULIS[a + 1])
-        for b in range(3):
-            rho = rho + bloch.r[a, b] * np.kron(PAULIS[a + 1], PAULIS[b + 1])
+    """Rebuild the density from its Pauli table, term by term in a fixed rounding order."""
+    rho = PAULI_PRODUCTS[0, 0]
+    for a in range(1, 4):
+        for ab in ((a, 0), (0, a), (a, 1), (a, 2), (a, 3)):
+            rho = rho + bloch.t[ab] * PAULI_PRODUCTS[ab]
     return rho / 4.0
 
 

@@ -63,6 +63,7 @@ def test_report_validation_failures_exit_2(capsys):
         ["report", "--n", "2", "--family", "su2", "--z", "0.5", "--j", "0.3",
          "--pair", "1", "2"],                                              # bad spin label
         ["report", "--p", "0.5", "0.5", "--pair", "1", "2", "--time", "1"],  # time, no rate
+        ["report", "--p", "0.5", "0.5", "--pair", "1", "2", "--rate", "inf"],  # infinite rate
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
@@ -160,6 +161,7 @@ def test_sweep_family_grid_translates_labels(capsys):
     assert abs(float(rows[-1]["p"]) - 0.36) < 1e-8
 
 
+@pytest.mark.filterwarnings("error")
 def test_sweep_validation(capsys):
     code, _, err = run_cli(capsys, "sweep", "--n", "3", "--pair", "1", "2",
                            "--steps", "1")
@@ -169,6 +171,23 @@ def test_sweep_validation(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run_cli(capsys, "sweep", "--pair", "1", "2")
     assert code == 2
+    # non-finite grid bounds are rejected before the grid is built, so
+    # numpy never warns about an inf or nan step
+    for bounds in (["--family", "wh", "--z-start", "0", "--z-stop", "inf"],
+                   ["--family", "wh", "--z-start", "nan", "--z-stop", "1"],
+                   ["--p-start", "nan"], ["--p-stop", "inf"]):
+        code, out, err = run_cli(capsys, "sweep", "--n", "3", "--pair", "1", "2",
+                                 "--steps", "3", *bounds)
+        assert code == 2 and out == "", bounds
+        assert err == "error: sweep grid bounds must be finite\n", bounds
+
+
+def test_family_help_names_the_label_flags_of_each_command(capsys):
+    _, out, _ = run_cli(capsys, "sweep", "--help")
+    assert "--z-start/--z-stop into overlaps" in " ".join(out.split())
+    for command in ("report", "evolve"):
+        _, out, _ = run_cli(capsys, command, "--help")
+        assert "translate --z into an overlap" in " ".join(out.split()), command
 
 
 def test_sweep_rejects_inputs_it_would_ignore(capsys):
@@ -228,6 +247,7 @@ def test_evolve_two_modes_never_dies(capsys):
     assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
 
 
+@pytest.mark.filterwarnings("error")
 def test_evolve_validation(capsys):
     code, _, err = run_cli(capsys, "evolve", "--n", "2", "--p", "0.5", "0.5",
                            "--t-max", "1")
@@ -235,6 +255,15 @@ def test_evolve_validation(capsys):
     code, _, err = run_cli(capsys, "evolve", "--n", "2", "--p", "0.5", "0.5",
                            "--rate", "1")
     assert code == 2
+    # non-finite inputs get one error line that names the bad flag
+    for flags, message in (
+            (["--rate", "1", "--t-max", "inf"], "evolve needs a positive, finite --t-max"),
+            (["--rate", "1", "--t-max", "nan"], "evolve needs a positive, finite --t-max"),
+            (["--rate", "inf", "--t-max", "1"], "dephasing rate must be positive and finite")):
+        code, out, err = run_cli(capsys, "evolve", "--n", "3", "--p", "0.5", "0.5", "0.5",
+                                 "--steps", "3", *flags)
+        assert code == 2 and out == "", flags
+        assert err == f"error: {message}\n", flags
 
 
 def test_out_file_writing(tmp_path, capsys):
@@ -265,12 +294,19 @@ def test_verify_fails_honestly_at_machine_tolerance(capsys):
 
 
 def test_verify_rejects_sample_counts_below_one(capsys):
-    for argv in (["verify", "--samples", "0"],
-                 ["verify", "--samples", "-5"],
-                 ["verify", "--samples", "10", "--search-samples", "0"]):
+    # also a tolerance no deviation can be compared against; --tol 0 stays legal
+    for argv, fragment in ((["verify", "--samples", "0"], "at least 1"),
+                           (["verify", "--samples", "-5"], "at least 1"),
+                           (["verify", "--samples", "10", "--search-samples", "0"], "at least 1"),
+                           (["verify", "--samples", "2", "--tol", "nan"], "--tol"),
+                           (["verify", "--samples", "2", "--tol", "-1"], "--tol"),
+                           (["verify", "--samples", "2", "--tol", "inf"], "--tol")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
-        assert err.startswith("error:") and "at least 1" in err, argv
+        assert err.startswith("error:") and err.count("\n") == 1 and fragment in err, argv
+    code, out, _ = run_cli(capsys, "verify", "--samples", "2", "--search-samples", "1",
+                           "--tol", "0")
+    assert code in (0, 1) and out.startswith("gram_vs_closed")
 
 
 def test_verify_deterministic_output(capsys):

@@ -22,10 +22,13 @@ from catcorr.correlations import (
 )
 from catcorr.linalg import sqrtm_psd
 from catcorr.states import (
+    SIGMA_X,
     SIGMA_Y,
+    SIGMA_Z,
     Parity,
     SuperpositionSpec,
     bloch_decompose,
+    check_density,
     pure_split,
     reduced_pair_density,
 )
@@ -280,6 +283,12 @@ def test_zero_discord_witness_flags_correlated_state():
     spec = SuperpositionSpec(overlaps=(0.5, 0.5, 0.5), parity=Parity.EVEN)
     bloch = bloch_decompose(reduced_pair_density(spec, 1, 2))
     assert zero_discord_witness(bloch) is DiscordWitness.NON_ZERO_DISCORD
+    # R = diag(0.3, 0.3, 0) has rank 2; the local x = (0, 0, 0.2) lifts the
+    # full table (1, y^T; x, R) to rank 3
+    rho = (np.eye(4) + 0.2 * np.kron(SIGMA_Z, np.eye(2))
+           + 0.3 * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y))) / 4.0
+    assert zero_discord_witness(bloch_decompose(rho)) is DiscordWitness.NON_ZERO_DISCORD
+    assert geometric_discord_numeric(rho).discord > 0.0
 
 
 def test_zero_discord_witness_passes_product_and_classical_states():
@@ -303,6 +312,22 @@ def test_witness_consistent_with_discord_on_random_specs(rng):
         witness = zero_discord_witness(bloch)
         if witness is DiscordWitness.NON_ZERO_DISCORD:
             assert report.discord > 0.0
+
+
+def test_geometric_discord_numeric_checks_density_once(monkeypatch):
+    calls = []
+
+    def counting(rho):
+        calls.append(1)
+        return check_density(rho)
+
+    for module in ("catcorr.states", "catcorr.correlations"):
+        monkeypatch.setattr(f"{module}.check_density", counting)
+    rho = reduced_pair_density(SuperpositionSpec(overlaps=(0.5, 0.5, 0.5)), 1, 2)
+    calls.clear()
+    report = geometric_discord_numeric(rho, MeasurementSide.SECOND)
+    assert len(calls) == 1
+    assert abs(report.discord - 5.0 / 36.0) < 1e-12
 
 
 def test_k_matrix_side_selection():

@@ -42,6 +42,13 @@ def test_params_validation_and_gamma():
         DephasingParams(rate=-1.0, time=1.0)
     with pytest.raises(DomainError):
         DephasingParams(rate=1.0, time=-0.1)
+    for rate in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            DephasingParams(rate=rate, time=1.0)
+    with pytest.raises(DomainError):
+        DephasingParams(rate=1.0, time=math.nan)
+    # an infinite time is the fully dephased limit
+    assert DephasingParams(rate=1.0, time=math.inf).gamma == 1.0
 
 
 def test_kraus_completeness_and_frozen_value():

@@ -129,12 +129,6 @@ def test_search_zero_discord_state():
     assert discord_by_measurement_search(rho) < 1e-9
 
 
-def test_search_coarse_grid_validation():
-    rho = np.eye(4, dtype=complex) / 4.0
-    with pytest.raises(DomainError):
-        discord_by_measurement_search(rho, coarse_steps=8)
-
-
 def test_search_respects_side_asymmetry():
     spec = SuperpositionSpec(overlaps=(0.8, 0.5, 0.4), parity=Parity.ODD)
     rho = reduced_pair_density(spec, 1, 2)
