@@ -21,7 +21,6 @@ from .correlations import (
     geometric_discord_numeric,
     geometric_discord_pure_closed,
     mixed_discord_closed,
-    mixed_k_eigenvalues,
 )
 from .dephasing import (
     DephasingParams,
@@ -36,8 +35,8 @@ from .oracle import discord_by_measurement_search, pair_density_from_overlaps
 from .states import (
     Parity,
     SuperpositionSpec,
+    _bloch,
     bloch_compose,
-    bloch_decompose,
     pure_split,
     reduced_pair_density,
 )
@@ -96,15 +95,27 @@ def _family_from_args(args) -> FamilyParams:
             raise DomainError("the wh family takes no --j or --bargmann label")
         return WEYL_HEISENBERG
     if args.family == "su2":
+        if args.bargmann is not None:
+            raise DomainError("the su2 family takes no --bargmann label")
         if args.j is None:
             raise DomainError("--family su2 needs --j")
-        twice_j = round(2.0 * args.j)
+        # a non-finite j fails the half-integer test below
+        twice_j = round(2.0 * args.j) if math.isfinite(args.j) else 0
         if abs(2.0 * args.j - twice_j) > 1e-9 or twice_j <= 0:
             raise DomainError("--j must be a positive integer or half-integer")
-        return su2(int(twice_j))
+        return su2(twice_j)
+    if args.j is not None:
+        raise DomainError("the su11 family takes no --j label")
     if args.bargmann is None:
         raise DomainError("--family su11 needs --bargmann")
     return su11(args.bargmann)
+
+
+def _reject_labels_without_family(args, flags) -> None:
+    """Family label flags do nothing without --family, so refuse them."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise DomainError(f"{flag} needs --family")
 
 
 def _spec_from_args(args) -> SuperpositionSpec:
@@ -114,6 +125,7 @@ def _spec_from_args(args) -> SuperpositionSpec:
     if args.p is not None:
         if args.n is not None and args.n != len(args.p):
             raise DomainError(f"--n {args.n} disagrees with {len(args.p)} --p values")
+        _reject_labels_without_family(args, ("--z", "--j", "--bargmann"))
         return SuperpositionSpec(overlaps=tuple(args.p), parity=parity)
     if args.family is not None:
         if args.z is None:
@@ -139,24 +151,20 @@ def _selection_from_args(args) -> tuple:
 
 
 def _point(spec: SuperpositionSpec, mode: str, selection, side: MeasurementSide) -> tuple:
-    """Closed report, numeric report and labeled (lam1, lam2, lam3) of one spec."""
+    """Closed report of one spec and the density its numeric route reads."""
     if mode == "pure":
-        closed = geometric_discord_pure_closed(spec, selection)
-        rho = pure_split(spec, selection).projector()
-        lams = tuple(closed.k_eigenvalues)
-    else:
-        i, j = selection
-        closed = mixed_discord_closed(spec, i, j, side)
-        rho = reduced_pair_density(spec, i, j)
-        lams = mixed_k_eigenvalues(spec, i, j, side)
-    return closed, geometric_discord_numeric(rho, side), lams
+        return (geometric_discord_pure_closed(spec, selection),
+                pure_split(spec, selection).projector())
+    i, j = selection
+    return mixed_discord_closed(spec, i, j, side), reduced_pair_density(spec, i, j)
 
 
 def cmd_report(args) -> int:
     spec = _spec_from_args(args)
     side = MeasurementSide(args.side)
     mode, selection = _selection_from_args(args)
-    closed, numeric, (lam1, lam2, lam3) = _point(spec, mode, selection, side)
+    closed, rho = _point(spec, mode, selection, side)
+    lam1, lam2, lam3 = closed.k_eigenvalues
     if mode == "pure":
         selection_repr = str(selection)
         selection_json = {"mode": "pure", "k": selection}
@@ -174,7 +182,7 @@ def cmd_report(args) -> int:
         "selection": selection_json,
         "measurement_side": side.value,
         "discord": _jnum(closed.discord),
-        "discord_numeric": _jnum(numeric.discord),
+        "discord_numeric": _jnum(geometric_discord_numeric(rho, side).discord),
         "branch": closed.branch.value,
         "concurrence": _jnum(closed.concurrence),
         "lambda1": _jnum(lam1),
@@ -188,8 +196,7 @@ def cmd_report(args) -> int:
         t = args.time if args.time is not None else 0.0
         params = DephasingParams(rate=args.rate, time=t)
         if mode == "pure":
-            evolved = apply_dephasing(pure_split(spec, selection).projector(), params.gamma)
-            numeric_t = geometric_discord_numeric(evolved, side)
+            numeric_t = geometric_discord_numeric(apply_dephasing(rho, params.gamma), side)
             discord_t, concurrence_t = numeric_t.discord, numeric_t.concurrence
             t0 = math.inf if closed.concurrence > 0.0 else 0.0
         else:
@@ -240,6 +247,7 @@ def cmd_sweep(args) -> int:
             raise DomainError("family sweeps need --z-start and --z-stop")
         start, stop = args.z_start, args.z_stop
     else:
+        _reject_labels_without_family(args, ("--z-start", "--z-stop", "--j", "--bargmann"))
         start, stop = args.p_start, args.p_stop
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise DomainError("sweep grid bounds must be finite")
@@ -261,9 +269,9 @@ def cmd_sweep(args) -> int:
     rows = []
     for p in grid:
         spec = SuperpositionSpec(overlaps=(float(p),) * args.n, parity=parity)
-        closed, numeric, lams = _point(spec, mode, selection, side)
-        rows.append([float(p), closed.discord, numeric.discord, closed.branch.value,
-                     closed.concurrence, *lams])
+        closed, rho = _point(spec, mode, selection, side)
+        rows.append([float(p), closed.discord, geometric_discord_numeric(rho, side).discord,
+                     closed.branch.value, closed.concurrence, *closed.k_eigenvalues])
     _emit_table(args, _SWEEP_COLUMNS, rows)
     return 0
 
@@ -319,34 +327,33 @@ def _describe_sample(sample) -> str:
             f"side={side.value} rate={_fmt(rate)} t={_fmt(t)} gamma={_fmt(gamma)}")
 
 
-def _gram_gap(spec, i, j, side, rate, t, gamma) -> float:
-    return float(np.max(np.abs(pair_density_from_overlaps(spec, i, j)
-                               - reduced_pair_density(spec, i, j))))
+# Each gap function takes the sample's closed-form pair density rho,
+# which reduced_pair_density has validated, and the sample itself.
+
+def _gram_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
+    return float(np.max(np.abs(pair_density_from_overlaps(spec, i, j) - rho)))
 
 
-def _closed_gap(spec, i, j, side, rate, t, gamma) -> float:
-    rho = reduced_pair_density(spec, i, j)
+def _closed_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
     return abs(mixed_discord_closed(spec, i, j, side).discord
                - geometric_discord_numeric(rho, side).discord)
 
 
-def _kraus_gap(spec, i, j, side, rate, t, gamma) -> float:
-    rho = reduced_pair_density(spec, i, j)
+def _kraus_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
     evolved = apply_dephasing(rho, gamma)
-    rebuilt = bloch_compose(dephased_bloch(bloch_decompose(rho), gamma))
+    rebuilt = bloch_compose(dephased_bloch(_bloch(rho), gamma))
     return float(np.max(np.abs(evolved - rebuilt)))
 
 
-def _trajectory_gap(spec, i, j, side, rate, t, gamma) -> float:
+def _trajectory_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
     gamma = DephasingParams(rate=rate, time=t).gamma
-    evolved = apply_dephasing(reduced_pair_density(spec, i, j), gamma)
+    evolved = apply_dephasing(rho, gamma)
     traj = discord_trajectory(spec, i, j, rate, t, side)
     numeric = geometric_discord_numeric(evolved, side)
     return max(abs(traj.discord - numeric.discord), abs(traj.concurrence - numeric.concurrence))
 
 
-def _search_gap(spec, i, j, side, rate, t, gamma) -> float:
-    rho = reduced_pair_density(spec, i, j)
+def _search_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
     if t > 1.5:
         rho = apply_dephasing(rho, DephasingParams(rate=rate, time=t).gamma)
     return abs(discord_by_measurement_search(rho, side)
@@ -361,7 +368,8 @@ def cmd_verify(args) -> int:
     if not 0.0 <= args.tol < math.inf:
         raise DomainError("verify needs a finite, nonnegative --tol")
     rng = np.random.default_rng(args.seed)
-    samples = _random_verify_samples(rng, args.samples)
+    samples = [(reduced_pair_density(*sample[:3]), sample)
+               for sample in _random_verify_samples(rng, args.samples)]
     search_samples = samples[: min(len(samples), args.search_samples)]
     checks = [("gram_vs_closed", samples, _gram_gap),
               ("closed_vs_numeric", samples, _closed_gap),
@@ -372,8 +380,8 @@ def cmd_verify(args) -> int:
     passed = 0
     for name, subset, gap in checks:
         deviation, worst = 0.0, None
-        for sample in subset:
-            value = gap(*sample)
+        for rho, sample in subset:
+            value = gap(rho, *sample)
             if value > deviation:
                 deviation, worst = value, sample
         ok = deviation <= args.tol

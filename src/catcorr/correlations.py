@@ -47,18 +47,22 @@ class Branch(str, Enum):
     MIXED_PLUS = "mixed_plus"
     MIXED_MINUS = "mixed_minus"
     NUMERIC_K = "numeric_k"
-    ORACLE_SEARCH = "oracle_search"
 
 
 @dataclass(frozen=True, eq=False)
 class CorrelationReport:
-    """Discord value plus the data that determined it."""
+    """Discord value plus the data that determined it.
+
+    k_eigenvalues is labeled on the closed branches: (lam1, lam2, lam3)
+    as mixed_k_eigenvalues gives them, z eigenvalue first, and
+    (1, C^2, C^2) for a pure split. On numeric_k it is the eigvalsh
+    spectrum of K in descending order.
+    """
 
     discord: float
     branch: Branch
-    k_eigenvalues: np.ndarray
+    k_eigenvalues: tuple | np.ndarray
     concurrence: float
-    measurement_side: MeasurementSide
 
 
 def k_matrix(bloch: BlochForm, side: MeasurementSide = MeasurementSide.FIRST) -> np.ndarray:
@@ -76,7 +80,6 @@ def geometric_discord_numeric(rho, side: MeasurementSide = MeasurementSide.FIRST
         branch=Branch.NUMERIC_K,
         k_eigenvalues=lams,
         concurrence=_concurrence(rho),
-        measurement_side=side,
     )
 
 
@@ -100,23 +103,19 @@ def geometric_discord_pure_closed(spec: SuperpositionSpec, k: int) -> Correlatio
     the squared concurrence but is evaluated from its own expression.
     """
     u_left, u_right, denom = _split_factors(spec, k)
-    discord = 0.5 * u_left * u_right / (denom * denom)
-    # K spectrum of a pure state: (1, C^2, C^2) up to ordering
     csq = u_left * u_right / (denom * denom)
-    lams = np.sort(np.array([1.0, csq, csq]))[::-1]
     return CorrelationReport(
-        discord=discord,
+        discord=0.5 * csq,
         branch=Branch.PURE,
-        k_eigenvalues=lams,
-        concurrence=concurrence_pure(spec, k),
-        measurement_side=MeasurementSide.FIRST,
+        # K spectrum of a pure state
+        k_eigenvalues=(1.0, csq, csq),
+        concurrence=math.sqrt(u_left) * math.sqrt(u_right) / denom,
     )
 
 
 def concurrence_pure(spec: SuperpositionSpec, k: int) -> float:
     """Concurrence of the pure split, sqrt((1-P_k^2)(1-P_{n-k}^2))/(1+Pc)."""
-    u_left, u_right, denom = _split_factors(spec, k)
-    return math.sqrt(u_left) * math.sqrt(u_right) / denom
+    return geometric_discord_pure_closed(spec, k).concurrence
 
 
 def concurrence_mixed(rho) -> float:
@@ -137,9 +136,8 @@ def _concurrence(rho: np.ndarray) -> float:
 def _pair_factors(spec: SuperpositionSpec, i: int, j: int) -> tuple:
     """Omitted product q and s = sqrt(1 - p^2) of modes i and j.
 
-    The branch denominator 1 + Pc cos(m pi) is left to the callers that
-    need it: it costs a product over all modes, and mixed_k_eigenvalues,
-    which runs once per sweep or trajectory row, does not use it.
+    The branch denominator 1 + Pc cos(m pi) is left to the concurrence
+    expressions that need it; the K eigenvalues do not.
     """
     q = spec.omitted_product(i, j)
     p_i = spec.overlaps[i - 1]
@@ -158,7 +156,12 @@ def mixed_k_eigenvalues(spec: SuperpositionSpec, i: int, j: int,
     expanded polynomial form cancels catastrophically near unit
     overlaps. Measuring the first member puts p_i in the local slot.
     """
-    q, s_i, s_j = _pair_factors(spec, i, j)
+    return _k_eigenvalues(spec, i, j, side, *_pair_factors(spec, i, j))
+
+
+def _k_eigenvalues(spec: SuperpositionSpec, i: int, j: int, side: MeasurementSide,
+                   q: float, s_i: float, s_j: float) -> tuple:
+    """mixed_k_eigenvalues from the pair's _pair_factors."""
     sign = spec.parity.sign
     p_i = spec.overlaps[i - 1]
     p_j = spec.overlaps[j - 1]
@@ -191,20 +194,17 @@ def branch_and_discord(lam1: float, lam2: float, lam3: float) -> tuple:
 def mixed_discord_closed(spec: SuperpositionSpec, i: int, j: int,
                          side: MeasurementSide = MeasurementSide.FIRST) -> CorrelationReport:
     """Closed-form discord and concurrence of the (i, j) mode pair."""
-    lam1, lam2, lam3 = mixed_k_eigenvalues(spec, i, j, side)
-    branch, discord = branch_and_discord(lam1, lam2, lam3)
-    # Same value as concurrence_trajectory at t = 0, but (1+q)-(1-q)
-    # is not 2q in floating point, so it keeps its own expression.
     q, s_i, s_j = _pair_factors(spec, i, j)
+    lams = _k_eigenvalues(spec, i, j, side, q, s_i, s_j)
+    branch, discord = branch_and_discord(*lams)
     denom = 1.0 + spec.branch_product * spec.parity.sign
-    concurrence = q * s_i * s_j / denom
-    lams = np.sort(np.array([lam1, lam2, lam3]))[::-1]
+    # Same value as discord_trajectory's concurrence at t = 0, but
+    # (1+q)-(1-q) is not 2q in floating point, so it keeps its own expression.
     return CorrelationReport(
         discord=discord,
         branch=branch,
         k_eigenvalues=lams,
-        concurrence=concurrence,
-        measurement_side=side,
+        concurrence=q * s_i * s_j / denom,
     )
 
 

@@ -17,9 +17,9 @@ import numpy as np
 from .correlations import (
     CorrelationReport,
     MeasurementSide,
+    _k_eigenvalues,
     _pair_factors,
     branch_and_discord,
-    mixed_k_eigenvalues,
 )
 from .errors import DomainError
 from .states import BlochForm, SuperpositionSpec, check_density
@@ -83,19 +83,8 @@ def dephased_bloch(bloch: BlochForm, gamma: float) -> BlochForm:
 
 def concurrence_trajectory(spec: SuperpositionSpec, i: int, j: int,
                            rate: float, time: float) -> float:
-    """Pair concurrence after dephasing for a time at the given rate.
-
-    max{0, prefactor * [e^(-rate t)(1+q) - (1-q)]} / 2 with the usual
-    sqrt((1-p_i^2)(1-p_j^2))/(1+Pc) prefactor; both parities reduce to
-    this same form because flipping the branch sign swaps the two
-    spin-flip eigenvalue candidates.
-    """
-    DephasingParams(rate=rate, time=time)
-    q, s_i, s_j = _pair_factors(spec, i, j)
-    denom = 1.0 + spec.branch_product * spec.parity.sign
-    prefactor = 0.5 * s_i * s_j / denom
-    decayed = math.exp(-rate * time) * (1.0 + q) - (1.0 - q)
-    return max(0.0, prefactor * decayed)
+    """Pair concurrence after dephasing for a time at the given rate."""
+    return discord_trajectory(spec, i, j, rate, time).concurrence
 
 
 def sudden_death_time(spec: SuperpositionSpec, i: int, j: int, rate: float) -> float:
@@ -105,7 +94,6 @@ def sudden_death_time(spec: SuperpositionSpec, i: int, j: int, rate: float) -> f
     product (the two-mode case) keeps the decay strictly positive for
     all finite times.
     """
-    DephasingParams(rate=rate, time=0.0)
     if concurrence_trajectory(spec, i, j, rate, 0.0) <= 0.0:
         return 0.0
     q = spec.omitted_product(i, j)
@@ -116,22 +104,29 @@ def sudden_death_time(spec: SuperpositionSpec, i: int, j: int, rate: float) -> f
 
 def discord_trajectory(spec: SuperpositionSpec, i: int, j: int, rate: float, time: float,
                        side: MeasurementSide = MeasurementSide.FIRST) -> CorrelationReport:
-    """Closed-form discord of the dephased pair at one instant.
+    """Closed-form discord and concurrence of the dephased pair at one instant.
 
     Only the planar K eigenvalues decay (by e^(-2 rate t)); the branch
     choice is re-evaluated at the scaled spectrum, so a pair can cross
     from the minus branch to the plus branch while it evolves.
+
+    The concurrence is max{0, prefactor * [e^(-rate t)(1+q) - (1-q)]} / 2
+    with the usual sqrt((1-p_i^2)(1-p_j^2))/(1+Pc) prefactor; both
+    parities reduce to this same form because flipping the branch sign
+    swaps the two spin-flip eigenvalue candidates.
     """
     DephasingParams(rate=rate, time=time)
-    lam1, lam2, lam3 = mixed_k_eigenvalues(spec, i, j, side)
+    q, s_i, s_j = _pair_factors(spec, i, j)
+    lam1, lam2, lam3 = _k_eigenvalues(spec, i, j, side, q, s_i, s_j)
     scale = math.exp(-2.0 * rate * time)
-    lam2, lam3 = lam2 * scale, lam3 * scale
-    branch, discord = branch_and_discord(lam1, lam2, lam3)
-    lams = np.sort(np.array([lam1, lam2, lam3]))[::-1]
+    lams = (lam1, lam2 * scale, lam3 * scale)
+    branch, discord = branch_and_discord(*lams)
+    denom = 1.0 + spec.branch_product * spec.parity.sign
+    prefactor = 0.5 * s_i * s_j / denom
+    decayed = math.exp(-rate * time) * (1.0 + q) - (1.0 - q)
     return CorrelationReport(
         discord=discord,
         branch=branch,
         k_eigenvalues=lams,
-        concurrence=concurrence_trajectory(spec, i, j, rate, time),
-        measurement_side=side,
+        concurrence=max(0.0, prefactor * decayed),
     )

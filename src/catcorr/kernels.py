@@ -40,7 +40,7 @@ class FamilyParams:
         if family is Family.SU2:
             if self.twice_j is None or self.bargmann_index is not None:
                 raise DomainError("su2 takes twice_j and nothing else")
-            if int(self.twice_j) != self.twice_j or self.twice_j < 1:
+            if not 1 <= self.twice_j < math.inf or int(self.twice_j) != self.twice_j:
                 raise DomainError("twice_j must be a positive integer")
             object.__setattr__(self, "twice_j", int(self.twice_j))
         elif family is Family.SU11:
@@ -48,6 +48,8 @@ class FamilyParams:
                 raise DomainError("su11 takes bargmann_index and nothing else")
             if not self.bargmann_index > 0:
                 raise DomainError("bargmann_index must be positive")
+            if math.isinf(self.bargmann_index):
+                raise DomainError("bargmann_index must be finite")
         else:
             if self.twice_j is not None or self.bargmann_index is not None:
                 raise DomainError("weyl-heisenberg takes no representation label")

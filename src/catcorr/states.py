@@ -93,11 +93,8 @@ def _check_pair(n: int, i: int, j: int) -> None:
 
 
 def normalization(spec: SuperpositionSpec) -> float:
-    """Normalization prefactor N = (2 + 2 cos(m pi) prod p_i)^(-1/2)."""
-    denominator = 2.0 + 2.0 * spec.branch_product * spec.parity.sign
-    if denominator <= _NULL_STATE_TOL:
-        raise DivergentNormalizationError("superposition normalization diverges")
-    return 1.0 / math.sqrt(denominator)
+    """Normalization prefactor N = (2 + 2 cos(m pi) prod p_i)^(-1/2) of a non-null spec."""
+    return 1.0 / math.sqrt(2.0 + 2.0 * spec.branch_product * spec.parity.sign)
 
 
 def qubit_map_coeffs(p: float) -> tuple:

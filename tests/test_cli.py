@@ -1,9 +1,14 @@
 import json
 import math
+import sys
+from collections import Counter
 
 import pytest
 
+import catcorr.cli
 from catcorr.cli import main
+from catcorr.dephasing import DephasingParams
+from catcorr.states import SuperpositionSpec
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +74,29 @@ def test_report_validation_failures_exit_2(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_family_labels_are_checked_not_ignored(capsys):
+    spin = "error: --j must be a positive integer or half-integer\n"
+    cases = [
+        (["--n", "3", "--p", "0.5", "0.5", "0.5", "--z", "0.3"], "error: --z needs --family\n"),
+        (["--n", "3", "--p", "0.5", "0.5", "0.5", "--j", "1"], "error: --j needs --family\n"),
+        (["--n", "3", "--p", "0.5", "0.5", "0.5", "--bargmann", "1"],
+         "error: --bargmann needs --family\n"),
+        (["--n", "3", "--family", "su2", "--z", "0.3", "--j", "inf"], spin),
+        (["--n", "3", "--family", "su2", "--z", "0.3", "--j", "nan"], spin),
+        (["--n", "3", "--family", "su2", "--z", "0.3", "--j", "1", "--bargmann", "1"],
+         "error: the su2 family takes no --bargmann label\n"),
+        (["--n", "3", "--family", "su11", "--z", "0.3", "--bargmann", "inf"],
+         "error: bargmann_index must be finite\n"),
+        (["--n", "3", "--family", "su11", "--z", "0.3", "--bargmann", "1", "--j", "1"],
+         "error: the su11 family takes no --j label\n"),
+    ]
+    for flags, message in cases:
+        for command in (["report", "--pair", "1", "2"],
+                        ["evolve", "--rate", "1", "--t-max", "1", "--steps", "3"]):
+            code, out, err = run_cli(capsys, *command, *flags)
+            assert (code, out, err) == (2, "", message), command + flags
 
 
 def test_report_family_translation(capsys):
@@ -161,7 +189,6 @@ def test_sweep_family_grid_translates_labels(capsys):
     assert abs(float(rows[-1]["p"]) - 0.36) < 1e-8
 
 
-@pytest.mark.filterwarnings("error")
 def test_sweep_validation(capsys):
     code, _, err = run_cli(capsys, "sweep", "--n", "3", "--pair", "1", "2",
                            "--steps", "1")
@@ -201,6 +228,17 @@ def test_sweep_rejects_inputs_it_would_ignore(capsys):
                              "--pair", "1", "2")
     assert code == 2 and out == ""
     assert err == "error: give either --pure/--k or --pair, not both\n"
+    # family labels without --family would leave the default p grid running
+    for flags, message in ((["--z-start", "0.1", "--z-stop", "0.2"], "--z-start needs --family"),
+                           (["--z-stop", "0.2"], "--z-stop needs --family"),
+                           (["--j", "1"], "--j needs --family"),
+                           (["--bargmann", "1"], "--bargmann needs --family"),
+                           (["--family", "su2", "--j", "inf", "--z-start", "0.1",
+                             "--z-stop", "0.2"], "--j must be a positive integer or half-integer"),
+                           (["--family", "su11", "--bargmann", "inf", "--z-start", "0.1",
+                             "--z-stop", "0.2"], "bargmann_index must be finite")):
+        code, out, err = run_cli(capsys, "sweep", "--n", "3", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), flags
 
 
 def test_evolve_matches_report_at_time_zero(capsys):
@@ -247,7 +285,6 @@ def test_evolve_two_modes_never_dies(capsys):
     assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
 
 
-@pytest.mark.filterwarnings("error")
 def test_evolve_validation(capsys):
     code, _, err = run_cli(capsys, "evolve", "--n", "2", "--p", "0.5", "0.5",
                            "--t-max", "1")
@@ -321,3 +358,47 @@ def test_unknown_arguments_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
+
+
+def _count_calls(monkeypatch, targets) -> Counter:
+    """Count calls to each (owner, name) target: on its class for a method,
+    at every catcorr module binding for a function."""
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("catcorr")]
+
+    def counting(label, original):
+        def wrapper(*args, **kwargs):
+            counts[label] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for owner, name in targets:
+        original = getattr(owner, name)
+        wrapper = counting(name, original)
+        owners = [owner] if isinstance(owner, type) else [
+            m for m in modules if vars(m).get(name) is original]
+        for bound in owners:
+            monkeypatch.setattr(bound, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("argv, exact, at_most", [
+    ("sweep --n 3 --parity even --pair 1 2 --steps 100",
+     {"_pair_factors": 100, "omitted_product": 200}, {"mixed_k_eigenvalues": 100}),
+    ("sweep --n 3 --parity even --pure --k 1 --steps 100", {"_split_factors": 100}, {}),
+    ("evolve --n 4 --p 0.5 0.5 0.5 0.5 --pair 1 2 --rate 1 --t-max 1.5 --steps 100",
+     {}, {"__post_init__": 202, "_pair_factors": 101}),
+    ("verify --samples 100", {"reduced_pair_density": 100}, {"check_density": 821}),
+])
+def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact, at_most):
+    correlations, states = catcorr.correlations, catcorr.states
+    counts = _count_calls(monkeypatch, [
+        (correlations, "mixed_k_eigenvalues"), (correlations, "_pair_factors"),
+        (correlations, "_split_factors"), (states, "reduced_pair_density"),
+        (states, "check_density"), (SuperpositionSpec, "omitted_product"),
+        (DephasingParams, "__post_init__")])
+    code, _, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert {name: counts[name] for name in exact} == exact
+    for name, limit in at_most.items():
+        assert counts[name] <= limit, (name, counts[name])

@@ -20,6 +20,7 @@ from catcorr.correlations import (
     werner_limit_k_eigenvalues,
     zero_discord_witness,
 )
+from catcorr.dephasing import discord_trajectory
 from catcorr.linalg import sqrtm_psd
 from catcorr.states import (
     SIGMA_X,
@@ -328,6 +329,20 @@ def test_geometric_discord_numeric_checks_density_once(monkeypatch):
     report = geometric_discord_numeric(rho, MeasurementSide.SECOND)
     assert len(calls) == 1
     assert abs(report.discord - 5.0 / 36.0) < 1e-12
+
+
+def test_closed_reports_carry_the_labeled_k_spectrum(rng):
+    # labeled (lam1, lam2, lam3), z eigenvalue first, as mixed_k_eigenvalues
+    # gives it, also where the minus branch puts lam1 below lam2
+    specs = [SuperpositionSpec(overlaps=(0.3, 0.3, 0.3))]
+    specs += [random_spec(rng, n_min=3) for _ in range(30)]
+    assert mixed_k_eigenvalues(specs[0], 1, 2)[0] < mixed_k_eigenvalues(specs[0], 1, 2)[1]
+    for spec in specs:
+        i, j = random_pair(rng, spec.n)
+        for side in MeasurementSide:
+            expected = mixed_k_eigenvalues(spec, i, j, side)
+            assert mixed_discord_closed(spec, i, j, side).k_eigenvalues == expected
+            assert discord_trajectory(spec, i, j, 0.7, 0.0, side).k_eigenvalues == expected
 
 
 def test_k_matrix_side_selection():

@@ -49,6 +49,11 @@ def test_family_label_validation():
         su2(-2)
     with pytest.raises(DomainError):
         su11(0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            su11(bad)
+        with pytest.raises(DomainError):
+            su2(bad)
     with pytest.raises(DomainError):
         FamilyParams(Family.SU2, twice_j=2, bargmann_index=1.0)
     with pytest.raises(DomainError):
