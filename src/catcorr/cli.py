@@ -20,6 +20,7 @@ from .correlations import (
     MeasurementSide,
     geometric_discord_numeric,
     geometric_discord_pure_closed,
+    k_spectrum_discord,
     mixed_discord_closed,
 )
 from .dephasing import (
@@ -29,7 +30,7 @@ from .dephasing import (
     discord_trajectory,
     sudden_death_time,
 )
-from .errors import CatcorrError, DomainError
+from .errors import CatcorrError, DivergentNormalizationError, DomainError
 from .kernels import WEYL_HEISENBERG, FamilyParams, overlap, su2, su11
 from .oracle import discord_by_measurement_search, pair_density_from_overlaps
 from .states import (
@@ -111,11 +112,11 @@ def _family_from_args(args) -> FamilyParams:
     return su11(args.bargmann)
 
 
-def _reject_labels_without_family(args, flags) -> None:
-    """Family label flags do nothing without --family, so refuse them."""
+def _reject_given(args, flags, message: str) -> None:
+    """Refuse flags that would be ignored; message formats with the flag."""
     for flag in flags:
         if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise DomainError(f"{flag} needs --family")
+            raise DomainError(message.format(flag))
 
 
 def _spec_from_args(args) -> SuperpositionSpec:
@@ -125,7 +126,7 @@ def _spec_from_args(args) -> SuperpositionSpec:
     if args.p is not None:
         if args.n is not None and args.n != len(args.p):
             raise DomainError(f"--n {args.n} disagrees with {len(args.p)} --p values")
-        _reject_labels_without_family(args, ("--z", "--j", "--bargmann"))
+        _reject_given(args, ("--z", "--j", "--bargmann"), "{} needs --family")
         return SuperpositionSpec(overlaps=tuple(args.p), parity=parity)
     if args.family is not None:
         if args.z is None:
@@ -151,7 +152,8 @@ def _selection_from_args(args) -> tuple:
 
 
 def _point(spec: SuperpositionSpec, mode: str, selection, side: MeasurementSide) -> tuple:
-    """Closed report of one spec and the density its numeric route reads."""
+    """Closed report of a spec and the density its numeric route reads
+    (for a grid spec: arrays and an (m, 4, 4) stack)."""
     if mode == "pure":
         return (geometric_discord_pure_closed(spec, selection),
                 pure_split(spec, selection).projector())
@@ -234,6 +236,9 @@ def cmd_report(args) -> int:
 
 _SWEEP_COLUMNS = ["p", "discord_closed", "discord_numeric", "branch",
                   "concurrence", "lambda1", "lambda2", "lambda3"]
+# grid points per stacked pass: larger passes are no faster (their (m, 4, 4, 4)
+# Pauli-table temporaries leave the cache) and raise peak memory
+_SWEEP_BLOCK = 512
 
 
 def cmd_sweep(args) -> int:
@@ -245,10 +250,12 @@ def cmd_sweep(args) -> int:
         params = _family_from_args(args)
         if args.z_start is None or args.z_stop is None:
             raise DomainError("family sweeps need --z-start and --z-stop")
+        _reject_given(args, ("--p-start", "--p-stop"), "{} cannot be used with --family")
         start, stop = args.z_start, args.z_stop
     else:
-        _reject_labels_without_family(args, ("--z-start", "--z-stop", "--j", "--bargmann"))
-        start, stop = args.p_start, args.p_stop
+        _reject_given(args, ("--z-start", "--z-stop", "--j", "--bargmann"), "{} needs --family")
+        start = 0.0 if args.p_start is None else args.p_start
+        stop = 1.0 if args.p_stop is None else args.p_stop
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise DomainError("sweep grid bounds must be finite")
     grid = np.linspace(start, stop, args.steps)
@@ -267,13 +274,28 @@ def cmd_sweep(args) -> int:
     side = MeasurementSide(args.side)
     parity = Parity(args.parity)
     rows = []
-    for p in grid:
-        spec = SuperpositionSpec(overlaps=(float(p),) * args.n, parity=parity)
-        closed, rho = _point(spec, mode, selection, side)
-        rows.append([float(p), closed.discord, geometric_discord_numeric(rho, side).discord,
-                     closed.branch.value, closed.concurrence, *closed.k_eigenvalues])
+    for first in range(0, grid.size, _SWEEP_BLOCK):
+        block = grid[first:first + _SWEEP_BLOCK]
+        columns = _sweep_columns(block, args.n, parity, mode, selection, side)
+        rows.extend(zip(*(np.broadcast_to(column, block.shape).tolist() for column in columns)))
     _emit_table(args, _SWEEP_COLUMNS, rows)
     return 0
+
+
+def _sweep_columns(grid, n: int, parity: Parity, mode: str, selection,
+                   side: MeasurementSide) -> list:
+    """The sweep's columns for a block of grid points, in one pass: the closed
+    report and the K-spectrum discord of the densities (no numeric concurrence)."""
+    try:
+        spec = SuperpositionSpec(overlaps=(grid,) * n, parity=parity)
+    except DivergentNormalizationError as null:
+        # point by point, a later stage failing before the first null state raised first
+        if null.point:
+            _sweep_columns(grid[:null.point], n, parity, mode, selection, side)
+        raise
+    closed, rho = _point(spec, mode, selection, side)
+    return [grid, closed.discord, k_spectrum_discord(rho, side), closed.branch,
+            closed.concurrence, *closed.k_eigenvalues]
 
 
 _EVOLVE_COLUMNS = ["t", "gamma", "discord", "concurrence"]
@@ -452,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--pure", action="store_true")
     sweep.add_argument("--k", type=int, default=None)
     sweep.add_argument("--pair", type=int, nargs=2, default=None, metavar=("I", "J"))
-    sweep.add_argument("--p-start", type=float, default=0.0)
-    sweep.add_argument("--p-stop", type=float, default=1.0)
+    sweep.add_argument("--p-start", type=float, default=None)
+    sweep.add_argument("--p-stop", type=float, default=None)
     sweep.add_argument("--z-start", type=float, default=None)
     sweep.add_argument("--z-stop", type=float, default=None)
     sweep.add_argument("--steps", type=int, default=101)

@@ -26,6 +26,9 @@ from .states import (
     BlochForm,
     SuperpositionSpec,
     _bloch,
+    _sqrt,
+    _square,
+    _where,
     check_density,
     normalization,
 )
@@ -48,6 +51,9 @@ class Branch(str, Enum):
     MIXED_MINUS = "mixed_minus"
     NUMERIC_K = "numeric_k"
 
+    # the value, so that numpy arrays of branches hold the values too
+    __str__ = str.__str__
+
 
 @dataclass(frozen=True, eq=False)
 class CorrelationReport:
@@ -56,7 +62,8 @@ class CorrelationReport:
     k_eigenvalues is labeled on the closed branches: (lam1, lam2, lam3)
     as mixed_k_eigenvalues gives them, z eigenvalue first, and
     (1, C^2, C^2) for a pure split. On numeric_k it is the eigvalsh
-    spectrum of K in descending order.
+    spectrum of K in descending order. On a grid spec a field is an (m,)
+    array (branch: of Branch values) or one value for every point.
     """
 
     discord: float
@@ -66,29 +73,45 @@ class CorrelationReport:
 
 
 def k_matrix(bloch: BlochForm, side: MeasurementSide = MeasurementSide.FIRST) -> np.ndarray:
-    """K = x x^T + R R^T, whose two smallest eigenvalues set the discord (side two: t^T)."""
-    t = bloch.t if side is MeasurementSide.FIRST else bloch.t.T
-    return np.outer(t[1:, 0], t[1:, 0]) + t[1:, 1:] @ t[1:, 1:].T
+    """K = x x^T + R R^T, whose two smallest eigenvalues set the discord (side two: t^T).
+
+    (..., 4, 4) Pauli tables give (..., 3, 3) matrices.
+    """
+    t = bloch.t if side is MeasurementSide.FIRST else bloch.t.swapaxes(-1, -2)
+    x, r = t[..., 1:, 0], t[..., 1:, 1:]
+    return x[..., :, None] * x[..., None, :] + r @ r.swapaxes(-1, -2)
+
+
+def _k_discord(rho: np.ndarray, side: MeasurementSide) -> tuple:
+    """Discord and descending K spectrum of checked densities, (..., 4, 4)."""
+    lams = eig_sym(k_matrix(_bloch(rho), side))
+    return 0.25 * (lams[..., 1] + lams[..., 2]), lams
 
 
 def geometric_discord_numeric(rho, side: MeasurementSide = MeasurementSide.FIRST) -> CorrelationReport:
     """Discord of an arbitrary two-qubit state via the K spectrum."""
     rho = check_density(rho)
-    lams = eig_sym(k_matrix(_bloch(rho), side))
+    discord, lams = _k_discord(rho, side)
     return CorrelationReport(
-        discord=0.25 * float(lams[1] + lams[2]),
+        discord=float(discord),
         branch=Branch.NUMERIC_K,
         k_eigenvalues=lams,
         concurrence=_concurrence(rho),
     )
 
 
+def k_spectrum_discord(rho, side: MeasurementSide = MeasurementSide.FIRST):
+    """The discord of geometric_discord_numeric alone, without the spin-flip
+    concurrence, for a density or each member of a (..., 4, 4) stack."""
+    return _k_discord(check_density(rho), side)[0]
+
+
 def _split_factors(spec: SuperpositionSpec, k: int) -> tuple:
     """(1 - P^2) of each block of the k|(n-k) split and 1 + Pc cos(m pi)."""
     if not 1 <= k <= spec.n - 1:
         raise DomainError(f"split size k must lie in 1..{spec.n - 1}")
-    p_left = float(np.prod(spec.overlaps[:k]))
-    p_right = float(np.prod(spec.overlaps[k:]))
+    p_left = math.prod(spec.overlaps[:k])
+    p_right = math.prod(spec.overlaps[k:])
     u_left = (1.0 - p_left) * (1.0 + p_left)
     u_right = (1.0 - p_right) * (1.0 + p_right)
     denom = 1.0 + spec.branch_product * spec.parity.sign
@@ -109,7 +132,7 @@ def geometric_discord_pure_closed(spec: SuperpositionSpec, k: int) -> Correlatio
         branch=Branch.PURE,
         # K spectrum of a pure state
         k_eigenvalues=(1.0, csq, csq),
-        concurrence=math.sqrt(u_left) * math.sqrt(u_right) / denom,
+        concurrence=_sqrt(u_left) * _sqrt(u_right) / denom,
     )
 
 
@@ -142,8 +165,8 @@ def _pair_factors(spec: SuperpositionSpec, i: int, j: int) -> tuple:
     q = spec.omitted_product(i, j)
     p_i = spec.overlaps[i - 1]
     p_j = spec.overlaps[j - 1]
-    s_i = math.sqrt((1.0 - p_i) * (1.0 + p_i))
-    s_j = math.sqrt((1.0 - p_j) * (1.0 + p_j))
+    s_i = _sqrt((1.0 - p_i) * (1.0 + p_i))
+    s_j = _sqrt((1.0 - p_j) * (1.0 + p_j))
     return q, s_i, s_j
 
 
@@ -165,7 +188,7 @@ def _k_eigenvalues(spec: SuperpositionSpec, i: int, j: int, side: MeasurementSid
     sign = spec.parity.sign
     p_i = spec.overlaps[i - 1]
     p_j = spec.overlaps[j - 1]
-    two_nsq = 2.0 * normalization(spec) ** 2
+    two_nsq = 2.0 * _square(normalization(spec))
     if side is MeasurementSide.FIRST:
         p_meas, p_other = p_i, p_j
     else:
@@ -186,9 +209,9 @@ def branch_and_discord(lam1: float, lam2: float, lam3: float) -> tuple:
     lam3 plus whichever of lam1, lam2 is not the largest. Ties go to
     the plus branch.
     """
-    if lam1 >= lam2:
-        return Branch.MIXED_PLUS, 0.25 * (lam2 + lam3)
-    return Branch.MIXED_MINUS, 0.25 * (lam1 + lam3)
+    plus = lam1 >= lam2
+    return (_where(plus, Branch.MIXED_PLUS, Branch.MIXED_MINUS),
+            0.25 * (_where(plus, lam2, lam1) + lam3))
 
 
 def mixed_discord_closed(spec: SuperpositionSpec, i: int, j: int,

@@ -76,6 +76,8 @@ def overlap(z: complex, params: FamilyParams) -> float:
     labels must stay on the open unit disc; su2 labels with |z| > 1
     and odd 2j would give a negative overlap and are rejected.
     """
+    if not math.isfinite(abs(z)):
+        raise DomainError(f"family label z must be finite, got {z}")
     r2 = abs(z) ** 2
     family = params.family
     if family is Family.WEYL_HEISENBERG:

@@ -14,20 +14,22 @@ from .errors import DomainError
 
 
 def _descending(a: np.ndarray, vectors: bool, name: str, kind: str):
-    """Symmetrized LAPACK eigensolve of a, largest eigenvalue first."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """Symmetrized LAPACK eigensolve of a, or of each matrix of a (..., k, k)
+    stack, largest eigenvalue first."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"{name} expects a square matrix")
-    adjoint = a.conj().T
+    adjoint = a.conj().swapaxes(-1, -2)
     if np.max(np.abs(a - adjoint)) > 1e-10:
         raise DomainError(f"{name} expects a {kind} matrix (within 1e-10)")
     values, vecs = np.linalg.eigh(0.5 * (a + adjoint))
     if vectors:
-        return values[::-1].copy(), vecs[:, ::-1].copy()
-    return values[::-1].copy()
+        return values[..., ::-1].copy(), vecs[..., ::-1].copy()
+    return values[..., ::-1].copy()
 
 
 def eig_sym(matrix, vectors: bool = False):
-    """Eigenvalues (descending) of a small real symmetric matrix.
+    """Eigenvalues (descending) of a small real symmetric matrix, or of
+    each matrix of a (..., k, k) stack.
 
     With vectors=True also returns the orthonormal eigenvectors as
     columns, matching the eigenvalue order.

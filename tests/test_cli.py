@@ -5,10 +5,19 @@ from collections import Counter
 
 import pytest
 
+import numpy as np
+
 import catcorr.cli
 from catcorr.cli import main
+from catcorr.correlations import (
+    MeasurementSide,
+    geometric_discord_numeric,
+    geometric_discord_pure_closed,
+    mixed_discord_closed,
+)
 from catcorr.dephasing import DephasingParams
-from catcorr.states import SuperpositionSpec
+from catcorr.kernels import WEYL_HEISENBERG, overlap, su2, su11
+from catcorr.states import Parity, SuperpositionSpec, pure_split, reduced_pair_density
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +100,13 @@ def test_family_labels_are_checked_not_ignored(capsys):
          "error: bargmann_index must be finite\n"),
         (["--n", "3", "--family", "su11", "--z", "0.3", "--bargmann", "1", "--j", "1"],
          "error: the su11 family takes no --j label\n"),
+        # a non-finite label amplitude, no longer read as overlap 0 (wh) or nan
+        (["--n", "3", "--family", "wh", "--z", "inf"],
+         "error: family label z must be finite, got inf\n"),
+        (["--n", "3", "--family", "wh", "--z", "nan"],
+         "error: family label z must be finite, got nan\n"),
+        (["--n", "3", "--family", "su2", "--j", "1", "--z", "inf"],
+         "error: family label z must be finite, got inf\n"),
     ]
     for flags, message in cases:
         for command in (["report", "--pair", "1", "2"],
@@ -236,9 +252,99 @@ def test_sweep_rejects_inputs_it_would_ignore(capsys):
                            (["--family", "su2", "--j", "inf", "--z-start", "0.1",
                              "--z-stop", "0.2"], "--j must be a positive integer or half-integer"),
                            (["--family", "su11", "--bargmann", "inf", "--z-start", "0.1",
-                             "--z-stop", "0.2"], "bargmann_index must be finite")):
+                             "--z-stop", "0.2"], "bargmann_index must be finite"),
+                           # a family sweep runs over --z-start/--z-stop, not the p grid
+                           (["--family", "wh", "--z-start", "0", "--z-stop", "1", "--steps", "3",
+                             "--p-start", "0.5"], "--p-start cannot be used with --family"),
+                           (["--family", "wh", "--z-start", "0", "--z-stop", "1", "--steps", "3",
+                             "--p-stop", "0.2"], "--p-stop cannot be used with --family")):
         code, out, err = run_cli(capsys, "sweep", "--n", "3", *flags)
         assert (code, out, err) == (2, "", f"error: {message}\n"), flags
+
+
+def _sweep_argv(rng, kind, parity, steps):
+    """A random sweep and the overlap grid it runs over, computed as the CLI does."""
+    n = int(rng.integers(3, 7))
+    if kind == "family":
+        family, label, params = [
+            ("wh", [], WEYL_HEISENBERG), ("su2", ["--j", "1.5"], su2(3)),
+            ("su11", ["--bargmann", "0.7"], su11(0.7))][int(rng.integers(3))]
+        z_start = round(float(rng.uniform(0.05, 0.3)), 4)
+        z_stop = round(float(rng.uniform(0.5, 0.95)), 4)
+        i, j = (int(x) + 1 for x in rng.choice(n, size=2, replace=False))
+        argv = ["--family", family, *label, "--z-start", str(z_start), "--z-stop", str(z_stop),
+                "--pair", str(i), str(j)]
+        grid = [overlap(z, params) for z in np.linspace(z_start, z_stop, steps)]
+        return n, (i, j), argv + ["--steps", str(steps)], grid
+    # odd grids run to 1 - 1e-6 at the closest
+    p_stop = 1.0 - float(10.0 ** rng.uniform(-6, -1)) if parity == "odd" else 1.0
+    p_start = round(float(rng.uniform(0.0, 0.4)), 4)
+    if kind == "pure":
+        selection = int(rng.integers(1, n))
+        argv = ["--pure", "--k", str(selection)]
+    else:
+        selection = tuple(int(x) + 1 for x in rng.choice(n, size=2, replace=False))
+        argv = ["--pair", *map(str, selection)]
+    argv += ["--p-start", repr(p_start), "--p-stop", repr(p_stop), "--steps", str(steps)]
+    return n, selection, argv, np.linspace(p_start, p_stop, steps).tolist()
+
+
+def test_sweep_rows_equal_pointwise_routes(capsys):
+    # every row of the one-pass sweep is the row the single-state API gives
+    # for that grid point's SuperpositionSpec, byte for byte
+    rng = np.random.default_rng(2026)
+    fmt = catcorr.cli._fmt
+    for kind in ("mixed", "pure", "family"):
+        for parity in ("even", "odd"):
+            for side in MeasurementSide:
+                # one grid longer than a stacked pass, where odd grids are most delicate
+                steps = 700 if (kind, parity) == ("mixed", "odd") else int(rng.integers(40, 90))
+                n, selection, flags, grid = _sweep_argv(rng, kind, parity, steps)
+                argv = ["sweep", "--n", str(n), "--parity", parity, "--side", side.value, *flags]
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 0 and err == "", argv
+                rows = out.splitlines()[1:]
+                assert len(rows) == len(grid), argv
+                for p, row in zip(grid, rows):
+                    spec = SuperpositionSpec(overlaps=(p,) * n, parity=Parity(parity))
+                    if kind == "pure":
+                        closed = geometric_discord_pure_closed(spec, selection)
+                        rho = pure_split(spec, selection).projector()
+                    else:
+                        closed = mixed_discord_closed(spec, *selection, side)
+                        rho = reduced_pair_density(spec, *selection)
+                    numeric = geometric_discord_numeric(rho, side).discord
+                    expected = [fmt(p), fmt(closed.discord), fmt(numeric), closed.branch.value,
+                                fmt(closed.concurrence), *map(fmt, closed.k_eigenvalues)]
+                    assert row == ",".join(expected), (argv, p)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("sweep --n 3 --parity odd --pair 1 2 --steps 5",
+     "odd parity with unit overlap product gives a null state"),
+    ("sweep --n 3 --parity odd --pure --k 1 --steps 5",
+     "odd parity with unit overlap product gives a null state"),
+    ("sweep --n 3 --parity odd --pair 1 2 --p-start 0.99999999 --p-stop 0.999999999 --steps 5",
+     "pair density trace 1.00000000110223 is structurally off unit"),
+    ("sweep --n 4 --parity odd --pair 1 2 --p-stop 0.999999999 --steps 401",
+     "pair density trace 0.9999999987500001 is structurally off unit"),
+    ("sweep --n 3 --pair 1 5 --steps 5", "mode indices must lie in 1..3, got (1, 5)"),
+    # the earliest failing point decides, and at one point the spec fails first:
+    # a bad pair fails every point, so it wins unless point 0 is the null state
+    ("sweep --n 3 --parity odd --pair 1 5 --steps 5", "mode indices must lie in 1..3, got (1, 5)"),
+    ("sweep --n 3 --parity odd --pair 1 5 --p-start 1 --p-stop 0 --steps 5",
+     "odd parity with unit overlap product gives a null state"),
+    # the trace guard fails at a point before the null state at p = 1
+    ("sweep --n 3 --parity odd --pair 1 2 --p-start 0.99999999 --p-stop 1 --steps 5",
+     "pair density trace 1.00000000110223 is structurally off unit"),
+    # failing points past the first stacked pass of the grid
+    ("sweep --n 3 --parity odd --pair 1 2 --p-start 0.5 --p-stop 1 --steps 1200",
+     "odd parity with unit overlap product gives a null state"),
+    ("sweep --n 3 --parity odd --pair 1 2 --p-start 0.9999999 --p-stop 0.999999999 --steps 1500",
+     "pair density trace 1.0000000010208243 is structurally off unit"),
+])
+def test_sweep_error_exits_are_those_of_the_first_failing_point(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
 def test_evolve_matches_report_at_time_zero(capsys):
@@ -382,10 +488,11 @@ def _count_calls(monkeypatch, targets) -> Counter:
     return counts
 
 
+# a sweep evaluates its whole grid in one pass, so its counts are per request
 @pytest.mark.parametrize("argv, exact, at_most", [
     ("sweep --n 3 --parity even --pair 1 2 --steps 100",
-     {"_pair_factors": 100, "omitted_product": 200}, {"mixed_k_eigenvalues": 100}),
-    ("sweep --n 3 --parity even --pure --k 1 --steps 100", {"_split_factors": 100}, {}),
+     {"_pair_factors": 1, "omitted_product": 2}, {"mixed_k_eigenvalues": 0}),
+    ("sweep --n 3 --parity even --pure --k 1 --steps 100", {"_split_factors": 1}, {}),
     ("evolve --n 4 --p 0.5 0.5 0.5 0.5 --pair 1 2 --rate 1 --t-max 1.5 --steps 100",
      {}, {"__post_init__": 202, "_pair_factors": 101}),
     ("verify --samples 100", {"reduced_pair_density": 100}, {"check_density": 821}),

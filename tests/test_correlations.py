@@ -14,6 +14,7 @@ from catcorr.correlations import (
     geometric_discord_numeric,
     geometric_discord_pure_closed,
     k_matrix,
+    k_spectrum_discord,
     mixed_discord_closed,
     mixed_k_eigenvalues,
     werner_limit_discord,
@@ -125,6 +126,35 @@ def test_branch_rule_tie_goes_to_plus():
     assert discord == 0.25 * 0.7
     branch, _ = branch_and_discord(0.4, 0.5, 0.2)
     assert branch is Branch.MIXED_MINUS
+    # arrays take the same rule point by point, branches as their values
+    branch, discord = branch_and_discord(np.array([0.5, 0.4]), np.array([0.5, 0.5]), 0.2)
+    assert branch.tolist() == ["mixed_plus", "mixed_minus"]
+    assert discord.tolist() == [0.25 * 0.7, 0.25 * (0.4 + 0.2)]
+
+
+def test_grid_routes_equal_single_state_routes():
+    # closed reports and the K-spectrum discord over a grid spec and a density
+    # stack are those of each point, bit for bit; only arrays are new. The
+    # grid is dense because float and array arithmetic part in rare last bits.
+    p = np.linspace(0.0, 0.999, 1500)
+    for parity in Parity:
+        grid = SuperpositionSpec(overlaps=(p, p[::-1], np.full(p.size, 0.6), p), parity=parity)
+        pure = geometric_discord_pure_closed(grid, 1)
+        for side in MeasurementSide:
+            closed = mixed_discord_closed(grid, 2, 4, side)
+            numeric = k_spectrum_discord(reduced_pair_density(grid, 2, 4), side)
+            for k in range(p.size):
+                spec = SuperpositionSpec(overlaps=tuple(float(o[k]) for o in grid.overlaps),
+                                         parity=parity)
+                one = mixed_discord_closed(spec, 2, 4, side)
+                assert (closed.discord[k], closed.concurrence[k], closed.branch[k]) == (
+                    one.discord, one.concurrence, one.branch.value)
+                assert tuple(lam[k] for lam in closed.k_eigenvalues) == one.k_eigenvalues
+                split = geometric_discord_pure_closed(spec, 1)
+                assert (pure.discord[k], pure.concurrence[k]) == (split.discord, split.concurrence)
+                if k % 50 == 0:
+                    assert numeric[k] == geometric_discord_numeric(
+                        reduced_pair_density(spec, 2, 4), side).discord
 
 
 def test_mixed_closed_matches_numeric_both_sides(rng):

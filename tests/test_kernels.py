@@ -42,6 +42,14 @@ def test_su11_overlap_and_domain():
         overlap(1.5, su11(0.25))
 
 
+def test_overlap_rejects_non_finite_labels():
+    # exp(-inf) would read as orthogonal branches and nan as an overlap
+    for params in (WEYL_HEISENBERG, su2(2), su11(1.0)):
+        for z in (math.inf, -math.inf, math.nan, complex(math.inf, 0.0)):
+            with pytest.raises(DomainError, match="must be finite"):
+                overlap(z, params)
+
+
 def test_family_label_validation():
     with pytest.raises(DomainError):
         su2(0)

@@ -15,6 +15,15 @@ def test_eig_sym_matches_lapack_on_random_matrices(rng):
         assert np.max(np.abs(ours - theirs)) < 1e-12
 
 
+def test_eig_sym_of_a_stack_is_each_matrix_alone(rng):
+    a = rng.normal(size=(5, 2, 3, 3))
+    a = a + np.swapaxes(a, -1, -2)
+    values, vecs = eig_sym(a, vectors=True)
+    for idx in np.ndindex(5, 2):
+        alone, alone_vecs = eig_sym(a[idx], vectors=True)
+        assert np.array_equal(values[idx], alone) and np.array_equal(vecs[idx], alone_vecs)
+
+
 def test_eig_sym_vectors_reconstruct_matrix(rng):
     for _ in range(50):
         a = rng.normal(size=(3, 3))

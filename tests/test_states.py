@@ -54,6 +54,30 @@ def test_spec_validation():
     assert spec.parity is Parity.ODD
 
 
+def test_grid_spec_gives_each_point_its_own_state(rng):
+    # array overlaps make one spec per grid point, bit for bit, in one pass
+    grid = (np.linspace(0.0, 0.999, 40), rng.uniform(0.0, 1.0, 40), np.full(40, 0.7))
+    for parity in Parity:
+        spec = SuperpositionSpec(overlaps=grid, parity=parity)
+        rho, split = reduced_pair_density(spec, 1, 3), pure_split(spec, 2)
+        assert rho.shape == (40, 4, 4) and split.projector().shape == (40, 4, 4)
+        for k in range(40):
+            point = SuperpositionSpec(overlaps=tuple(float(p[k]) for p in grid), parity=parity)
+            assert np.array_equal(rho[k], reduced_pair_density(point, 1, 3))
+            assert np.array_equal(split.projector()[k], pure_split(point, 2).projector())
+            assert normalization(point) == normalization(spec)[k]
+
+
+def test_grid_spec_refuses_points_as_a_spec_refuses_one():
+    with pytest.raises(DomainError, match="got 1.5"):
+        SuperpositionSpec(overlaps=(np.array([0.2, 1.5]), np.array([0.3, 0.3])))
+    with pytest.raises(DomainError, match="got nan"):
+        SuperpositionSpec(overlaps=(np.array([0.2, 0.4]), np.array([0.3, np.nan])))
+    with pytest.raises(DivergentNormalizationError) as null:
+        SuperpositionSpec(overlaps=(np.linspace(0.0, 1.0, 5),) * 3, parity=Parity.ODD)
+    assert null.value.point == 4
+
+
 def test_normalization_frozen_value():
     spec = SuperpositionSpec(overlaps=(0.5, 0.5), parity=Parity.EVEN)
     assert abs(normalization(spec) - 0.6324555320336759) < 1e-16
@@ -182,6 +206,28 @@ def test_check_density_rejects_bad_inputs():
     negative = np.diag([0.6, 0.5, -0.05, -0.05])
     with pytest.raises(InvalidDensityError):
         check_density(negative)
+
+
+def test_check_density_of_a_stack_raises_for_its_first_bad_member(rng):
+    good = [random_density(rng) for _ in range(6)]
+    skew = np.eye(4) / 4.0
+    skew[0, 1] = 0.2
+    negative = np.diag([0.6, 0.5, -0.05, -0.05])
+    off_trace = np.eye(4) / 2.0
+    stack = np.array(good)
+    assert np.array_equal(check_density(stack), stack.astype(complex))
+    # each bad member raises what checking it alone raises, earliest member first,
+    # also where a later member would fail a check that runs before its own
+    for bad in ({2: negative, 4: skew}, {1: skew, 3: negative}, {3: off_trace, 5: skew},
+                {0: negative}):
+        members = stack.copy()
+        for k, rho in bad.items():
+            members[k] = rho
+        with pytest.raises(InvalidDensityError) as alone:
+            check_density(bad[min(bad)])
+        with pytest.raises(InvalidDensityError) as stacked:
+            check_density(members.reshape(2, 3, 4, 4))
+        assert str(stacked.value) == str(alone.value), bad
 
 
 def test_bloch_roundtrip_on_random_densities(rng):
