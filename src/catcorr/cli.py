@@ -349,16 +349,15 @@ def _describe_sample(sample) -> str:
             f"side={side.value} rate={_fmt(rate)} t={_fmt(t)} gamma={_fmt(gamma)}")
 
 
-# Each gap function takes the sample's closed-form pair density rho,
-# which reduced_pair_density has validated, and the sample itself.
+# Each gap function takes the sample's closed-form pair density rho and the
+# sample itself; rho is checked by the first route that reads it as a density.
 
 def _gram_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
     return float(np.max(np.abs(pair_density_from_overlaps(spec, i, j) - rho)))
 
 
 def _closed_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
-    return abs(mixed_discord_closed(spec, i, j, side).discord
-               - geometric_discord_numeric(rho, side).discord)
+    return abs(mixed_discord_closed(spec, i, j, side).discord - k_spectrum_discord(rho, side))
 
 
 def _kraus_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
@@ -378,8 +377,7 @@ def _trajectory_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
 def _search_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
     if t > 1.5:
         rho = apply_dephasing(rho, DephasingParams(rate=rate, time=t).gamma)
-    return abs(discord_by_measurement_search(rho, side)
-               - geometric_discord_numeric(rho, side).discord)
+    return abs(discord_by_measurement_search(rho, side) - k_spectrum_discord(rho, side))
 
 
 def cmd_verify(args) -> int:

@@ -64,7 +64,8 @@ def apply_dephasing(rho, gamma: float) -> np.ndarray:
     out = np.zeros_like(rho)
     for left in (e0, e1):
         for right in (e0, e1):
-            op = np.kron(left, right)
+            # left (x) right as a broadcast outer product, entry for entry
+            op = (left[:, None, :, None] * right[None, :, None, :]).reshape(4, 4)
             out = out + op @ rho @ op.conj().T
     return out
 

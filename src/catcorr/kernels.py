@@ -74,11 +74,15 @@ def overlap(z: complex, params: FamilyParams) -> float:
     Depends only on |z|. Weyl-Heisenberg gives exp(-2|z|^2); su2 and
     su11 give ((1 - |z|^2)/(1 + |z|^2)) raised to 2j and 2k. su11
     labels must stay on the open unit disc; su2 labels with |z| > 1
-    and odd 2j would give a negative overlap and are rejected.
+    and odd 2j would give a negative overlap and are rejected, and so
+    are labels whose |z|^2 overflows a float.
     """
-    if not math.isfinite(abs(z)):
-        raise DomainError(f"family label z must be finite, got {z}")
-    r2 = abs(z) ** 2
+    try:
+        if not math.isfinite(abs(z)):
+            raise DomainError(f"family label z must be finite, got {z}")
+        r2 = abs(z) ** 2
+    except OverflowError:
+        raise DomainError(f"family label |z|^2 overflows a float, got z = {z}") from None
     family = params.family
     if family is Family.WEYL_HEISENBERG:
         return math.exp(-2.0 * r2)

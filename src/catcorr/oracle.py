@@ -16,10 +16,14 @@ import numpy as np
 
 from .correlations import MeasurementSide
 from .errors import DomainError
-from .states import PAULIS, SIGMA0, SuperpositionSpec, check_density, normalization
+from .states import PAULI_PRODUCTS, SuperpositionSpec, check_density, normalization
 
 _COARSE_STEPS = 512
 _REFINEMENT_TOL = 1e-8
+# rows sigma_k (x) 1 and 1 (x) sigma_k, k = x, y, z, flattened: axes @ table
+# gives the local observable e.sigma on the measured member, one row per axis
+_AXIS_OPS = {MeasurementSide.FIRST: PAULI_PRODUCTS[1:, 0].reshape(3, 16),
+             MeasurementSide.SECOND: PAULI_PRODUCTS[0, 1:].reshape(3, 16)}
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -31,6 +35,9 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     radius = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     phi = math.pi * (3.0 - math.sqrt(5.0)) * k
     return np.column_stack([radius * np.cos(phi), radius * np.sin(phi), z])
+
+
+_COARSE_AXES = fibonacci_sphere(_COARSE_STEPS)
 
 
 def pair_density_from_overlaps(spec: SuperpositionSpec, i: int, j: int) -> np.ndarray:
@@ -61,12 +68,14 @@ def pair_density_from_overlaps(spec: SuperpositionSpec, i: int, j: int) -> np.nd
 
     k_i, kp_i, e0_i, e1_i = mode_basis(spec.overlaps[i - 1])
     k_j, kp_j, e0_j, e1_j = mode_basis(spec.overlaps[j - 1])
-    u = np.kron(k_i, k_j)
-    v = np.kron(kp_i, kp_j)
+    # the Kronecker products as broadcast outer products, entry for entry
+    u = (k_i[:, None] * k_j).ravel()
+    v = (kp_i[:, None] * kp_j).ravel()
     raw = nsq * (np.outer(u, u) + np.outer(v, v)
                  + q * sign * (np.outer(v, u) + np.outer(u, v)))
-    basis = np.array([np.kron(e0_i, e0_j), np.kron(e0_i, e1_j),
-                      np.kron(e1_i, e0_j), np.kron(e1_i, e1_j)])
+    # rows e_a (x) e_b in the order 00, 01, 10, 11
+    basis = (np.array([e0_i, e1_i])[:, None, :, None]
+             * np.array([e0_j, e1_j])[None, :, None, :]).reshape(4, 4)
     rho = basis @ raw @ basis.T
     # Same trace rescaling as the closed route: nsq is a shared factor
     # with a cancellation-limited relative error near unit products.
@@ -94,17 +103,14 @@ def measurement_distance(rho, axis, side: MeasurementSide = MeasurementSide.FIRS
 
 
 def _batch_distance(rho: np.ndarray, axes: np.ndarray, side: MeasurementSide) -> np.ndarray:
-    """measurement_distance over many unit axes at once, rho already checked."""
-    sig = np.stack(PAULIS[1:])
-    direction = np.einsum("nk,kab->nab", axes, sig)
-    plus = 0.5 * (SIGMA0[None] + direction)
-    minus = 0.5 * (SIGMA0[None] - direction)
-    if side is MeasurementSide.FIRST:
-        ops = [np.einsum("nab,cd->nacbd", p, SIGMA0).reshape(-1, 4, 4) for p in (plus, minus)]
-    else:
-        ops = [np.einsum("ab,ncd->nacbd", SIGMA0, p).reshape(-1, 4, 4) for p in (plus, minus)]
-    chi = sum(np.einsum("nab,bc,ncd->nad", op, rho, op) for op in ops)
-    delta = rho[None] - chi
+    """measurement_distance over many unit axes at once, rho already checked.
+
+    The projectors are (1 +- S)/2 with S = e.sigma on the measured member,
+    so the post-measurement state sum_+- P rho P is (rho + S rho S)/2.
+    """
+    s = (axes @ _AXIS_OPS[side]).reshape(-1, 4, 4)
+    chi = 0.5 * (rho + s @ rho @ s)
+    delta = rho - chi
     return np.einsum("nab,nba->n", delta, delta).real
 
 
@@ -124,11 +130,10 @@ def discord_by_measurement_search(rho, side: MeasurementSide = MeasurementSide.F
     minimum from a fine enough seed grid.
     """
     rho = check_density(rho)
-    axes = fibonacci_sphere(_COARSE_STEPS)
-    values = _batch_distance(rho, axes, side)
+    values = _batch_distance(rho, _COARSE_AXES, side)
     best_idx = int(np.argmin(values))
     best_value = float(values[best_idx])
-    x, y, z = axes[best_idx]
+    x, y, z = _COARSE_AXES[best_idx]
     theta = math.acos(max(-1.0, min(1.0, z)))
     phi = math.atan2(y, x)
     step = 2.0 * math.sqrt(math.pi / _COARSE_STEPS)

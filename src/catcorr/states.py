@@ -194,8 +194,10 @@ def reduced_pair_density(spec: SuperpositionSpec, i: int, j: int) -> np.ndarray:
 
     X-shaped: the 00/11 sector carries the factor (1 + q cos m pi) and
     the 01/10 sector (1 - q cos m pi), with q the overlap product of
-    the traced-out modes. The trace is validated rather than trusted.
-    A grid spec gives an (m, 4, 4) stack.
+    the traced-out modes. The trace is validated rather than trusted;
+    the routes that read the result as a density check it themselves,
+    as they do a pure split's projector. A grid spec gives an (m, 4, 4)
+    stack.
     """
     q = spec.omitted_product(i, j)
     sign = spec.parity.sign
@@ -221,7 +223,7 @@ def reduced_pair_density(spec: SuperpositionSpec, i: int, j: int) -> np.ndarray:
     if off.any():
         first = float(np.ravel(trace)[np.argmax(off)])
         raise InvalidDensityError(f"pair density trace {first} is structurally off unit")
-    return check_density(rho / trace[..., None, None])
+    return rho / trace[..., None, None]
 
 
 def check_density(rho) -> np.ndarray:

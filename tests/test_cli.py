@@ -107,6 +107,9 @@ def test_family_labels_are_checked_not_ignored(capsys):
          "error: family label z must be finite, got nan\n"),
         (["--n", "3", "--family", "su2", "--j", "1", "--z", "inf"],
          "error: family label z must be finite, got inf\n"),
+        # a finite label whose |z|^2 overflows, no longer an OverflowError traceback
+        (["--n", "3", "--family", "wh", "--z", "1e200"],
+         "error: family label |z|^2 overflows a float, got z = 1e+200\n"),
     ]
     for flags, message in cases:
         for command in (["report", "--pair", "1", "2"],

@@ -86,6 +86,19 @@ def test_apply_dephasing_preserves_density_structure(rng):
         assert np.max(np.abs(evolved - evolved.conj().T)) < 1e-13
 
 
+def test_apply_dephasing_is_bitwise_its_kron_construction(rng):
+    for gamma in (0.0, 0.3, 0.77, 1.0):
+        e0, e1 = kraus_ops(gamma)
+        for _ in range(5):
+            rho = random_density(rng)
+            expected = np.zeros_like(rho)
+            for left in (e0, e1):
+                for right in (e0, e1):
+                    op = np.kron(left, right)
+                    expected = expected + op @ rho @ op.conj().T
+            assert np.array_equal(apply_dephasing(rho, gamma), expected)
+
+
 def test_apply_dephasing_entry_scaling(rng):
     # each index mismatch against the diagonal costs sqrt(1 - gamma)
     rho = random_density(rng)

@@ -48,6 +48,10 @@ def test_overlap_rejects_non_finite_labels():
         for z in (math.inf, -math.inf, math.nan, complex(math.inf, 0.0)):
             with pytest.raises(DomainError, match="must be finite"):
                 overlap(z, params)
+        # finite labels whose |z| or |z|^2 leaves the float range
+        for z in (1e200, -1e160, complex(1e200, 0.0), complex(1e308, 1e308)):
+            with pytest.raises(DomainError, match="overflows"):
+                overlap(z, params)
 
 
 def test_family_label_validation():
