@@ -40,7 +40,6 @@ from .errors import (
     UnsupportedOverlapError,
 )
 from .kernels import WEYL_HEISENBERG, Family, FamilyParams, overlap, su2, su11
-from .linalg import eig_herm, eig_sym, sqrtm_psd
 from .oracle import (
     discord_by_measurement_search,
     fibonacci_sphere,
@@ -92,8 +91,6 @@ __all__ = [
     "concurrence_trajectory",
     "discord_by_measurement_search",
     "discord_trajectory",
-    "eig_herm",
-    "eig_sym",
     "fibonacci_sphere",
     "geometric_discord_numeric",
     "geometric_discord_pure_closed",
@@ -109,7 +106,6 @@ __all__ = [
     "pure_split",
     "qubit_map_coeffs",
     "reduced_pair_density",
-    "sqrtm_psd",
     "su11",
     "su2",
     "sudden_death_time",

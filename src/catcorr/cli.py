@@ -260,7 +260,8 @@ def cmd_sweep(args) -> int:
         raise DomainError("sweep grid bounds must be finite")
     grid = np.linspace(start, stop, args.steps)
     if args.family is not None:
-        grid = np.array([overlap(z, params) for z in grid])
+        # as Python floats, an overflowing |z|^2 raises instead of warning
+        grid = np.array([overlap(z, params) for z in grid.tolist()])
     if grid.min() < 0.0 or grid.max() > 1.0:
         raise DomainError("overlap grid must stay within [0, 1]")
     if args.pure:

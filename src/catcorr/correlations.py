@@ -8,8 +8,9 @@ form, so both a closed route and a spectral route exist and are kept
 deliberately separate so they can check each other.
 
 Concurrence follows the spin-flip construction. Pure splits admit the
-2|c00 c11 - c01 c10| shortcut; mixed pairs go through the Hermitian
-square-root form, which stays positive semidefinite by construction.
+2|c00 c11 - c01 c10| shortcut; mixed pairs go through Wootters'
+factorization rho = B B^dagger, whose singular values stay accurate to
+rounding where the spin-flip eigenvalues of a rank-deficient pair do not.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .linalg import eig_herm, eig_sym, sqrtm_psd
 from .states import (
     PAULI_PRODUCTS,
     BlochForm,
@@ -61,7 +61,7 @@ class CorrelationReport:
 
     k_eigenvalues is labeled on the closed branches: (lam1, lam2, lam3)
     as mixed_k_eigenvalues gives them, z eigenvalue first, and
-    (1, C^2, C^2) for a pure split. On numeric_k it is the eigvalsh
+    (1, C^2, C^2) for a pure split. On numeric_k it is the eigh
     spectrum of K in descending order. On a grid spec a field is an (m,)
     array (branch: of Branch values) or one value for every point.
     """
@@ -84,7 +84,7 @@ def k_matrix(bloch: BlochForm, side: MeasurementSide = MeasurementSide.FIRST) ->
 
 def _k_discord(rho: np.ndarray, side: MeasurementSide) -> tuple:
     """Discord and descending K spectrum of checked densities, (..., 4, 4)."""
-    lams = eig_sym(k_matrix(_bloch(rho), side))
+    lams = np.linalg.eigh(k_matrix(_bloch(rho), side))[0][..., ::-1]
     return 0.25 * (lams[..., 1] + lams[..., 2]), lams
 
 
@@ -147,13 +147,16 @@ def concurrence_mixed(rho) -> float:
 
 
 def _concurrence(rho: np.ndarray) -> float:
-    """Spin-flip concurrence of a density that check_density has already passed."""
-    flip = PAULI_PRODUCTS[2, 2]
-    tilde = flip @ rho.conj() @ flip
-    root = sqrtm_psd(rho)
-    spectrum = eig_herm(root @ tilde @ root)
-    c = np.sqrt(np.clip(spectrum, 0.0, None))
-    return max(0.0, float(c[0] - c[1] - c[2] - c[3]))
+    """Spin-flip concurrence of a density that check_density has already passed.
+
+    With rho = B B^dagger, the singular values of B^T (sigma_y x sigma_y) B
+    are the square roots of the spin-flip spectrum (Wootters 1998; Uhlmann
+    2000), without taking roots of its rounding-noise eigenvalues.
+    """
+    w, v = np.linalg.eigh(rho)
+    b = v * np.sqrt(np.clip(w, 0.0, None))
+    s = np.linalg.svd(b.T @ PAULI_PRODUCTS[2, 2] @ b, compute_uv=False)
+    return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
 
 
 def _pair_factors(spec: SuperpositionSpec, i: int, j: int) -> tuple:

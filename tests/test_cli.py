@@ -226,6 +226,12 @@ def test_sweep_validation(capsys):
                                  "--steps", "3", *bounds)
         assert code == 2 and out == "", bounds
         assert err == "error: sweep grid bounds must be finite\n", bounds
+    # a finite label whose |z|^2 overflows is refused as report refuses it,
+    # not read as p = 0 behind a numpy overflow warning
+    code, out, err = run_cli(capsys, "sweep", "--n", "3", "--family", "wh", "--z-start", "0",
+                             "--z-stop", "1e200", "--steps", "3")
+    assert (code, out, err) == (
+        2, "", "error: family label |z|^2 overflows a float, got z = 5e+199\n")
 
 
 def test_family_help_names_the_label_flags_of_each_command(capsys):
@@ -277,7 +283,7 @@ def _sweep_argv(rng, kind, parity, steps):
         i, j = (int(x) + 1 for x in rng.choice(n, size=2, replace=False))
         argv = ["--family", family, *label, "--z-start", str(z_start), "--z-stop", str(z_stop),
                 "--pair", str(i), str(j)]
-        grid = [overlap(z, params) for z in np.linspace(z_start, z_stop, steps)]
+        grid = [overlap(z, params) for z in np.linspace(z_start, z_stop, steps).tolist()]
         return n, (i, j), argv + ["--steps", str(steps)], grid
     # odd grids run to 1 - 1e-6 at the closest
     p_stop = 1.0 - float(10.0 ** rng.uniform(-6, -1)) if parity == "odd" else 1.0

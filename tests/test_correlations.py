@@ -22,7 +22,6 @@ from catcorr.correlations import (
     zero_discord_witness,
 )
 from catcorr.dephasing import discord_trajectory
-from catcorr.linalg import sqrtm_psd
 from catcorr.states import (
     SIGMA_X,
     SIGMA_Y,
@@ -83,16 +82,14 @@ def test_pure_closed_matches_numeric_k_route(rng):
         closed = geometric_discord_pure_closed(spec, k)
         numeric = geometric_discord_numeric(pure_split(spec, k).projector())
         assert abs(closed.discord - numeric.discord) < 1e-12
-        # Wootters route takes square roots of near-zero eigenvalues,
-        # so its noise floor sits around 1e-8
-        assert abs(closed.concurrence - numeric.concurrence) < 1e-7
+        assert abs(closed.concurrence - numeric.concurrence) < 1e-12
 
 
 def test_concurrence_pure_equals_mixed_route_on_projector():
     spec = SuperpositionSpec(overlaps=(0.3, 0.8, 0.6), parity=Parity.ODD)
     c_pure = concurrence_pure(spec, 2)
     c_mixed = concurrence_mixed(pure_split(spec, 2).projector())
-    assert abs(c_pure - c_mixed) < 1e-7
+    assert abs(c_pure - c_mixed) < 1e-12
 
 
 # --- mixed pairs -----------------------------------------------------------
@@ -166,7 +163,12 @@ def test_mixed_closed_matches_numeric_both_sides(rng):
             closed = mixed_discord_closed(spec, i, j, side)
             numeric = geometric_discord_numeric(rho, side)
             assert abs(closed.discord - numeric.discord) < 1e-12
-            assert abs(closed.concurrence - numeric.concurrence) < 1e-7
+            # the numeric report carries K's spectrum in descending order
+            lams = numeric.k_eigenvalues
+            assert lams[0] >= lams[1] >= lams[2]
+            expected = np.linalg.eigvalsh(k_matrix(bloch_decompose(rho), side))[::-1]
+            assert np.max(np.abs(lams - expected)) < 1e-12
+            assert abs(closed.concurrence - numeric.concurrence) < 1e-12
 
 
 def test_measurement_side_matters_for_unequal_overlaps():
@@ -280,11 +282,16 @@ def test_concurrence_mixed_agrees_with_nonhermitian_route(rng):
         assert abs(concurrence_mixed(rho) - expected) < 1e-9
 
 
+def _psd_root(rho):
+    values, vecs = np.linalg.eigh(rho)
+    return (vecs * np.sqrt(np.clip(values, 0.0, None))) @ vecs.conj().T
+
+
 def test_concurrence_mixed_agrees_with_singular_value_route(rng):
     flip = np.kron(SIGMA_Y, SIGMA_Y)
     for _ in range(50):
         rho = random_density(rng)
-        root = sqrtm_psd(rho)
+        root = _psd_root(rho)
         svals = np.linalg.svd(root @ flip @ root.T, compute_uv=False)
         expected = max(0.0, svals[0] - svals[1] - svals[2] - svals[3])
         assert abs(concurrence_mixed(rho) - expected) < 1e-9
@@ -305,7 +312,24 @@ def test_mixed_concurrence_closed_matches_wootters(rng):
         i, j = random_pair(rng, spec.n)
         closed = mixed_discord_closed(spec, i, j).concurrence
         direct = concurrence_mixed(reduced_pair_density(spec, i, j))
-        assert abs(closed - direct) < 1e-7
+        assert abs(closed - direct) < 1e-12
+
+
+def test_concurrence_mixed_matches_high_precision_closed_form():
+    # interior of the n = 3 even (1, 2) sweep: the rank-2 pair densities give
+    # the spin-flip spectrum two zero eigenvalues, whose rounding noise cost
+    # a square-root route ~1e-8; the factorized route stays at rounding
+    mpmath = pytest.importorskip("mpmath")
+    p = np.linspace(0.0, 1.0, 2001)[1:-1]
+    rhos = reduced_pair_density(SuperpositionSpec(overlaps=(p, p, p), parity=Parity.EVEN), 1, 2)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for p_k, rho in zip(p.tolist(), rhos):
+            # q = p_3, s_1 = s_2 = sqrt(1 - p^2), P = p^3
+            x = mpmath.mpf(p_k)
+            exact = x * (1 - x * x) / (1 + x ** 3)
+            worst = max(worst, abs(float(concurrence_mixed(rho) - exact)))
+    assert worst < 1e-14
 
 
 # --- witness ---------------------------------------------------------------
@@ -386,3 +410,12 @@ def test_k_matrix_side_selection():
     numeric = np.sort(np.linalg.eigvalsh(k_second))[::-1]
     closed = np.sort(np.array([lam1, lam2, lam3]))[::-1]
     assert np.max(np.abs(numeric - closed)) < 1e-14
+    # x = (0, 0, 1/2) and R = diag(3/8, 1/4, 1/8) make K diagonal with dyadic
+    # entries, so its numeric spectrum is exact and comes largest first
+    rho = (np.eye(4) + 0.5 * np.kron(SIGMA_Z, np.eye(2)) + 0.375 * np.kron(SIGMA_X, SIGMA_X)
+           + 0.25 * np.kron(SIGMA_Y, SIGMA_Y) + 0.125 * np.kron(SIGMA_Z, SIGMA_Z)) / 4.0
+    for side in MeasurementSide:
+        lams = geometric_discord_numeric(rho, side).k_eigenvalues
+        expected = [0.265625, 0.140625, 0.0625] if side is MeasurementSide.FIRST else [
+            0.140625, 0.0625, 0.015625]
+        assert lams.tolist() == expected, side

@@ -149,7 +149,7 @@ def test_concurrence_trajectory_matches_kraus_route(rng):
         gamma = DephasingParams(rate=rate, time=t).gamma
         evolved = apply_dephasing(reduced_pair_density(spec, i, j), gamma)
         assert abs(concurrence_trajectory(spec, i, j, rate, t)
-                   - concurrence_mixed(evolved)) < 1e-7
+                   - concurrence_mixed(evolved)) < 1e-12
 
 
 def test_sudden_death_frozen_values():
@@ -248,7 +248,7 @@ def test_pure_split_dephasing_closed_laws(rng):
         gamma = DephasingParams(rate=rate, time=t).gamma
         evolved = apply_dephasing(split.projector(), gamma)
         decayed = math.exp(-rate * t) * c0
-        assert abs(concurrence_mixed(evolved) - decayed) < 1e-7
+        assert abs(concurrence_mixed(evolved) - decayed) < 1e-12
         numeric = geometric_discord_numeric(evolved)
         assert abs(numeric.discord - 0.5 * decayed ** 2) < 1e-12
 
