@@ -22,6 +22,7 @@ from catcorr.correlations import (
     zero_discord_witness,
 )
 from catcorr.dephasing import discord_trajectory
+from catcorr.errors import InvalidDensityError
 from catcorr.states import (
     SIGMA_X,
     SIGMA_Y,
@@ -33,7 +34,7 @@ from catcorr.states import (
     pure_split,
     reduced_pair_density,
 )
-from conftest import random_density, random_pair, random_spec
+from conftest import haar_qubit, random_density, random_pair, random_spec
 
 overlap_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -306,6 +307,76 @@ def test_concurrence_known_states():
     assert concurrence_mixed(product) == 0.0
 
 
+def _singlet():
+    psi = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    return np.outer(psi, psi).astype(complex)
+
+
+def test_concurrence_mixed_werner_family():
+    # F |psi-><psi-| + (1 - F)(I - |psi-><psi-|)/3 has C = max(0, 2F - 1);
+    # F = 1 is rank 1, where the spin-flip spectrum is three zeros
+    singlet = _singlet()
+    for f in np.linspace(0.0, 1.0, 41).tolist():
+        rho = f * singlet + (1.0 - f) * (np.eye(4) - singlet) / 3.0
+        assert abs(concurrence_mixed(rho) - max(0.0, 2.0 * f - 1.0)) < 1e-12, f
+
+
+def test_concurrence_mixed_matches_pure_state_shortcut(rng):
+    for _ in range(200):
+        c = rng.normal(size=4) + 1j * rng.normal(size=4)
+        c /= np.linalg.norm(c)
+        expected = 2.0 * abs(c[0] * c[3] - c[1] * c[2])
+        assert abs(concurrence_mixed(np.outer(c, c.conj())) - expected) < 1e-12
+
+
+def test_concurrence_mixed_invariant_under_local_unitaries(rng):
+    for _ in range(50):
+        rho = 0.5 * random_density(rng) + 0.5 * _singlet()
+        u = np.kron(haar_qubit(rng), haar_qubit(rng))
+        rotated = u @ rho @ u.conj().T
+        assert abs(concurrence_mixed(rotated) - concurrence_mixed(rho)) < 1e-12
+
+
+def test_concurrence_mixed_tolerates_rounding_negative_eigenvalues():
+    # a singlet whose empty block picked up a -1e-14 eigenvalue, inside the
+    # density check's positivity tolerance, still gives C = 1, not NaN
+    eps = 1e-14
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = rho[3, 3] = rho[0, 3] = rho[3, 0] = 0.5
+    rho += np.diag([0.0, -eps, eps, 0.0])
+    c = concurrence_mixed(rho)
+    assert math.isfinite(c) and abs(c - 1.0) < 1e-12
+
+
+def test_concurrence_positive_exactly_when_partial_transpose_is_not(rng):
+    # Peres-Horodecki: a two-qubit state is entangled iff its partial
+    # transpose has a negative eigenvalue
+    seen = set()
+    for _ in range(200):
+        c = rng.normal(size=4) + 1j * rng.normal(size=4)
+        c /= np.linalg.norm(c)
+        w = rng.uniform()
+        rho = w * np.outer(c, c.conj()) + (1.0 - w) * random_density(rng)
+        pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        lowest = np.linalg.eigvalsh(pt)[0]
+        conc = concurrence_mixed(rho)
+        if abs(lowest) < 1e-9:
+            continue
+        assert (conc > 0.0) == (lowest < 0.0), (conc, lowest)
+        seen.add(lowest < 0.0)
+    assert seen == {True, False}
+
+
+def test_numeric_routes_reject_invalid_densities():
+    not_hermitian = np.eye(4, dtype=complex) / 4.0
+    not_hermitian[0, 1] = 0.1j
+    not_hermitian[1, 0] = 0.1j
+    for bad in (not_hermitian, np.zeros((2, 3))):
+        for route in (concurrence_mixed, geometric_discord_numeric, k_spectrum_discord):
+            with pytest.raises(InvalidDensityError):
+                route(bad)
+
+
 def test_mixed_concurrence_closed_matches_wootters(rng):
     for _ in range(40):
         spec = random_spec(rng, n_min=3, n_max=6, extremes=False)
@@ -410,6 +481,32 @@ def test_k_matrix_side_selection():
     numeric = np.sort(np.linalg.eigvalsh(k_second))[::-1]
     closed = np.sort(np.array([lam1, lam2, lam3]))[::-1]
     assert np.max(np.abs(numeric - closed)) < 1e-14
+
+
+# --- numeric K spectrum ----------------------------------------------------
+
+def test_numeric_k_spectrum_matches_eigvalsh_on_random_densities(rng):
+    for _ in range(200):
+        rho = random_density(rng)
+        for side in MeasurementSide:
+            report = geometric_discord_numeric(rho, side)
+            lams = report.k_eigenvalues
+            expected = np.linalg.eigvalsh(k_matrix(bloch_decompose(rho), side))[::-1]
+            assert lams[0] >= lams[1] >= lams[2]
+            assert np.max(np.abs(lams - expected)) < 1e-12
+            assert report.discord == 0.25 * (lams[1] + lams[2])
+
+
+def test_numeric_k_spectrum_of_a_stack_is_each_density_alone(rng):
+    stack = np.array([[random_density(rng) for _ in range(2)] for _ in range(5)])
+    for side in MeasurementSide:
+        discord = k_spectrum_discord(stack, side)
+        assert discord.shape == (5, 2)
+        for idx in np.ndindex(5, 2):
+            assert discord[idx] == geometric_discord_numeric(stack[idx], side).discord
+
+
+def test_numeric_k_spectrum_descending_and_exact_on_diagonal():
     # x = (0, 0, 1/2) and R = diag(3/8, 1/4, 1/8) make K diagonal with dyadic
     # entries, so its numeric spectrum is exact and comes largest first
     rho = (np.eye(4) + 0.5 * np.kron(SIGMA_Z, np.eye(2)) + 0.375 * np.kron(SIGMA_X, SIGMA_X)
@@ -419,3 +516,14 @@ def test_k_matrix_side_selection():
         expected = [0.265625, 0.140625, 0.0625] if side is MeasurementSide.FIRST else [
             0.140625, 0.0625, 0.015625]
         assert lams.tolist() == expected, side
+
+
+def test_numeric_k_spectrum_handles_degenerate_spectrum():
+    # Werner states (I - c sum_a sigma_a x sigma_a) / 4 have K = c^2 I
+    singlet_corr = sum(np.kron(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    for c in (0.0, 0.25, 0.5, 1.0 / 3.0):
+        rho = (np.eye(4) - c * singlet_corr) / 4.0
+        for side in MeasurementSide:
+            report = geometric_discord_numeric(rho, side)
+            assert np.max(np.abs(report.k_eigenvalues - c * c)) < 1e-15
+            assert abs(report.discord - 0.5 * c * c) < 1e-15
