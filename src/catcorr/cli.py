@@ -313,11 +313,10 @@ def cmd_evolve(args) -> int:
     if args.steps < 2:
         raise DomainError("a time grid needs at least 2 steps")
     times = np.linspace(0.0, args.t_max, args.steps)
-    rows = []
-    for t in times:
-        traj = discord_trajectory(spec, i, j, args.rate, float(t), side)
-        gamma = DephasingParams(rate=args.rate, time=float(t)).gamma
-        rows.append([float(t), gamma, traj.discord, traj.concurrence])
+    traj = discord_trajectory(spec, i, j, args.rate, times, side)
+    columns = [times, DephasingParams(rate=args.rate, time=times).gamma,
+               traj.discord, traj.concurrence]
+    rows = zip(*(column.tolist() for column in columns))
     t0 = sudden_death_time(spec, i, j, args.rate)
     t0_repr = "infinite" if math.isinf(t0) else _jnum(t0)
     _emit_table(args, _EVOLVE_COLUMNS, rows, summary=("sudden_death_time", t0_repr))

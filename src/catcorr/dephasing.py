@@ -22,26 +22,30 @@ from .correlations import (
     branch_and_discord,
 )
 from .errors import DomainError
-from .states import BlochForm, SuperpositionSpec, check_density
+from .states import BlochForm, SuperpositionSpec, _each, _where, check_density
 
 
 @dataclass(frozen=True)
 class DephasingParams:
-    """Rate and elapsed time of the phase damping channel."""
+    """Rate and elapsed time of the phase damping channel.
+
+    time is a float or an (m,) array of times; gamma then is one too.
+    """
 
     rate: float
-    time: float
+    time: float | np.ndarray
 
     def __post_init__(self):
         if not 0.0 < self.rate < math.inf:
             raise DomainError("dephasing rate must be positive and finite")
-        if not self.time >= 0.0:
+        time = self.time
+        if not (np.all(time >= 0.0) if isinstance(time, np.ndarray) else time >= 0.0):
             raise DomainError("evolution time must be nonnegative")
 
     @property
-    def gamma(self) -> float:
+    def gamma(self) -> float | np.ndarray:
         """Damping probability 1 - exp(-rate * time)."""
-        return -math.expm1(-self.rate * self.time)
+        return -_each(lambda t: math.expm1(-self.rate * t), self.time)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -83,8 +87,8 @@ def dephased_bloch(bloch: BlochForm, gamma: float) -> BlochForm:
 
 
 def concurrence_trajectory(spec: SuperpositionSpec, i: int, j: int,
-                           rate: float, time: float) -> float:
-    """Pair concurrence after dephasing for a time at the given rate."""
+                           rate: float, time: float | np.ndarray) -> float | np.ndarray:
+    """Pair concurrence after dephasing for a time (or an (m,) array of them)."""
     return discord_trajectory(spec, i, j, rate, time).concurrence
 
 
@@ -103,9 +107,14 @@ def sudden_death_time(spec: SuperpositionSpec, i: int, j: int, rate: float) -> f
     return (math.log1p(q) - math.log1p(-q)) / rate
 
 
-def discord_trajectory(spec: SuperpositionSpec, i: int, j: int, rate: float, time: float,
+def discord_trajectory(spec: SuperpositionSpec, i: int, j: int, rate: float,
+                       time: float | np.ndarray,
                        side: MeasurementSide = MeasurementSide.FIRST) -> CorrelationReport:
-    """Closed-form discord and concurrence of the dephased pair at one instant.
+    """Closed-form discord and concurrence of the dephased pair.
+
+    time is one instant (a float) or an (m,) array of them; an array
+    gives a report of (m,) arrays, each member bit-equal to the float
+    call at that time, since the exponentials are math's at each time.
 
     Only the planar K eigenvalues decay (by e^(-2 rate t)); the branch
     choice is re-evaluated at the scaled spectrum, so a pair can cross
@@ -119,15 +128,17 @@ def discord_trajectory(spec: SuperpositionSpec, i: int, j: int, rate: float, tim
     DephasingParams(rate=rate, time=time)
     q, s_i, s_j = _pair_factors(spec, i, j)
     lam1, lam2, lam3 = _k_eigenvalues(spec, i, j, side, q, s_i, s_j)
-    scale = math.exp(-2.0 * rate * time)
+    scale = _each(lambda t: math.exp(-2.0 * rate * t), time)
     lams = (lam1, lam2 * scale, lam3 * scale)
     branch, discord = branch_and_discord(*lams)
     denom = 1.0 + spec.branch_product * spec.parity.sign
     prefactor = 0.5 * s_i * s_j / denom
-    decayed = math.exp(-rate * time) * (1.0 + q) - (1.0 - q)
+    decayed = _each(lambda t: math.exp(-rate * t), time) * (1.0 + q) - (1.0 - q)
+    concurrence = prefactor * decayed
     return CorrelationReport(
         discord=discord,
         branch=branch,
         k_eigenvalues=lams,
-        concurrence=max(0.0, prefactor * decayed),
+        # max(0.0, x) at each time: np.maximum(0.0, -0.0) would give -0.0
+        concurrence=_where(concurrence > 0.0, concurrence, 0.0),
     )

@@ -46,6 +46,12 @@ def _where(cond, a, b):
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
+def _each(fn, x):
+    # fn of a float, at each member of an array: a math-module expression
+    # keeps its own rounding and overflows without numpy's warnings
+    return np.array([fn(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else fn(x)
+
+
 def _outside_unit(p):
     """The first value of p outside [0, 1] (NaN included), or None."""
     if isinstance(p, np.ndarray):

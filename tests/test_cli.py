@@ -497,13 +497,16 @@ def _count_calls(monkeypatch, targets) -> Counter:
     return counts
 
 
-# a sweep evaluates its whole grid in one pass, so its counts are per request
+# a sweep evaluates its whole grid in one pass, and evolve its whole time grid
+# (its trajectory pass, its gamma column and sudden_death_time's t = 0 call),
+# so their counts are per request
 @pytest.mark.parametrize("argv, exact, at_most", [
     ("sweep --n 3 --parity even --pair 1 2 --steps 100",
      {"_pair_factors": 1, "omitted_product": 2}, {"mixed_k_eigenvalues": 0}),
     ("sweep --n 3 --parity even --pure --k 1 --steps 100", {"_split_factors": 1}, {}),
     ("evolve --n 4 --p 0.5 0.5 0.5 0.5 --pair 1 2 --rate 1 --t-max 1.5 --steps 100",
-     {}, {"__post_init__": 202, "_pair_factors": 101}),
+     {"__post_init__": 3, "_pair_factors": 2, "omitted_product": 3, "mixed_k_eigenvalues": 0},
+     {}),
     ("verify --samples 100", {"reduced_pair_density": 100}, {"check_density": 821}),
 ])
 def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact, at_most):

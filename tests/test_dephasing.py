@@ -236,6 +236,58 @@ def test_discord_survives_where_concurrence_dies(rng):
         assert after.discord > 0.0
 
 
+def _assert_grid_is_pointwise(spec, i, j, rate, times, side=MeasurementSide.FIRST):
+    """discord_trajectory on an array of times equals the float call at each
+    time bit for bit, the sign of a zero included."""
+    grid = discord_trajectory(spec, i, j, rate, times, side)
+    lams = [np.broadcast_to(lam, times.shape) for lam in grid.k_eigenvalues]
+    for k, t in enumerate(times.tolist()):
+        point = discord_trajectory(spec, i, j, rate, t, side)
+        assert grid.branch[k] == point.branch
+        pairs = [(grid.discord[k], point.discord), (grid.concurrence[k], point.concurrence)]
+        pairs += [(lam[k], want) for lam, want in zip(lams, point.k_eigenvalues)]
+        for got, want in pairs:
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (t, got, want)
+    return grid
+
+
+def test_array_time_trajectory_equals_scalar_calls(rng):
+    for parity in Parity:
+        for side in MeasurementSide:
+            for _ in range(8):
+                spec = random_spec(rng, n_max=7, parity=parity)
+                i, j = random_pair(rng, spec.n)
+                times = np.linspace(0.0, float(rng.uniform(0.5, 5.0)), 41)
+                _assert_grid_is_pointwise(spec, i, j, float(rng.uniform(0.2, 2.0)), times, side)
+    # t = 0 and times past the sudden death at ln 3
+    spec = SuperpositionSpec(overlaps=(0.5, 0.6, 0.7), parity=Parity.EVEN)
+    t0 = math.log(3.0)
+    grid = _assert_grid_is_pointwise(spec, 2, 3, 1.0, np.array([0.0, 0.5 * t0, 1.5 * t0, 4.0]))
+    assert grid.concurrence[1] > 0.0 and grid.concurrence[2] == grid.concurrence[3] == 0.0
+    # minus-to-plus branch crossing at t_c = ln(lam2 / lam1) / 2 = 0.401
+    odd = SuperpositionSpec(overlaps=(0.9,) * 3, parity=Parity.ODD)
+    for side in MeasurementSide:
+        grid = _assert_grid_is_pointwise(odd, 1, 2, 1.0, np.linspace(0.0, 3.0, 31), side)
+        assert grid.branch[4] == Branch.MIXED_MINUS and grid.branch[5] == Branch.MIXED_PLUS
+    # p_1 = 1 makes the prefactor 0, so the product is -0.0 after death; the
+    # concurrence clamps it to +0.0 as the float call's max(0, .) does
+    unit = SuperpositionSpec(overlaps=(1.0, 1.0, 0.3), parity=Parity.EVEN)
+    assert math.copysign(1.0, 0.0 * (math.exp(-5.0) * 1.3 - 0.7)) == -1.0
+    grid = _assert_grid_is_pointwise(unit, 1, 2, 1.0, np.linspace(0.0, 5.0, 41))
+    assert all(math.copysign(1.0, c) == 1.0 for c in grid.concurrence.tolist())
+
+
+def test_params_take_an_array_of_times():
+    times = np.array([0.0, 0.25, 1.0, 7.5])
+    gamma = DephasingParams(rate=0.8, time=times).gamma
+    assert gamma.tolist() == [DephasingParams(rate=0.8, time=t).gamma for t in times.tolist()]
+    for bad in (-0.1, math.nan):
+        with pytest.raises(DomainError, match="evolution time must be nonnegative"):
+            DephasingParams(rate=1.0, time=np.array([0.0, bad, 1.0]))
+    with pytest.raises(DomainError, match="dephasing rate"):
+        discord_trajectory(SuperpositionSpec(overlaps=(0.5, 0.5)), 1, 2, -1.0, times)
+
+
 def test_pure_split_dephasing_closed_laws(rng):
     # concurrence of the dephased split decays as exp(-rate t) and the
     # numeric discord tracks half the squared decayed concurrence

@@ -43,6 +43,12 @@ CASES = {
                     "--format", "json"],
     "evolve_two_modes.csv": ["evolve", "--n", "2", "--p", "0.5", "0.5", "--rate", "1",
                              "--t-max", "3", "--steps", "7"],
+    # minus-to-plus branch crossing at t_c = 0.401, between two rows
+    "evolve_crossing.csv": ["evolve", "--n", "3", "--p", "0.9", "0.9", "0.9", "--parity", "odd",
+                            "--pair", "1", "2", "--rate", "1", "--t-max", "3", "--steps", "31"],
+    # p_i = 1: the concurrence product is -0.0 after death and prints as 0.0
+    "evolve_unit_mode.json": ["evolve", "--n", "3", "--p", "1", "1", "0.3", "--pair", "1", "2",
+                              "--rate", "1", "--t-max", "5", "--steps", "41", "--format", "json"],
     "verify.txt": ["verify", "--samples", "20"],
 }
 
