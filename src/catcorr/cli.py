@@ -184,7 +184,7 @@ def cmd_report(args) -> int:
         "selection": selection_json,
         "measurement_side": side.value,
         "discord": _jnum(closed.discord),
-        "discord_numeric": _jnum(geometric_discord_numeric(rho, side).discord),
+        "discord_numeric": _jnum(k_spectrum_discord(rho, side)),
         "branch": closed.branch.value,
         "concurrence": _jnum(closed.concurrence),
         "lambda1": _jnum(lam1),
@@ -349,35 +349,31 @@ def _describe_sample(sample) -> str:
             f"side={side.value} rate={_fmt(rate)} t={_fmt(t)} gamma={_fmt(gamma)}")
 
 
-# Each gap function takes the sample's closed-form pair density rho and the
-# sample itself; rho is checked by the first route that reads it as a density.
-
-def _gram_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
-    return float(np.max(np.abs(pair_density_from_overlaps(spec, i, j) - rho)))
+_VERIFY_CHECKS = ("gram_vs_closed", "closed_vs_numeric", "kraus_vs_bloch_scaling",
+                  "trajectory_consistency", "search_vs_spectrum")
 
 
-def _closed_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
-    return abs(mixed_discord_closed(spec, i, j, side).discord - k_spectrum_discord(rho, side))
-
-
-def _kraus_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
-    evolved = apply_dephasing(rho, gamma)
+def _sample_gaps(sample, search: bool) -> list:
+    """The deviations of one sample in _VERIFY_CHECKS order; the search runs if
+    `search` is set, on the pair density, dephased to time t when t > 1.5."""
+    spec, i, j, side, rate, t, gamma = sample
+    rho = reduced_pair_density(spec, i, j)
+    gaps = [float(np.max(np.abs(pair_density_from_overlaps(spec, i, j) - rho)))]
+    # the first route that reads rho as a density checks it
+    discord = k_spectrum_discord(rho, side)
+    gaps.append(abs(mixed_discord_closed(spec, i, j, side).discord - discord))
     rebuilt = bloch_compose(dephased_bloch(_bloch(rho), gamma))
-    return float(np.max(np.abs(evolved - rebuilt)))
-
-
-def _trajectory_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
-    gamma = DephasingParams(rate=rate, time=t).gamma
-    evolved = apply_dephasing(rho, gamma)
+    gaps.append(float(np.max(np.abs(apply_dephasing(rho, gamma) - rebuilt))))
+    evolved = apply_dephasing(rho, DephasingParams(rate=rate, time=t).gamma)
     traj = discord_trajectory(spec, i, j, rate, t, side)
     numeric = geometric_discord_numeric(evolved, side)
-    return max(abs(traj.discord - numeric.discord), abs(traj.concurrence - numeric.concurrence))
-
-
-def _search_gap(rho, spec, i, j, side, rate, t, gamma) -> float:
-    if t > 1.5:
-        rho = apply_dephasing(rho, DephasingParams(rate=rate, time=t).gamma)
-    return abs(discord_by_measurement_search(rho, side) - k_spectrum_discord(rho, side))
+    gaps.append(max(abs(traj.discord - numeric.discord),
+                    abs(traj.concurrence - numeric.concurrence)))
+    if search:
+        if t > 1.5:
+            rho, discord = evolved, numeric.discord
+        gaps.append(abs(discord_by_measurement_search(rho, side) - discord))
+    return gaps
 
 
 def cmd_verify(args) -> int:
@@ -388,30 +384,25 @@ def cmd_verify(args) -> int:
     if not 0.0 <= args.tol < math.inf:
         raise DomainError("verify needs a finite, nonnegative --tol")
     rng = np.random.default_rng(args.seed)
-    samples = [(reduced_pair_density(*sample[:3]), sample)
-               for sample in _random_verify_samples(rng, args.samples)]
-    search_samples = samples[: min(len(samples), args.search_samples)]
-    checks = [("gram_vs_closed", samples, _gram_gap),
-              ("closed_vs_numeric", samples, _closed_gap),
-              ("kraus_vs_bloch_scaling", samples, _kraus_gap),
-              ("trajectory_consistency", samples, _trajectory_gap),
-              ("search_vs_spectrum", search_samples, _search_gap)]
+    samples = _random_verify_samples(rng, args.samples)
+    searched = min(args.samples, args.search_samples)
+    # per check: the maximum deviation and the first sample that reached it
+    worst = [(0.0, None)] * len(_VERIFY_CHECKS)
+    for index, sample in enumerate(samples):
+        for check, value in enumerate(_sample_gaps(sample, index < searched)):
+            if value > worst[check][0]:
+                worst[check] = value, sample
+    counts = [args.samples] * (len(_VERIFY_CHECKS) - 1) + [searched]
     lines = []
-    passed = 0
-    for name, subset, gap in checks:
-        deviation, worst = 0.0, None
-        for rho, sample in subset:
-            value = gap(rho, *sample)
-            if value > deviation:
-                deviation, worst = value, sample
+    for name, count, (deviation, sample) in zip(_VERIFY_CHECKS, counts, worst):
         ok = deviation <= args.tol
-        passed += ok
-        lines.append(f"{name:<24} samples={len(subset)} max_deviation={_fmt(deviation)} "
+        lines.append(f"{name:<24} samples={count} max_deviation={_fmt(deviation)} "
                      + ("PASS" if ok else "FAIL"))
-        if not ok and worst is not None:
-            lines.append(f"    worst: {_describe_sample(worst)}")
-    all_pass = passed == len(checks)
-    lines.append(f"verify: {'PASS' if all_pass else 'FAIL'} ({passed}/{len(checks)} "
+        if not ok:
+            lines.append(f"    worst: {_describe_sample(sample)}")
+    passed = sum(deviation <= args.tol for deviation, _ in worst)
+    all_pass = passed == len(_VERIFY_CHECKS)
+    lines.append(f"verify: {'PASS' if all_pass else 'FAIL'} ({passed}/{len(_VERIFY_CHECKS)} "
                  f"assertions within tol={_fmt(args.tol)})")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if all_pass else 1

@@ -106,18 +106,6 @@ def k_spectrum_discord(rho, side: MeasurementSide = MeasurementSide.FIRST):
     return _k_discord(check_density(rho), side)[0]
 
 
-def _split_factors(spec: SuperpositionSpec, k: int) -> tuple:
-    """(1 - P^2) of each block of the k|(n-k) split and 1 + Pc cos(m pi)."""
-    if not 1 <= k <= spec.n - 1:
-        raise DomainError(f"split size k must lie in 1..{spec.n - 1}")
-    p_left = math.prod(spec.overlaps[:k])
-    p_right = math.prod(spec.overlaps[k:])
-    u_left = (1.0 - p_left) * (1.0 + p_left)
-    u_right = (1.0 - p_right) * (1.0 + p_right)
-    denom = 1.0 + spec.branch_product * spec.parity.sign
-    return u_left, u_right, denom
-
-
 def geometric_discord_pure_closed(spec: SuperpositionSpec, k: int) -> CorrelationReport:
     """Closed-form discord of the pure k|(n-k) split.
 
@@ -125,7 +113,13 @@ def geometric_discord_pure_closed(spec: SuperpositionSpec, k: int) -> Correlatio
     blocks over the squared branch denominator; it coincides with half
     the squared concurrence but is evaluated from its own expression.
     """
-    u_left, u_right, denom = _split_factors(spec, k)
+    if not 1 <= k <= spec.n - 1:
+        raise DomainError(f"split size k must lie in 1..{spec.n - 1}")
+    p_left = math.prod(spec.overlaps[:k])
+    p_right = math.prod(spec.overlaps[k:])
+    u_left = (1.0 - p_left) * (1.0 + p_left)
+    u_right = (1.0 - p_right) * (1.0 + p_right)
+    denom = spec.denominator
     csq = u_left * u_right / (denom * denom)
     return CorrelationReport(
         discord=0.5 * csq,
@@ -159,20 +153,6 @@ def _concurrence(rho: np.ndarray) -> float:
     return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
 
 
-def _pair_factors(spec: SuperpositionSpec, i: int, j: int) -> tuple:
-    """Omitted product q and s = sqrt(1 - p^2) of modes i and j.
-
-    The branch denominator 1 + Pc cos(m pi) is left to the concurrence
-    expressions that need it; the K eigenvalues do not.
-    """
-    q = spec.omitted_product(i, j)
-    p_i = spec.overlaps[i - 1]
-    p_j = spec.overlaps[j - 1]
-    s_i = _sqrt((1.0 - p_i) * (1.0 + p_i))
-    s_j = _sqrt((1.0 - p_j) * (1.0 + p_j))
-    return q, s_i, s_j
-
-
 def mixed_k_eigenvalues(spec: SuperpositionSpec, i: int, j: int,
                         side: MeasurementSide = MeasurementSide.FIRST) -> tuple:
     """Closed-form eigenvalues (lam1, lam2, lam3) of K for a mode pair.
@@ -182,27 +162,26 @@ def mixed_k_eigenvalues(spec: SuperpositionSpec, i: int, j: int,
     expanded polynomial form cancels catastrophically near unit
     overlaps. Measuring the first member puts p_i in the local slot.
     """
-    return _k_eigenvalues(spec, i, j, side, *_pair_factors(spec, i, j))
+    return _pair_closed(spec, i, j, side)[0]
 
 
-def _k_eigenvalues(spec: SuperpositionSpec, i: int, j: int, side: MeasurementSide,
-                   q: float, s_i: float, s_j: float) -> tuple:
-    """mixed_k_eigenvalues from the pair's _pair_factors."""
-    sign = spec.parity.sign
+def _pair_closed(spec: SuperpositionSpec, i: int, j: int, side: MeasurementSide) -> tuple:
+    """((lam1, lam2, lam3), q, s_i, s_j): the pair's K eigenvalues, omitted
+    product q and s = sqrt(1 - p^2) of modes i and j, which the concurrence
+    expressions read over the branch denominator."""
+    q = spec.omitted_product(i, j)
     p_i = spec.overlaps[i - 1]
     p_j = spec.overlaps[j - 1]
+    s_i = _sqrt((1.0 - p_i) * (1.0 + p_i))
+    s_j = _sqrt((1.0 - p_j) * (1.0 + p_j))
+    sign = spec.parity.sign
     two_nsq = 2.0 * _square(normalization(spec))
-    if side is MeasurementSide.FIRST:
-        p_meas, p_other = p_i, p_j
-    else:
-        p_meas, p_other = p_j, p_i
+    p_meas, p_other = (p_i, p_j) if side is MeasurementSide.FIRST else (p_j, p_i)
     z_local = two_nsq * (p_meas + p_other * q * sign)
     zz = two_nsq * (p_i * p_j + q * sign)
     xx = two_nsq * s_i * s_j
-    lam1 = z_local * z_local + zz * zz
     lam2 = xx * xx
-    lam3 = lam2 * q * q
-    return lam1, lam2, lam3
+    return (z_local * z_local + zz * zz, lam2, lam2 * q * q), q, s_i, s_j
 
 
 def branch_and_discord(lam1: float, lam2: float, lam3: float) -> tuple:
@@ -220,17 +199,15 @@ def branch_and_discord(lam1: float, lam2: float, lam3: float) -> tuple:
 def mixed_discord_closed(spec: SuperpositionSpec, i: int, j: int,
                          side: MeasurementSide = MeasurementSide.FIRST) -> CorrelationReport:
     """Closed-form discord and concurrence of the (i, j) mode pair."""
-    q, s_i, s_j = _pair_factors(spec, i, j)
-    lams = _k_eigenvalues(spec, i, j, side, q, s_i, s_j)
+    lams, q, s_i, s_j = _pair_closed(spec, i, j, side)
     branch, discord = branch_and_discord(*lams)
-    denom = 1.0 + spec.branch_product * spec.parity.sign
     # Same value as discord_trajectory's concurrence at t = 0, but
     # (1+q)-(1-q) is not 2q in floating point, so it keeps its own expression.
     return CorrelationReport(
         discord=discord,
         branch=branch,
         k_eigenvalues=lams,
-        concurrence=q * s_i * s_j / denom,
+        concurrence=q * s_i * s_j / spec.denominator,
     )
 
 

@@ -17,8 +17,7 @@ import numpy as np
 from .correlations import (
     CorrelationReport,
     MeasurementSide,
-    _k_eigenvalues,
-    _pair_factors,
+    _pair_closed,
     branch_and_discord,
 )
 from .errors import DomainError
@@ -126,13 +125,12 @@ def discord_trajectory(spec: SuperpositionSpec, i: int, j: int, rate: float,
     swaps the two spin-flip eigenvalue candidates.
     """
     DephasingParams(rate=rate, time=time)
-    q, s_i, s_j = _pair_factors(spec, i, j)
-    lam1, lam2, lam3 = _k_eigenvalues(spec, i, j, side, q, s_i, s_j)
-    scale = _each(lambda t: math.exp(-2.0 * rate * t), time)
+    (lam1, lam2, lam3), q, s_i, s_j = _pair_closed(spec, i, j, side)
+    # rate * t first: -2.0 * rate can overflow to -inf, and -inf * 0 is NaN
+    scale = _each(lambda t: math.exp(-2.0 * (rate * t)), time)
     lams = (lam1, lam2 * scale, lam3 * scale)
     branch, discord = branch_and_discord(*lams)
-    denom = 1.0 + spec.branch_product * spec.parity.sign
-    prefactor = 0.5 * s_i * s_j / denom
+    prefactor = 0.5 * s_i * s_j / spec.denominator
     decayed = _each(lambda t: math.exp(-rate * t), time) * (1.0 + q) - (1.0 - q)
     concurrence = prefactor * decayed
     return CorrelationReport(

@@ -24,7 +24,7 @@ PAULIS = (SIGMA0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 # PAULI_PRODUCTS[a, b] = sigma_a (x) sigma_b, shape (4, 4, 4, 4)
 PAULI_PRODUCTS = np.einsum("aij,bkl->abikjl", PAULIS, PAULIS).reshape(4, 4, 4, 4)
 
-# denominator threshold below which the superposition counts as null
+# threshold on 2 * denominator below which the superposition counts as null
 _NULL_STATE_TOL = 1e-14
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
@@ -98,8 +98,7 @@ class SuperpositionSpec:
             outside = _outside_unit(p)
             if outside is not None:
                 raise DomainError(f"overlaps must lie in [0, 1], got {outside}")
-        inverse_nsq = 2.0 + 2.0 * self.branch_product * self.parity.sign
-        null = np.flatnonzero(inverse_nsq <= _NULL_STATE_TOL)
+        null = np.flatnonzero(2.0 * self.denominator <= _NULL_STATE_TOL)
         if null.size:
             error = DivergentNormalizationError(
                 "odd parity with unit overlap product gives a null state")
@@ -114,6 +113,11 @@ class SuperpositionSpec:
     def branch_product(self) -> float:
         """Product of all single-mode overlaps, the <branch|branch'> value."""
         return math.prod(self.overlaps)
+
+    @property
+    def denominator(self) -> float:
+        """Branch denominator 1 + cos(m pi) prod p_i, the one place it is formed."""
+        return 1.0 + self.branch_product * self.parity.sign
 
     def omitted_product(self, i: int, j: int) -> float:
         """Overlap product of the traced-out modes when (i, j) is kept."""
@@ -131,7 +135,7 @@ def _check_pair(n: int, i: int, j: int) -> None:
 
 def normalization(spec: SuperpositionSpec) -> float:
     """Normalization prefactor N = (2 + 2 cos(m pi) prod p_i)^(-1/2) of a non-null spec."""
-    return 1.0 / _sqrt(2.0 + 2.0 * spec.branch_product * spec.parity.sign)
+    return 1.0 / _sqrt(2.0 * spec.denominator)
 
 
 def qubit_map_coeffs(p: float) -> tuple:

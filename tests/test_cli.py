@@ -357,16 +357,24 @@ def test_sweep_error_exits_are_those_of_the_first_failing_point(capsys, argv, me
 
 
 def test_evolve_matches_report_at_time_zero(capsys):
-    _, evolve_out, _ = run_cli(capsys, "evolve", "--n", "4", "--p", "0.5", "0.5",
-                               "0.5", "0.5", "--pair", "1", "2", "--rate", "1",
-                               "--t-max", "1", "--steps", "5")
-    _, report_out, _ = run_cli(capsys, "report", "--n", "4", "--p", "0.5", "0.5",
-                               "0.5", "0.5", "--pair", "1", "2")
-    _, evolve_rows = parse_csv(evolve_out)
-    _, report_rows = parse_csv(report_out)
-    assert evolve_rows[0]["t"] == "0"
-    assert evolve_rows[0]["discord"] == report_rows[0]["discord"]
-    assert evolve_rows[0]["concurrence"] == report_rows[0]["concurrence"]
+    # a rate near the float maximum once made the t = 0 discord NaN:
+    # -2 * rate overflowed to -inf before it met t = 0
+    for state, rate, static in ((("4", "0.5", "0.5", "0.5", "0.5"), "1", None),
+                                (("3", "0.5", "0.6", "0.7"), "1e308", "0.122122806")):
+        spec = ["--n", state[0], "--p", *state[1:], "--pair", "1", "2"]
+        _, evolve_out, _ = run_cli(capsys, "evolve", *spec, "--rate", rate,
+                                   "--t-max", "1", "--steps", "5")
+        _, report_out, _ = run_cli(capsys, "report", *spec)
+        _, evolve_rows = parse_csv(evolve_out)
+        _, report_rows = parse_csv(report_out)
+        assert evolve_rows[0]["t"] == "0"
+        assert evolve_rows[0]["discord"] == report_rows[0]["discord"]
+        assert evolve_rows[0]["concurrence"] == report_rows[0]["concurrence"]
+        if static is not None:
+            assert report_rows[0]["discord"] == static
+        _, dephased_out, _ = run_cli(capsys, "report", *spec, "--rate", rate, "--time", "0")
+        _, dephased_rows = parse_csv(dephased_out)
+        assert dephased_rows[0]["discord_t"] == dephased_rows[0]["discord"]
 
 
 def test_evolve_column_contract_and_death_summary(capsys):
@@ -502,20 +510,25 @@ def _count_calls(monkeypatch, targets) -> Counter:
 # so their counts are per request
 @pytest.mark.parametrize("argv, exact, at_most", [
     ("sweep --n 3 --parity even --pair 1 2 --steps 100",
-     {"_pair_factors": 1, "omitted_product": 2}, {"mixed_k_eigenvalues": 0}),
-    ("sweep --n 3 --parity even --pure --k 1 --steps 100", {"_split_factors": 1}, {}),
+     {"_pair_closed": 1, "omitted_product": 2}, {"mixed_k_eigenvalues": 0}),
+    ("sweep --n 3 --parity even --pure --k 1 --steps 100",
+     {"geometric_discord_pure_closed": 1}, {}),
     ("evolve --n 4 --p 0.5 0.5 0.5 0.5 --pair 1 2 --rate 1 --t-max 1.5 --steps 100",
-     {"__post_init__": 3, "_pair_factors": 2, "omitted_product": 3, "mixed_k_eigenvalues": 0},
+     {"__post_init__": 3, "_pair_closed": 2, "omitted_product": 3, "mixed_k_eigenvalues": 0},
      {}),
-    ("verify --samples 100", {"reduced_pair_density": 100}, {"check_density": 821}),
+    # one pass per sample: each check reuses the density and spectra of the others
+    ("verify --samples 100",
+     {"reduced_pair_density": 100, "apply_dephasing": 200, "k_spectrum_discord": 100},
+     {"check_density": 548}),
 ])
 def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact, at_most):
     correlations, states = catcorr.correlations, catcorr.states
     counts = _count_calls(monkeypatch, [
-        (correlations, "mixed_k_eigenvalues"), (correlations, "_pair_factors"),
-        (correlations, "_split_factors"), (states, "reduced_pair_density"),
-        (states, "check_density"), (SuperpositionSpec, "omitted_product"),
-        (DephasingParams, "__post_init__")])
+        (correlations, "mixed_k_eigenvalues"), (correlations, "_pair_closed"),
+        (correlations, "geometric_discord_pure_closed"),
+        (correlations, "k_spectrum_discord"), (states, "reduced_pair_density"),
+        (states, "check_density"), (catcorr.dephasing, "apply_dephasing"),
+        (SuperpositionSpec, "omitted_product"), (DephasingParams, "__post_init__")])
     code, _, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert {name: counts[name] for name in exact} == exact

@@ -10,6 +10,7 @@ from catcorr.errors import (
     InvalidDensityError,
 )
 from catcorr.states import (
+    _NULL_STATE_TOL,
     PAULIS,
     Parity,
     SuperpositionSpec,
@@ -78,11 +79,22 @@ def test_grid_spec_refuses_points_as_a_spec_refuses_one():
     assert null.value.point == 4
 
 
-def test_normalization_frozen_value():
+def test_normalization_frozen_value(rng):
     spec = SuperpositionSpec(overlaps=(0.5, 0.5), parity=Parity.EVEN)
     assert abs(normalization(spec) - 0.6324555320336759) < 1e-16
     odd = SuperpositionSpec(overlaps=(0.5, 0.5), parity=Parity.ODD)
     assert abs(normalization(odd) - 1.0 / math.sqrt(1.5)) < 1e-15
+    # N reads 2 * denominator; doubling is exact, so it keeps the bits of
+    # 1 / sqrt(2 + 2 P sign) on single states and grids of both parities
+    for parity in Parity:
+        for _ in range(50):
+            spec = random_spec(rng, parity=parity)
+            expanded = 2.0 + 2.0 * math.prod(spec.overlaps) * parity.sign
+            assert normalization(spec) == 1.0 / math.sqrt(expanded)
+        grid = tuple(rng.uniform(0.0, 0.999, 64) for _ in range(3))
+        spec = SuperpositionSpec(overlaps=grid, parity=parity)
+        expanded = 2.0 + 2.0 * (grid[0] * grid[1] * grid[2]) * parity.sign
+        assert np.array_equal(normalization(spec), 1.0 / np.sqrt(expanded))
 
 
 def test_near_null_superposition_rejected_at_construction():
@@ -91,6 +103,19 @@ def test_near_null_superposition_rejected_at_construction():
     # the same product one ulp further from 1 is accepted
     spec = SuperpositionSpec(overlaps=(1.0, 1.0 - 1e-13), parity=Parity.ODD)
     assert normalization(spec) > 1e5
+    # the error fires exactly where 2 + 2 P cos(m pi) reaches the tolerance
+    overlaps = 1.0 - np.arange(100) * 2.0 ** -53
+    expected = [2.0 + 2.0 * p * -1 <= _NULL_STATE_TOL for p in overlaps.tolist()]
+    assert any(expected) and not all(expected)
+    for p, null in zip(overlaps.tolist(), expected):
+        if null:
+            with pytest.raises(DivergentNormalizationError):
+                SuperpositionSpec(overlaps=(1.0, p), parity=Parity.ODD)
+        else:
+            SuperpositionSpec(overlaps=(1.0, p), parity=Parity.ODD)
+    with pytest.raises(DivergentNormalizationError) as first:
+        SuperpositionSpec(overlaps=(np.ones(100), overlaps[::-1].copy()), parity=Parity.ODD)
+    assert first.value.point == expected[::-1].index(True)
 
 
 def test_qubit_map_frozen_values():

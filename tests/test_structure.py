@@ -1,0 +1,24 @@
+import ast
+from pathlib import Path
+
+import catcorr
+
+# (importing module, sibling) -> private names it may import; a new private
+# coupling between modules has to be added here on purpose
+ALLOWED_PRIVATE_IMPORTS = {
+    ("cli", "states"): {"_bloch"},
+    ("correlations", "states"): {"_bloch", "_sqrt", "_square", "_where"},
+    ("dephasing", "correlations"): {"_pair_closed"},
+    ("dephasing", "states"): {"_each", "_where"},
+}
+
+
+def test_private_imports_between_modules_are_the_allowed_ones():
+    found = {}
+    for path in sorted(Path(catcorr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                private = {alias.name for alias in node.names if alias.name.startswith("_")}
+                if private:
+                    found.setdefault((path.stem, node.module), set()).update(private)
+    assert found == ALLOWED_PRIVATE_IMPORTS
