@@ -353,26 +353,50 @@ _VERIFY_CHECKS = ("gram_vs_closed", "closed_vs_numeric", "kraus_vs_bloch_scaling
                   "trajectory_consistency", "search_vs_spectrum")
 
 
-def _sample_gaps(sample, search: bool) -> list:
-    """The deviations of one sample in _VERIFY_CHECKS order; the search runs if
-    `search` is set, on the pair density, dephased to time t when t > 1.5."""
-    spec, i, j, side, rate, t, gamma = sample
-    rho = reduced_pair_density(spec, i, j)
-    gaps = [float(np.max(np.abs(pair_density_from_overlaps(spec, i, j) - rho)))]
-    # the first route that reads rho as a density checks it
-    discord = k_spectrum_discord(rho, side)
-    gaps.append(abs(mixed_discord_closed(spec, i, j, side).discord - discord))
-    rebuilt = bloch_compose(dephased_bloch(_bloch(rho), gamma))
-    gaps.append(float(np.max(np.abs(apply_dephasing(rho, gamma) - rebuilt))))
-    evolved = apply_dephasing(rho, DephasingParams(rate=rate, time=t).gamma)
-    traj = discord_trajectory(spec, i, j, rate, t, side)
-    numeric = geometric_discord_numeric(evolved, side)
-    gaps.append(max(abs(traj.discord - numeric.discord),
-                    abs(traj.concurrence - numeric.concurrence)))
-    if search:
-        if t > 1.5:
-            rho, discord = evolved, numeric.discord
-        gaps.append(abs(discord_by_measurement_search(rho, side) - discord))
+def _verify_gaps(samples, searched: int) -> np.ndarray:
+    """The deviations of every sample, one row per check in _VERIFY_CHECKS
+    order; the search row holds the first `searched` samples only.
+
+    The closed routes and the Gram route run per sample; every numeric route
+    runs once over the stack of one side's samples. The search reads the
+    pair density, or the density dephased to time t when t > 1.5.
+    """
+    count = len(samples)
+    rho = np.empty((count, 4, 4), dtype=complex)
+    gram = np.empty_like(rho)
+    closed, traj_discord, traj_concurrence, gamma, gamma_t, times = np.empty((6, count))
+    sides = []
+    for k, (spec, i, j, side, rate, t, g) in enumerate(samples):
+        rho[k] = reduced_pair_density(spec, i, j)
+        gram[k] = pair_density_from_overlaps(spec, i, j)
+        closed[k] = mixed_discord_closed(spec, i, j, side).discord
+        traj = discord_trajectory(spec, i, j, rate, t, side)
+        traj_discord[k], traj_concurrence[k] = traj.discord, traj.concurrence
+        gamma[k], gamma_t[k], times[k] = g, DephasingParams(rate=rate, time=t).gamma, t
+        sides.append(side)
+    gaps = np.empty((len(_VERIFY_CHECKS), count))
+    gaps[0] = np.abs(gram - rho).reshape(count, 16).max(axis=1)
+    for side in MeasurementSide:
+        group = np.flatnonzero([s is side for s in sides])
+        if not group.size:
+            continue
+        # the first route that reads the stack as densities checks it
+        discord = k_spectrum_discord(rho[group], side)
+        gaps[1, group] = np.abs(closed[group] - discord)
+        rebuilt = bloch_compose(dephased_bloch(_bloch(rho[group]), gamma[group]))
+        kraus = apply_dephasing(rho[group], gamma[group])
+        gaps[2, group] = np.abs(kraus - rebuilt).reshape(-1, 16).max(axis=1)
+        evolved = apply_dephasing(rho[group], gamma_t[group])
+        numeric = geometric_discord_numeric(evolved, side)
+        gaps[3, group] = np.maximum(np.abs(traj_discord[group] - numeric.discord),
+                                    np.abs(traj_concurrence[group] - numeric.concurrence))
+        hunted = group < searched
+        if hunted.any():
+            late = times[group] > 1.5
+            target = np.where(late[:, None, None], evolved, rho[group])[hunted]
+            expected = np.where(late, numeric.discord, discord)[hunted]
+            found = discord_by_measurement_search(target, side)
+            gaps[4, group[hunted]] = np.abs(found - expected)
     return gaps
 
 
@@ -386,21 +410,19 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     samples = _random_verify_samples(rng, args.samples)
     searched = min(args.samples, args.search_samples)
-    # per check: the maximum deviation and the first sample that reached it
-    worst = [(0.0, None)] * len(_VERIFY_CHECKS)
-    for index, sample in enumerate(samples):
-        for check, value in enumerate(_sample_gaps(sample, index < searched)):
-            if value > worst[check][0]:
-                worst[check] = value, sample
-    counts = [args.samples] * (len(_VERIFY_CHECKS) - 1) + [searched]
+    gaps = _verify_gaps(samples, searched)
     lines = []
-    for name, count, (deviation, sample) in zip(_VERIFY_CHECKS, counts, worst):
+    passed = 0
+    for name, row in zip(_VERIFY_CHECKS, [*gaps[:-1], gaps[-1, :searched]]):
+        # the first sample at the maximum deviation, or the first NaN one
+        worst = int(np.argmax(row))
+        deviation = float(row[worst])
         ok = deviation <= args.tol
-        lines.append(f"{name:<24} samples={count} max_deviation={_fmt(deviation)} "
+        passed += ok
+        lines.append(f"{name:<24} samples={row.size} max_deviation={_fmt(deviation)} "
                      + ("PASS" if ok else "FAIL"))
         if not ok:
-            lines.append(f"    worst: {_describe_sample(sample)}")
-    passed = sum(deviation <= args.tol for deviation, _ in worst)
+            lines.append(f"    worst: {_describe_sample(samples[worst])}")
     all_pass = passed == len(_VERIFY_CHECKS)
     lines.append(f"verify: {'PASS' if all_pass else 'FAIL'} ({passed}/{len(_VERIFY_CHECKS)} "
                  f"assertions within tol={_fmt(args.tol)})")

@@ -61,7 +61,7 @@ class CorrelationReport:
 
     k_eigenvalues is labeled on the closed branches: (lam1, lam2, lam3)
     as mixed_k_eigenvalues gives them, z eigenvalue first, and
-    (1, C^2, C^2) for a pure split. On numeric_k it is the eigh
+    (2 - C^2, C^2, C^2) for a pure split. On numeric_k it is the eigh
     spectrum of K in descending order. On a grid spec a field is an (m,)
     array (branch: of Branch values) or one value for every point.
     """
@@ -89,11 +89,12 @@ def _k_discord(rho: np.ndarray, side: MeasurementSide) -> tuple:
 
 
 def geometric_discord_numeric(rho, side: MeasurementSide = MeasurementSide.FIRST) -> CorrelationReport:
-    """Discord of an arbitrary two-qubit state via the K spectrum."""
+    """Discord of an arbitrary two-qubit state via the K spectrum; a
+    (..., 4, 4) stack gives a report of arrays, one entry per member."""
     rho = check_density(rho)
     discord, lams = _k_discord(rho, side)
     return CorrelationReport(
-        discord=float(discord),
+        discord=discord if rho.ndim > 2 else float(discord),
         branch=Branch.NUMERIC_K,
         k_eigenvalues=lams,
         concurrence=_concurrence(rho),
@@ -124,8 +125,8 @@ def geometric_discord_pure_closed(spec: SuperpositionSpec, k: int) -> Correlatio
     return CorrelationReport(
         discord=0.5 * csq,
         branch=Branch.PURE,
-        # K spectrum of a pure state
-        k_eigenvalues=(1.0, csq, csq),
+        # K spectrum of a pure state: z eigenvalue 2 - C^2, planar pair C^2
+        k_eigenvalues=(2.0 - csq, csq, csq),
         concurrence=_sqrt(u_left) * _sqrt(u_right) / denom,
     )
 
@@ -135,22 +136,26 @@ def concurrence_pure(spec: SuperpositionSpec, k: int) -> float:
     return geometric_discord_pure_closed(spec, k).concurrence
 
 
-def concurrence_mixed(rho) -> float:
-    """Spin-flip concurrence of an arbitrary two-qubit density matrix."""
+def concurrence_mixed(rho):
+    """Spin-flip concurrence of an arbitrary two-qubit density matrix, or of
+    each member of a (..., 4, 4) stack."""
     return _concurrence(check_density(rho))
 
 
-def _concurrence(rho: np.ndarray) -> float:
-    """Spin-flip concurrence of a density that check_density has already passed.
+def _concurrence(rho: np.ndarray):
+    """Spin-flip concurrence of a density, or (..., 4, 4) stack, that
+    check_density has already passed.
 
     With rho = B B^dagger, the singular values of B^T (sigma_y x sigma_y) B
     are the square roots of the spin-flip spectrum (Wootters 1998; Uhlmann
     2000), without taking roots of its rounding-noise eigenvalues.
     """
     w, v = np.linalg.eigh(rho)
-    b = v * np.sqrt(np.clip(w, 0.0, None))
-    s = np.linalg.svd(b.T @ PAULI_PRODUCTS[2, 2] @ b, compute_uv=False)
-    return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
+    b = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    s = np.linalg.svd(b.swapaxes(-1, -2) @ PAULI_PRODUCTS[2, 2] @ b, compute_uv=False)
+    gap = s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3]
+    # max(0.0, gap) at each member: np.maximum would keep -0.0 and NaN
+    return _where(gap > 0.0, gap, 0.0) if gap.ndim else max(0.0, float(gap))
 
 
 def mixed_k_eigenvalues(spec: SuperpositionSpec, i: int, j: int,

@@ -47,42 +47,51 @@ class DephasingParams:
         return -_each(lambda t: math.expm1(-self.rate * t), self.time)
 
 
-def _check_gamma(gamma: float) -> None:
-    if math.isnan(gamma) or not 0.0 <= gamma <= 1.0:
+def _check_gamma(gamma) -> None:
+    inside = ((0.0 <= gamma) & (gamma <= 1.0)).all() if isinstance(gamma, np.ndarray) \
+        else 0.0 <= gamma <= 1.0
+    if not inside:
         raise DomainError("damping probability must lie in [0, 1]")
 
 
-def kraus_ops(gamma: float) -> tuple:
-    """Kraus pair of the single-qubit phase damping channel."""
+def kraus_ops(gamma) -> tuple:
+    """Kraus pair of the single-qubit phase damping channel; an (S,) array
+    of gammas gives (S, 2, 2) stacks."""
     _check_gamma(gamma)
-    e0 = np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex)
-    e1 = np.diag([0.0, math.sqrt(gamma)]).astype(complex)
+    e0 = np.zeros(np.shape(gamma) + (2, 2), dtype=complex)
+    e1 = np.zeros_like(e0)
+    e0[..., 0, 0] = 1.0
+    e0[..., 1, 1] = np.sqrt(1.0 - gamma)
+    e1[..., 1, 1] = np.sqrt(gamma)
     return e0, e1
 
 
-def apply_dephasing(rho, gamma: float) -> np.ndarray:
-    """Apply the channel independently to both qubits of a pair state."""
+def apply_dephasing(rho, gamma) -> np.ndarray:
+    """Apply the channel independently to both qubits of a pair state; an
+    (S,) array of gammas dephases each member of an (S, 4, 4) stack by its own."""
     rho = check_density(rho)
     e0, e1 = kraus_ops(gamma)
     out = np.zeros_like(rho)
     for left in (e0, e1):
         for right in (e0, e1):
             # left (x) right as a broadcast outer product, entry for entry
-            op = (left[:, None, :, None] * right[None, :, None, :]).reshape(4, 4)
-            out = out + op @ rho @ op.conj().T
+            op = (left[..., :, None, :, None] * right[..., None, :, None, :]).reshape(
+                left.shape[:-2] + (4, 4))
+            out = out + op @ rho @ op.conj().swapaxes(-1, -2)
     return out
 
 
-def dephased_bloch(bloch: BlochForm, gamma: float) -> BlochForm:
-    """Bloch data of the two-sided dephased state, by direct scaling.
+def dephased_bloch(bloch: BlochForm, gamma) -> BlochForm:
+    """Bloch data of the two-sided dephased state, by direct scaling; an (S,)
+    array of gammas scales each table of an (S, 4, 4) stack by its own.
 
     Each local channel shrinks the transverse (x, y) rows and columns of
     the Pauli table by sqrt(1-gamma); identity and z ones are untouched.
     """
     _check_gamma(gamma)
-    shrink = math.sqrt(1.0 - gamma)
-    weight = np.array([1.0, shrink, shrink, 1.0])
-    return BlochForm(bloch.t * np.outer(weight, weight))
+    weight = np.ones(np.shape(gamma) + (4,))
+    weight[..., 1:3] = np.sqrt(1.0 - np.asarray(gamma))[..., None]
+    return BlochForm(bloch.t * (weight[..., :, None] * weight[..., None, :]))
 
 
 def concurrence_trajectory(spec: SuperpositionSpec, i: int, j: int,

@@ -20,10 +20,16 @@ from .states import PAULI_PRODUCTS, SuperpositionSpec, check_density, normalizat
 
 _COARSE_STEPS = 512
 _REFINEMENT_TOL = 1e-8
-# rows sigma_k (x) 1 and 1 (x) sigma_k, k = x, y, z, flattened: axes @ table
-# gives the local observable e.sigma on the measured member, one row per axis
-_AXIS_OPS = {MeasurementSide.FIRST: PAULI_PRODUCTS[1:, 0].reshape(3, 16),
-             MeasurementSide.SECOND: PAULI_PRODUCTS[0, 1:].reshape(3, 16)}
+_COMPASS_MOVES = 64
+# densities searched in lockstep, and per coarse-scan pass within them: the
+# tables and compass state of a block and the (pass, 512, 32) scan
+# temporaries set the search's peak memory, which then does not grow with
+# the number of densities; scan passes of two stay in cache, larger ones are slower
+_SEARCH_BLOCK = 64
+_SCAN_BLOCK = 2
+# O_a = sigma_a (x) 1 or 1 (x) sigma_a, a = x, y, z: the local Paulis of the measured member
+_LOCAL_PAULIS = {MeasurementSide.FIRST: PAULI_PRODUCTS[1:, 0],
+                 MeasurementSide.SECOND: PAULI_PRODUCTS[0, 1:]}
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -99,28 +105,70 @@ def measurement_distance(rho, axis, side: MeasurementSide = MeasurementSide.FIRS
     norm = math.sqrt(float(axis @ axis))
     if abs(norm - 1.0) > 1e-12:
         raise DomainError(f"measurement axis must be unit length, |e| = {norm}")
-    return float(_batch_distance(rho, axis[None], side)[0])
+    stack = _stack(rho)
+    return float(_distances(stack, _sandwiches(stack, side), axis[None])[0, 0])
 
 
-def _batch_distance(rho: np.ndarray, axes: np.ndarray, side: MeasurementSide) -> np.ndarray:
-    """measurement_distance over many unit axes at once, rho already checked.
+def _stack(rho: np.ndarray) -> np.ndarray:
+    """A checked density or (..., 4, 4) stack as a contiguous (m, 4, 4) stack,
+    so every member is laid out, and its products computed, as one density's."""
+    return np.ascontiguousarray(rho).reshape(-1, 4, 4)
 
-    The projectors are (1 +- S)/2 with S = e.sigma on the measured member,
-    so the post-measurement state sum_+- P rho P is (rho + S rho S)/2.
+
+def _sandwiches(rho: np.ndarray, side: MeasurementSide) -> np.ndarray:
+    """T_ab = O_a rho O_b for a, b = x, y, z, as (m, 9, 32) real tables.
+
+    Each O_a has one entry of 1, -1, i or -i per row, so every T_ab is
+    rho's entries moved and sign-flipped, exactly. Row 3a + b holds T_ab's
+    16 entries, real and imaginary parts interleaved.
     """
-    s = (axes @ _AXIS_OPS[side]).reshape(-1, 4, 4)
-    chi = 0.5 * (rho + s @ rho @ s)
-    delta = rho - chi
-    return np.einsum("nab,nba->n", delta, delta).real
+    ops = _LOCAL_PAULIS[side]
+    products = ops[:, None] @ rho[:, None, None] @ ops
+    return products.reshape(len(rho), 9, 16).view(np.float64)
 
 
-def _spherical(theta: float, phi: float) -> tuple:
-    st = math.sin(theta)
-    return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+def _distances(rho: np.ndarray, tables: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Tr[(rho - chi)^2] of each density of an (m, 4, 4) stack at each unit
+    axis, for (n, 3) axes shared by all densities or (m, n, 3) axes of
+    their own: an (m, n) array.
+
+    With S = e.sigma on the measured member, the projectors are (1 +- S)/2,
+    so the post-measurement state sum_+- P rho P is chi = (rho + S rho S)/2,
+    and S rho S = sum_ab e_a e_b T_ab: one real product with the tables
+    gives every entry of every axis's chi. Each density is its own matrix
+    product, and every other step is elementwise or a sum over one axis's
+    entries, so a density's values do not depend on the stack it sits in.
+    """
+    coefficients = (axes[..., :, None] * axes[..., None, :]).reshape(axes.shape[:-1] + (9,))
+    # S rho S, then chi = (rho + S rho S)/2 and rho - chi in its place
+    work = coefficients @ tables
+    entries = rho.reshape(len(rho), 1, 16).view(np.float64)
+    work += entries
+    work *= 0.5
+    delta = np.subtract(entries, work, out=work).reshape(work.shape[:2] + (4, 4, 2))
+    re, im = delta[..., 0], delta[..., 1]
+    # the real part of delta_ab delta_ba, summed over the 16 entries
+    products = re * re.swapaxes(-1, -2)
+    products -= im * im.swapaxes(-1, -2)
+    return products.reshape(work.shape[:2] + (16,)).sum(axis=-1)
 
 
-def discord_by_measurement_search(rho, side: MeasurementSide = MeasurementSide.FIRST) -> float:
-    """Geometric discord by direct minimization over measurement axes.
+def _spherical(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Unit vectors at polar angles theta and azimuths phi, (..., 3), from
+    math's sin and cos at each angle."""
+    thetas, phis = theta.ravel().tolist(), phi.ravel().tolist()
+    axes = np.empty(theta.shape + (3,))
+    flat = axes.reshape(-1, 3)
+    flat[:, 0] = [math.cos(v) for v in phis]
+    flat[:, 1] = [math.sin(v) for v in phis]
+    flat[:, :2] *= np.array([math.sin(v) for v in thetas])[:, None]
+    flat[:, 2] = [math.cos(v) for v in thetas]
+    return axes
+
+
+def discord_by_measurement_search(rho, side: MeasurementSide = MeasurementSide.FIRST):
+    """Geometric discord by direct minimization over measurement axes, for a
+    density or each member of a (..., 4, 4) stack.
 
     A Fibonacci-sphere scan seeds a compass search in spherical
     coordinates: step to the best of four neighbors, halve the step
@@ -128,32 +176,56 @@ def discord_by_measurement_search(rho, side: MeasurementSide = MeasurementSide.F
     refinement tolerance. The objective is smooth (a quadratic form in
     the axis), so the local refinement converges to the global
     minimum from a fine enough seed grid.
+
+    A stack is searched in lockstep, _SEARCH_BLOCK densities at a time:
+    every density still searching takes its next compass move in the same
+    pass, and follows the path it follows alone, so each member is bitwise
+    the one-density call.
     """
     rho = check_density(rho)
-    values = _batch_distance(rho, _COARSE_AXES, side)
-    best_idx = int(np.argmin(values))
-    best_value = float(values[best_idx])
-    x, y, z = _COARSE_AXES[best_idx]
-    theta = math.acos(max(-1.0, min(1.0, z)))
-    phi = math.atan2(y, x)
-    step = 2.0 * math.sqrt(math.pi / _COARSE_STEPS)
-    moves = 0
-    while step >= 1e-8:
-        level_start = best_value
-        while moves < 64:
-            neighbors = [(theta + step, phi), (theta - step, phi),
-                         (theta, phi + step), (theta, phi - step)]
-            candidates = np.array([_spherical(t, p) for t, p in neighbors])
-            vals = _batch_distance(rho, candidates, side)
-            idx = int(np.argmin(vals))
-            if vals[idx] >= best_value:
-                break
-            best_value = float(vals[idx])
-            theta, phi = neighbors[idx]
-            moves += 1
-        level_gain = level_start - best_value
-        if step < 1e-4 and level_gain < _REFINEMENT_TOL:
-            break
-        step *= 0.5
-        moves = 0
-    return best_value
+    stack = _stack(rho)
+    best = np.empty(len(stack))
+    for first in range(0, len(stack), _SEARCH_BLOCK):
+        block = slice(first, first + _SEARCH_BLOCK)
+        best[block] = _lockstep_search(stack[block], side)
+    return float(best[0]) if rho.ndim == 2 else best.reshape(rho.shape[:-2])
+
+
+def _lockstep_search(stack: np.ndarray, side: MeasurementSide) -> np.ndarray:
+    """discord_by_measurement_search of each density of an (m, 4, 4) stack."""
+    tables = _sandwiches(stack, side)
+    count = len(stack)
+    best = np.empty(count)
+    seed = np.empty(count, dtype=np.intp)
+    for first in range(0, count, _SCAN_BLOCK):
+        block = slice(first, first + _SCAN_BLOCK)
+        values = _distances(stack[block], tables[block], _COARSE_AXES)
+        seed[block] = values.argmin(axis=1)
+        best[block] = values.min(axis=1)
+    x, y, z = _COARSE_AXES[seed].T.tolist()
+    theta = np.array([math.acos(max(-1.0, min(1.0, v))) for v in z])
+    phi = np.array([math.atan2(b, a) for a, b in zip(x, y)])
+    step = np.full(count, 2.0 * math.sqrt(math.pi / _COARSE_STEPS))
+    level_start = best.copy()
+    moves = np.zeros(count, dtype=np.intp)
+    searching = np.ones(count, dtype=bool)
+    rows = np.arange(count)
+    while searching.any():
+        thetas = np.stack([theta + step, theta - step, theta, theta], axis=1)
+        phis = np.stack([phi, phi, phi + step, phi - step], axis=1)
+        values = _distances(stack, tables, _spherical(thetas, phis))
+        pick = values.argmin(axis=1)
+        low = values[rows, pick]
+        # a neighbor no better than the best ends the level (a NaN one does not)
+        moved = searching & ~(low >= best)
+        best = np.where(moved, low, best)
+        theta = np.where(moved, thetas[rows, pick], theta)
+        phi = np.where(moved, phis[rows, pick], phi)
+        moves += moved
+        ended = searching & (~moved | (moves == _COMPASS_MOVES))
+        converged = (step < 1e-4) & (level_start - best < _REFINEMENT_TOL)
+        step = np.where(ended, 0.5 * step, step)
+        moves[ended] = 0
+        level_start = np.where(ended, best, level_start)
+        searching &= ~(ended & (converged | (step < 1e-8)))
+    return best

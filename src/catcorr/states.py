@@ -287,11 +287,12 @@ def bloch_decompose(rho) -> BlochForm:
 
 
 def bloch_compose(bloch: BlochForm) -> np.ndarray:
-    """Rebuild the density from its Pauli table, term by term in a fixed rounding order."""
+    """Rebuild the density, or (..., 4, 4) stack, from its Pauli table, term
+    by term in a fixed rounding order."""
     rho = PAULI_PRODUCTS[0, 0]
     for a in range(1, 4):
         for ab in ((a, 0), (0, a), (a, 1), (a, 2), (a, 3)):
-            rho = rho + bloch.t[ab] * PAULI_PRODUCTS[ab]
+            rho = rho + bloch.t[(..., *ab)][..., None, None] * PAULI_PRODUCTS[ab]
     return rho / 4.0
 
 

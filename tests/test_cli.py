@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -453,6 +454,28 @@ def test_verify_fails_honestly_at_machine_tolerance(capsys):
     assert "worst:" in out
 
 
+def test_verify_fails_a_nan_deviation(monkeypatch, capsys):
+    # a NaN gap is the worst of its check, the first NaN sample its worst
+    # sample, and no bound passes it
+    closed = catcorr.cli.discord_trajectory
+    calls = []
+
+    def nan_discord(*args):
+        calls.append(args)
+        report = closed(*args)
+        return dataclasses.replace(report, discord=math.nan) if len(calls) in (3, 5) else report
+
+    monkeypatch.setattr(catcorr.cli, "discord_trajectory", nan_discord)
+    code, out, _ = run_cli(capsys, "verify", "--samples", "5")
+    assert code == 1
+    samples = catcorr.cli._random_verify_samples(np.random.default_rng(20260817), 5)
+    lines = out.splitlines()
+    assert lines[3] == "trajectory_consistency   samples=5 max_deviation=nan FAIL"
+    assert lines[4] == "    worst: " + catcorr.cli._describe_sample(samples[2])
+    assert [line.split()[-1] for line in lines[:3] + lines[5:-1]] == ["PASS"] * 4
+    assert lines[-1].startswith("verify: FAIL (4/5")
+
+
 def test_verify_rejects_sample_counts_below_one(capsys):
     # also a tolerance no deviation can be compared against; --tol 0 stays legal
     for argv, fragment in ((["verify", "--samples", "0"], "at least 1"),
@@ -516,10 +539,13 @@ def _count_calls(monkeypatch, targets) -> Counter:
     ("evolve --n 4 --p 0.5 0.5 0.5 0.5 --pair 1 2 --rate 1 --t-max 1.5 --steps 100",
      {"__post_init__": 3, "_pair_closed": 2, "omitted_product": 3, "mixed_k_eigenvalues": 0},
      {}),
-    # one pass per sample: each check reuses the density and spectra of the others
+    # closed and Gram routes per sample (the Gram route checks its density);
+    # each numeric route once per side group, the search on the first 48
+    # samples of each group: 100 + 2 * 5 density checks
     ("verify --samples 100",
-     {"reduced_pair_density": 100, "apply_dephasing": 200, "k_spectrum_discord": 100},
-     {"check_density": 548}),
+     {"reduced_pair_density": 100, "apply_dephasing": 4, "k_spectrum_discord": 2,
+      "discord_by_measurement_search": 2, "check_density": 110},
+     {}),
 ])
 def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact, at_most):
     correlations, states = catcorr.correlations, catcorr.states
@@ -528,6 +554,7 @@ def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact, 
         (correlations, "geometric_discord_pure_closed"),
         (correlations, "k_spectrum_discord"), (states, "reduced_pair_density"),
         (states, "check_density"), (catcorr.dephasing, "apply_dephasing"),
+        (catcorr.oracle, "discord_by_measurement_search"),
         (SuperpositionSpec, "omitted_product"), (DephasingParams, "__post_init__")])
     code, _, _ = run_cli(capsys, *argv.split())
     assert code == 0

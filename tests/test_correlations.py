@@ -86,6 +86,25 @@ def test_pure_closed_matches_numeric_k_route(rng):
         assert abs(closed.concurrence - numeric.concurrence) < 1e-12
 
 
+def test_pure_k_spectrum_is_that_of_the_numeric_route():
+    # K = x x^T + R R^T of a pure split has z eigenvalue 2 - C^2 and planar
+    # pair C^2, C^2; the numeric route's descending spectrum reads the same
+    printed = {Parity.EVEN: "1.43654337", Parity.ODD: "1.08729339"}
+    for parity in Parity:
+        spec = SuperpositionSpec(overlaps=(0.5, 0.4, 0.6), parity=parity)
+        closed = geometric_discord_pure_closed(spec, 1)
+        numeric = geometric_discord_numeric(pure_split(spec, 1).projector())
+        assert f"{closed.k_eigenvalues[0]:.9g}" == printed[parity]
+        assert np.max(np.abs(np.array(closed.k_eigenvalues) - numeric.k_eigenvalues)) < 1e-12
+        p = np.linspace(0.0, 0.99, 41)
+        grid = SuperpositionSpec(overlaps=(p, p[::-1], np.full(p.size, 0.6), p), parity=parity)
+        for k in (1, 2, 3):
+            closed = geometric_discord_pure_closed(grid, k)
+            numeric = geometric_discord_numeric(pure_split(grid, k).projector())
+            lams = np.column_stack(np.broadcast_arrays(*closed.k_eigenvalues))
+            assert np.max(np.abs(lams - numeric.k_eigenvalues)) < 1e-12
+
+
 def test_concurrence_pure_equals_mixed_route_on_projector():
     spec = SuperpositionSpec(overlaps=(0.3, 0.8, 0.6), parity=Parity.ODD)
     c_pure = concurrence_pure(spec, 2)
@@ -504,6 +523,37 @@ def test_numeric_k_spectrum_of_a_stack_is_each_density_alone(rng):
         assert discord.shape == (5, 2)
         for idx in np.ndindex(5, 2):
             assert discord[idx] == geometric_discord_numeric(stack[idx], side).discord
+
+
+def test_numeric_route_on_a_stack_is_bitwise_single_calls(rng):
+    rhos = [random_density(rng) for _ in range(30)]
+    for _ in range(30):
+        spec = random_spec(rng)
+        i, j = random_pair(rng, spec.n)
+        rhos.append(reduced_pair_density(spec, i, j))
+        rhos.append(pure_split(spec, 1).projector())
+    stack = np.array(rhos)
+    assert concurrence_mixed(stack).tolist() == [concurrence_mixed(rho) for rho in rhos]
+    for side in MeasurementSide:
+        report = geometric_discord_numeric(stack, side)
+        discord = k_spectrum_discord(stack, side)
+        assert report.discord.shape == report.concurrence.shape == (len(rhos),)
+        assert report.k_eigenvalues.shape == (len(rhos), 3)
+        for k, rho in enumerate(rhos):
+            one = geometric_discord_numeric(rho, side)
+            assert (report.discord[k], report.concurrence[k]) == (one.discord, one.concurrence)
+            assert report.k_eigenvalues[k].tolist() == one.k_eigenvalues.tolist()
+            assert discord[k] == k_spectrum_discord(rho, side) == one.discord
+
+
+def test_numeric_route_on_a_stack_rejects_its_first_bad_member():
+    good = np.eye(4, dtype=complex) / 4.0
+    for bad in (np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex), 2.0 * good):
+        with pytest.raises(InvalidDensityError) as single:
+            check_density(bad)
+        with pytest.raises(InvalidDensityError) as stacked:
+            geometric_discord_numeric(np.array([good, bad, good]))
+        assert str(stacked.value) == str(single.value)
 
 
 def test_numeric_k_spectrum_descending_and_exact_on_diagonal():

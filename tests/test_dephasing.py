@@ -76,6 +76,41 @@ def test_dephased_bloch_matches_kraus_and_checks_gamma(rng):
             dephased_bloch(bloch, gamma)
 
 
+def test_kraus_routes_on_stacks_are_bitwise_single_calls(rng):
+    # an (S,) array of gammas dephases each member of an (S, 4, 4) stack by
+    # its own gamma, exactly as one call per member does
+    gammas = np.concatenate([[0.0, 1.0, 0.75], rng.uniform(0.0, 1.0, size=37)])
+    rhos = [random_density(rng) for _ in range(20)]
+    while len(rhos) < gammas.size:
+        spec = random_spec(rng)
+        rhos.append(reduced_pair_density(spec, *random_pair(rng, spec.n)))
+    stack = np.array(rhos)
+    e0, e1 = kraus_ops(gammas)
+    assert e0.shape == e1.shape == (gammas.size, 2, 2)
+    evolved = apply_dephasing(stack, gammas)
+    rebuilt = bloch_compose(dephased_bloch(bloch_decompose(stack), gammas))
+    for k, (rho, gamma) in enumerate(zip(rhos, gammas.tolist())):
+        one0, one1 = kraus_ops(gamma)
+        assert np.array_equal(e0[k], one0) and np.array_equal(e1[k], one1)
+        assert np.array_equal(evolved[k], apply_dephasing(rho, gamma))
+        assert np.array_equal(rebuilt[k],
+                              bloch_compose(dephased_bloch(bloch_decompose(rho), gamma)))
+
+
+def test_gamma_arrays_are_refused_as_a_gamma_is():
+    stack = np.array([np.eye(4, dtype=complex) / 4.0] * 3)
+    bloch = bloch_decompose(stack)
+    with pytest.raises(DomainError) as single:
+        kraus_ops(1.5)
+    for bad in (1.5, -0.1, math.nan):
+        gammas = np.array([0.2, bad, 0.4])
+        for call in (lambda: kraus_ops(gammas), lambda: apply_dephasing(stack, gammas),
+                     lambda: dephased_bloch(bloch, gammas)):
+            with pytest.raises(DomainError) as stacked:
+                call()
+            assert str(stacked.value) == str(single.value)
+
+
 def test_apply_dephasing_preserves_density_structure(rng):
     for _ in range(50):
         rho = random_density(rng)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import catcorr.oracle
 from catcorr.correlations import MeasurementSide, geometric_discord_numeric
 from catcorr.dephasing import apply_dephasing
-from catcorr.errors import DomainError
+from catcorr.errors import DomainError, InvalidDensityError
 from catcorr.oracle import (
-    _batch_distance,
+    _distances,
+    _sandwiches,
     discord_by_measurement_search,
     fibonacci_sphere,
     measurement_distance,
@@ -90,7 +92,8 @@ def test_objective_equals_projector_sum_on_random_states(rng):
         rho = random_density(rng)
         for side in MeasurementSide:
             expected = np.array([_distance_by_projectors(rho, axis, side) for axis in axes])
-            assert np.max(np.abs(_batch_distance(rho, axes, side) - expected)) < 1e-15
+            values = _distances(rho[None], _sandwiches(rho[None], side), axes)[0]
+            assert np.max(np.abs(values - expected)) < 1e-15
             for axis, value in zip(axes[::37], expected[::37]):
                 assert abs(measurement_distance(rho, axis, side) - value) < 1e-15
 
@@ -188,3 +191,97 @@ def test_search_respects_side_asymmetry():
     assert abs(first - second) > 1e-2
     assert abs(first - geometric_discord_numeric(rho, MeasurementSide.FIRST).discord) < 1e-6
     assert abs(second - geometric_discord_numeric(rho, MeasurementSide.SECOND).discord) < 1e-6
+
+
+def _search_inputs(rng) -> list:
+    """Pair densities, dephased ones and random full-rank ones, with the
+    zero-discord diagonal state among them."""
+    rhos = [np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)]
+    while len(rhos) < 40:
+        spec = random_spec(rng)
+        rho = reduced_pair_density(spec, *random_pair(rng, spec.n))
+        rhos.append(rho)
+        rhos.append(apply_dephasing(rho, float(rng.uniform())))
+        rhos.append(random_density(rng))
+    return rhos
+
+
+def test_search_on_a_stack_is_bitwise_each_single_search(rng):
+    # the lockstep search follows each member's own compass path, so a
+    # stack gives exactly the one-density calls, on either side
+    rhos = _search_inputs(rng)
+    stack = np.array(rhos)
+    for side in MeasurementSide:
+        found = discord_by_measurement_search(stack, side)
+        assert found.shape == (len(rhos),)
+        singles = [discord_by_measurement_search(rho, side) for rho in rhos]
+        assert found.tolist() == singles
+        assert [discord_by_measurement_search(rho[None], side)[0] for rho in rhos] == singles
+        assert found[0] < 1e-9
+        # leading axes are kept, and a reversed stack gives the reversed values
+        assert discord_by_measurement_search(stack[:36].reshape(6, 6, 4, 4), side).tolist() == (
+            found[:36].reshape(6, 6).tolist())
+        assert discord_by_measurement_search(stack[::-1], side).tolist() == singles[::-1]
+        spectrum = geometric_discord_numeric(stack, side).discord
+        assert np.max(np.abs(found - spectrum)) < 1e-6
+
+
+def _search_by_loop(rho, side, cap) -> float:
+    """The compass search one density and one move at a time, on the same
+    objective: the reference for the lockstep search's schedule."""
+    stack = rho[None]
+    tables = _sandwiches(stack, side)
+    sphere = fibonacci_sphere(512)
+    values = _distances(stack, tables, sphere)[0]
+    best_idx = int(np.argmin(values))
+    best = float(values[best_idx])
+    x, y, z = sphere[best_idx]
+    theta, phi = math.acos(max(-1.0, min(1.0, z))), math.atan2(y, x)
+    step = 2.0 * math.sqrt(math.pi / 512)
+    moves = 0
+    while step >= 1e-8:
+        level_start = best
+        while moves < cap:
+            neighbors = [(theta + step, phi), (theta - step, phi),
+                         (theta, phi + step), (theta, phi - step)]
+            axes = np.array([(math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t))
+                             for t, p in neighbors])
+            vals = _distances(stack, tables, axes)[0]
+            idx = int(np.argmin(vals))
+            if vals[idx] >= best:
+                break
+            best = float(vals[idx])
+            theta, phi = neighbors[idx]
+            moves += 1
+        if step < 1e-4 and level_start - best < 1e-8:
+            break
+        step *= 0.5
+        moves = 0
+    return best
+
+
+@pytest.mark.parametrize("cap", [64, 2, 1])
+def test_lockstep_search_follows_the_one_density_loop(monkeypatch, rng, cap):
+    # same seed grid, step schedule, move cap and tolerance as the loop, in
+    # blocks of any size; a lowered cap makes levels end on it, which the
+    # default cap rarely does
+    monkeypatch.setattr(catcorr.oracle, "_COMPASS_MOVES", cap)
+    monkeypatch.setattr(catcorr.oracle, "_SEARCH_BLOCK", 5)
+    monkeypatch.setattr(catcorr.oracle, "_SCAN_BLOCK", 3)
+    rhos = _search_inputs(rng)[:13]
+    for side in MeasurementSide:
+        expected = [_search_by_loop(rho, side, cap) for rho in rhos]
+        assert discord_by_measurement_search(np.array(rhos), side).tolist() == expected
+
+
+def test_search_stack_rejects_its_first_bad_member():
+    good = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    negative = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
+    skew = good.copy()
+    skew[0, 1] = 0.1
+    for bad in (negative, skew):
+        with pytest.raises(InvalidDensityError) as single:
+            check_density(bad)
+        with pytest.raises(InvalidDensityError) as stacked:
+            discord_by_measurement_search(np.array([good, bad, good, negative]))
+        assert str(stacked.value) == str(single.value)
