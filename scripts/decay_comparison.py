@@ -35,7 +35,7 @@ def main() -> None:
 
     print(f"{'case':<14} {'death time':>12} {'discord at 2 t0':>16}")
     for label, spec in CASES:
-        t0 = sudden_death_time(spec, 1, 2, args.rate)
+        t0 = sudden_death_time(spec.pair(1, 2), args.rate)
         out_path = args.out_dir / f"{label}.csv"
         code = cli_main([
             "evolve", "--n", str(spec.n),
@@ -47,7 +47,7 @@ def main() -> None:
         if code != 0:
             raise SystemExit(f"evolve failed ({code}) for {label}")
         gamma = DephasingParams(rate=args.rate, time=2.0 * t0).gamma
-        evolved = apply_dephasing(reduced_pair_density(spec, 1, 2), gamma)
+        evolved = apply_dephasing(reduced_pair_density(spec.pair(1, 2)), gamma)
         late = geometric_discord_numeric(evolved).discord
         print(f"{label:<14} {t0:>12.6f} {late:>16.3e}  -> {out_path}")
 

@@ -14,12 +14,10 @@ from .correlations import (
     MeasurementSide,
     branch_and_discord,
     concurrence_mixed,
-    concurrence_pure,
     geometric_discord_numeric,
-    geometric_discord_pure_closed,
     k_matrix,
     mixed_discord_closed,
-    mixed_k_eigenvalues,
+    pair_k_spectrum,
     werner_limit_discord,
     werner_limit_k_eigenvalues,
     zero_discord_witness,
@@ -48,16 +46,14 @@ from .oracle import (
 )
 from .states import (
     BlochForm,
+    PairInputs,
     Parity,
-    PureSplit,
     SuperpositionSpec,
     bloch_compose,
     bloch_decompose,
     check_density,
     normalization,
     partial_trace,
-    pure_split,
-    qubit_map_coeffs,
     reduced_pair_density,
 )
 
@@ -76,8 +72,8 @@ __all__ = [
     "FamilyParams",
     "InvalidDensityError",
     "MeasurementSide",
+    "PairInputs",
     "Parity",
-    "PureSplit",
     "SuperpositionSpec",
     "UnsupportedOverlapError",
     "WEYL_HEISENBERG",
@@ -87,24 +83,20 @@ __all__ = [
     "branch_and_discord",
     "check_density",
     "concurrence_mixed",
-    "concurrence_pure",
     "concurrence_trajectory",
     "discord_by_measurement_search",
     "discord_trajectory",
     "fibonacci_sphere",
     "geometric_discord_numeric",
-    "geometric_discord_pure_closed",
     "k_matrix",
     "kraus_ops",
     "measurement_distance",
     "mixed_discord_closed",
-    "mixed_k_eigenvalues",
+    "pair_k_spectrum",
     "normalization",
     "overlap",
     "pair_density_from_overlaps",
     "partial_trace",
-    "pure_split",
-    "qubit_map_coeffs",
     "reduced_pair_density",
     "su11",
     "su2",

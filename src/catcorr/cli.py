@@ -19,7 +19,6 @@ import numpy as np
 from .correlations import (
     MeasurementSide,
     geometric_discord_numeric,
-    geometric_discord_pure_closed,
     k_spectrum_discord,
     mixed_discord_closed,
 )
@@ -33,14 +32,7 @@ from .dephasing import (
 from .errors import CatcorrError, DivergentNormalizationError, DomainError
 from .kernels import WEYL_HEISENBERG, FamilyParams, overlap, su2, su11
 from .oracle import discord_by_measurement_search, pair_density_from_overlaps
-from .states import (
-    Parity,
-    SuperpositionSpec,
-    _bloch,
-    bloch_compose,
-    pure_split,
-    reduced_pair_density,
-)
+from .states import Parity, SuperpositionSpec, _bloch, bloch_compose, reduced_pair_density
 
 
 def _fmt(x: float) -> str:
@@ -138,43 +130,49 @@ def _spec_from_args(args) -> SuperpositionSpec:
     raise DomainError("overlaps required: give --p or --family with --z")
 
 
-def _selection_from_args(args) -> tuple:
-    """Return ("pure", k) or ("mixed", (i, j)) from the flags."""
+def _mode_group(text: str):
+    """One --pair member: a mode index, or the comma-separated indices of a group."""
+    modes = tuple(int(m) for m in text.split(","))
+    return modes if len(modes) > 1 else modes[0]
+
+
+def _selection_from_args(args, n: int, default=None) -> tuple:
+    """The two mode groups of --pair A B, or of --pure --k K as 1..K | K+1..n;
+    `default` when neither is given."""
     if args.pure and args.pair is not None:
         raise DomainError("give either --pure/--k or --pair, not both")
     if args.pure:
         if args.k is None:
             raise DomainError("--pure needs --k")
-        return "pure", args.k
+        if not 1 <= args.k <= n - 1:
+            raise DomainError(f"split size k must lie in 1..{n - 1}")
+        return tuple(range(1, args.k + 1)), tuple(range(args.k + 1, n + 1))
     if args.pair is not None:
-        return "mixed", (args.pair[0], args.pair[1])
-    raise DomainError("select a bipartition: --pure --k K or --pair I J")
+        return tuple(args.pair)
+    if default is None:
+        raise DomainError("select a bipartition: --pure --k K or --pair I J")
+    return default
 
 
-def _point(spec: SuperpositionSpec, mode: str, selection, side: MeasurementSide) -> tuple:
-    """Closed report of a spec and the density its numeric route reads
-    (for a grid spec: arrays and an (m, 4, 4) stack)."""
-    if mode == "pure":
-        return (geometric_discord_pure_closed(spec, selection),
-                pure_split(spec, selection).projector())
-    i, j = selection
-    return mixed_discord_closed(spec, i, j, side), reduced_pair_density(spec, i, j)
+def _describe_selection(groups, n: int) -> tuple:
+    """(mode, CSV cell, JSON object) of a selection. The cut 1..k | k+1..n
+    reads as pure split k however it was spelled; any other selection reads
+    as its groups, and its mode is pure when nothing is traced out."""
+    a, b = (g if isinstance(g, tuple) else (g,) for g in groups)
+    if a + b == tuple(range(1, n + 1)):
+        return "pure", str(len(a)), {"mode": "pure", "k": len(a)}
+    mode = "pure" if len(a) + len(b) == n else "mixed"
+    return mode, "-".join(" ".join(map(str, g)) for g in (a, b)), {"mode": mode, "pair": list(groups)}
 
 
 def cmd_report(args) -> int:
     spec = _spec_from_args(args)
     side = MeasurementSide(args.side)
-    mode, selection = _selection_from_args(args)
-    closed, rho = _point(spec, mode, selection, side)
+    groups = _selection_from_args(args, spec.n)
+    pair = spec.pair(*groups)
+    closed, rho = mixed_discord_closed(pair, side), reduced_pair_density(pair)
     lam1, lam2, lam3 = closed.k_eigenvalues
-    if mode == "pure":
-        selection_repr = str(selection)
-        selection_json = {"mode": "pure", "k": selection}
-    else:
-        i, j = selection
-        selection_repr = f"{i}-{j}"
-        selection_json = {"mode": "mixed", "pair": [i, j]}
-
+    mode, selection_repr, selection_json = _describe_selection(groups, spec.n)
     payload = {
         "spec": {
             "n": spec.n,
@@ -197,21 +195,14 @@ def cmd_report(args) -> int:
     if args.rate is not None:
         t = args.time if args.time is not None else 0.0
         params = DephasingParams(rate=args.rate, time=t)
-        if mode == "pure":
-            numeric_t = geometric_discord_numeric(apply_dephasing(rho, params.gamma), side)
-            discord_t, concurrence_t = numeric_t.discord, numeric_t.concurrence
-            t0 = math.inf if closed.concurrence > 0.0 else 0.0
-        else:
-            traj = discord_trajectory(spec, i, j, args.rate, t, side)
-            discord_t = traj.discord
-            concurrence_t = traj.concurrence
-            t0 = sudden_death_time(spec, i, j, args.rate)
+        traj = discord_trajectory(pair, args.rate, t, side)
+        t0 = sudden_death_time(pair, args.rate)
         payload["trajectory"] = {
             "rate": _jnum(args.rate),
             "time": _jnum(t),
             "gamma": _jnum(params.gamma),
-            "discord": _jnum(discord_t),
-            "concurrence": _jnum(concurrence_t),
+            "discord": _jnum(traj.discord),
+            "concurrence": _jnum(traj.concurrence),
             "sudden_death_time": "infinite" if math.isinf(t0) else _jnum(t0),
         }
 
@@ -264,27 +255,19 @@ def cmd_sweep(args) -> int:
         grid = np.array([overlap(z, params) for z in grid.tolist()])
     if grid.min() < 0.0 or grid.max() > 1.0:
         raise DomainError("overlap grid must stay within [0, 1]")
-    if args.pure:
-        if args.pair is not None:
-            raise DomainError("give either --pure/--k or --pair, not both")
-        if args.k is None:
-            raise DomainError("pure sweeps need --k")
-        mode, selection = "pure", args.k
-    else:
-        mode, selection = "mixed", tuple(args.pair) if args.pair is not None else (1, 2)
+    groups = _selection_from_args(args, args.n, default=(1, 2))
     side = MeasurementSide(args.side)
     parity = Parity(args.parity)
     rows = []
     for first in range(0, grid.size, _SWEEP_BLOCK):
         block = grid[first:first + _SWEEP_BLOCK]
-        columns = _sweep_columns(block, args.n, parity, mode, selection, side)
+        columns = _sweep_columns(block, args.n, parity, groups, side)
         rows.extend(zip(*(np.broadcast_to(column, block.shape).tolist() for column in columns)))
     _emit_table(args, _SWEEP_COLUMNS, rows)
     return 0
 
 
-def _sweep_columns(grid, n: int, parity: Parity, mode: str, selection,
-                   side: MeasurementSide) -> list:
+def _sweep_columns(grid, n: int, parity: Parity, groups: tuple, side: MeasurementSide) -> list:
     """The sweep's columns for a block of grid points, in one pass: the closed
     report and the K-spectrum discord of the densities (no numeric concurrence)."""
     try:
@@ -292,11 +275,12 @@ def _sweep_columns(grid, n: int, parity: Parity, mode: str, selection,
     except DivergentNormalizationError as null:
         # point by point, a later stage failing before the first null state raised first
         if null.point:
-            _sweep_columns(grid[:null.point], n, parity, mode, selection, side)
+            _sweep_columns(grid[:null.point], n, parity, groups, side)
         raise
-    closed, rho = _point(spec, mode, selection, side)
-    return [grid, closed.discord, k_spectrum_discord(rho, side), closed.branch,
-            closed.concurrence, *closed.k_eigenvalues]
+    pair = spec.pair(*groups)
+    closed = mixed_discord_closed(pair, side)
+    return [grid, closed.discord, k_spectrum_discord(reduced_pair_density(pair), side),
+            closed.branch, closed.concurrence, *closed.k_eigenvalues]
 
 
 _EVOLVE_COLUMNS = ["t", "gamma", "discord", "concurrence"]
@@ -305,7 +289,6 @@ _EVOLVE_COLUMNS = ["t", "gamma", "discord", "concurrence"]
 def cmd_evolve(args) -> int:
     spec = _spec_from_args(args)
     side = MeasurementSide(args.side)
-    i, j = args.pair if args.pair is not None else (1, 2)
     if args.rate is None:
         raise DomainError("evolve needs --rate")
     if args.t_max is None or not 0.0 < args.t_max < math.inf:
@@ -313,11 +296,12 @@ def cmd_evolve(args) -> int:
     if args.steps < 2:
         raise DomainError("a time grid needs at least 2 steps")
     times = np.linspace(0.0, args.t_max, args.steps)
-    traj = discord_trajectory(spec, i, j, args.rate, times, side)
-    columns = [times, DephasingParams(rate=args.rate, time=times).gamma,
-               traj.discord, traj.concurrence]
+    gamma = DephasingParams(rate=args.rate, time=times).gamma
+    pair = spec.pair(*(args.pair if args.pair is not None else (1, 2)))
+    traj = discord_trajectory(pair, args.rate, times, side)
+    columns = [times, gamma, traj.discord, traj.concurrence]
     rows = zip(*(column.tolist() for column in columns))
-    t0 = sudden_death_time(spec, i, j, args.rate)
+    t0 = sudden_death_time(pair, args.rate)
     t0_repr = "infinite" if math.isinf(t0) else _jnum(t0)
     _emit_table(args, _EVOLVE_COLUMNS, rows, summary=("sudden_death_time", t0_repr))
     return 0
@@ -367,10 +351,11 @@ def _verify_gaps(samples, searched: int) -> np.ndarray:
     closed, traj_discord, traj_concurrence, gamma, gamma_t, times = np.empty((6, count))
     sides = []
     for k, (spec, i, j, side, rate, t, g) in enumerate(samples):
-        rho[k] = reduced_pair_density(spec, i, j)
+        pair = spec.pair(i, j)
+        rho[k] = reduced_pair_density(pair)
         gram[k] = pair_density_from_overlaps(spec, i, j)
-        closed[k] = mixed_discord_closed(spec, i, j, side).discord
-        traj = discord_trajectory(spec, i, j, rate, t, side)
+        closed[k] = mixed_discord_closed(pair, side).discord
+        traj = discord_trajectory(pair, rate, t, side)
         traj_discord[k], traj_concurrence[k] = traj.discord, traj.concurrence
         gamma[k], gamma_t[k], times[k] = g, DephasingParams(rate=rate, time=t).gamma, t
         sides.append(side)
@@ -469,10 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="correlations of a single configuration")
     _add_spec_arguments(report)
     report.add_argument("--pure", action="store_true",
-                        help="use the pure k|(n-k) split instead of a mode pair")
+                        help="the pure split 1..K | K+1..n, i.e. --pair 1,...,K K+1,...,n")
     report.add_argument("--k", type=int, default=None, help="split size for --pure")
-    report.add_argument("--pair", type=int, nargs=2, default=None,
-                        metavar=("I", "J"), help="1-based mode pair")
+    report.add_argument("--pair", type=_mode_group, nargs=2, default=None, metavar=("A", "B"),
+                        help="1-based mode pair, or comma-separated mode groups (--pair 1,2 4)")
     report.add_argument("--rate", type=float, default=None,
                         help="dephasing rate; adds a trajectory block")
     report.add_argument("--time", type=float, default=None,
@@ -484,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_arguments(sweep, one_state=False)
     sweep.add_argument("--pure", action="store_true")
     sweep.add_argument("--k", type=int, default=None)
-    sweep.add_argument("--pair", type=int, nargs=2, default=None, metavar=("I", "J"))
+    sweep.add_argument("--pair", type=_mode_group, nargs=2, default=None, metavar=("A", "B"))
     sweep.add_argument("--p-start", type=float, default=None)
     sweep.add_argument("--p-stop", type=float, default=None)
     sweep.add_argument("--z-start", type=float, default=None)
@@ -495,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evolve = sub.add_parser("evolve", help="pair correlations along a dephasing trajectory")
     _add_spec_arguments(evolve)
-    evolve.add_argument("--pair", type=int, nargs=2, default=None, metavar=("I", "J"))
+    evolve.add_argument("--pair", type=_mode_group, nargs=2, default=None, metavar=("A", "B"))
     evolve.add_argument("--rate", type=float, default=None, help="dephasing rate, > 0")
     evolve.add_argument("--t-max", type=float, default=None, help="end of the time grid")
     evolve.add_argument("--steps", type=int, default=101)

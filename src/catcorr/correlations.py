@@ -7,8 +7,9 @@ member). For the states built in this package K is diagonal in closed
 form, so both a closed route and a spectral route exist and are kept
 deliberately separate so they can check each other.
 
-Concurrence follows the spin-flip construction. Pure splits admit the
-2|c00 c11 - c01 c10| shortcut; mixed pairs go through Wootters'
+The closed routes read the few numbers SuperpositionSpec.pair forms for
+any two disjoint mode groups, a pure split (nothing traced out) and a
+mode pair alike. The numeric concurrence goes through Wootters'
 factorization rho = B B^dagger, whose singular values stay accurate to
 rounding where the spin-flip eigenvalues of a rank-deficient pair do not.
 """
@@ -16,22 +17,10 @@ rounding where the spin-flip eigenvalues of a rank-deficient pair do not.
 from dataclasses import dataclass
 from enum import Enum
 
-import math
-
 import numpy as np
 
 from .errors import DomainError
-from .states import (
-    PAULI_PRODUCTS,
-    BlochForm,
-    SuperpositionSpec,
-    _bloch,
-    _sqrt,
-    _square,
-    _where,
-    check_density,
-    normalization,
-)
+from .states import PAULI_PRODUCTS, BlochForm, PairInputs, _bloch, _where, check_density
 
 _WITNESS_TOL = 1e-10
 
@@ -60,8 +49,8 @@ class CorrelationReport:
     """Discord value plus the data that determined it.
 
     k_eigenvalues is labeled on the closed branches: (lam1, lam2, lam3)
-    as mixed_k_eigenvalues gives them, z eigenvalue first, and
-    (2 - C^2, C^2, C^2) for a pure split. On numeric_k it is the eigh
+    as pair_k_spectrum gives them, z eigenvalue first, which is
+    (2 - C^2, C^2, C^2) on the pure branch. On numeric_k it is the eigh
     spectrum of K in descending order. On a grid spec a field is an (m,)
     array (branch: of Branch values) or one value for every point.
     """
@@ -107,35 +96,6 @@ def k_spectrum_discord(rho, side: MeasurementSide = MeasurementSide.FIRST):
     return _k_discord(check_density(rho), side)[0]
 
 
-def geometric_discord_pure_closed(spec: SuperpositionSpec, k: int) -> CorrelationReport:
-    """Closed-form discord of the pure k|(n-k) split.
-
-    The value is half the product of (1 - P^2) factors of the two
-    blocks over the squared branch denominator; it coincides with half
-    the squared concurrence but is evaluated from its own expression.
-    """
-    if not 1 <= k <= spec.n - 1:
-        raise DomainError(f"split size k must lie in 1..{spec.n - 1}")
-    p_left = math.prod(spec.overlaps[:k])
-    p_right = math.prod(spec.overlaps[k:])
-    u_left = (1.0 - p_left) * (1.0 + p_left)
-    u_right = (1.0 - p_right) * (1.0 + p_right)
-    denom = spec.denominator
-    csq = u_left * u_right / (denom * denom)
-    return CorrelationReport(
-        discord=0.5 * csq,
-        branch=Branch.PURE,
-        # K spectrum of a pure state: z eigenvalue 2 - C^2, planar pair C^2
-        k_eigenvalues=(2.0 - csq, csq, csq),
-        concurrence=_sqrt(u_left) * _sqrt(u_right) / denom,
-    )
-
-
-def concurrence_pure(spec: SuperpositionSpec, k: int) -> float:
-    """Concurrence of the pure split, sqrt((1-P_k^2)(1-P_{n-k}^2))/(1+Pc)."""
-    return geometric_discord_pure_closed(spec, k).concurrence
-
-
 def concurrence_mixed(rho):
     """Spin-flip concurrence of an arbitrary two-qubit density matrix, or of
     each member of a (..., 4, 4) stack."""
@@ -158,35 +118,33 @@ def _concurrence(rho: np.ndarray):
     return _where(gap > 0.0, gap, 0.0) if gap.ndim else max(0.0, float(gap))
 
 
-def mixed_k_eigenvalues(spec: SuperpositionSpec, i: int, j: int,
-                        side: MeasurementSide = MeasurementSide.FIRST) -> tuple:
-    """Closed-form eigenvalues (lam1, lam2, lam3) of K for a mode pair.
+def pair_k_spectrum(pair: PairInputs, side: MeasurementSide = MeasurementSide.FIRST) -> tuple:
+    """Closed-form eigenvalues (lam1, lam2, lam3) of K for a selection's two groups.
 
-    lam1 is the eigenvalue along z. Written as a sum of two squares
-    (local z component and zz correlation) it stays accurate where the
-    expanded polynomial form cancels catastrophically near unit
-    overlaps. Measuring the first member puts p_i in the local slot.
+    lam1 is the eigenvalue along z, the sum of the squared local z component
+    z = p_m + cos(m pi) p_o q and zz correlation p_a p_b + cos(m pi) q (over
+    the denominator), m the measured group and o the other; measuring the
+    first member makes m group a. Even parity adds the squares, which has
+    no cancellation. With odd parity the sum equals
+    (1 + p_o^2)(d_q - d_m)^2 + 2 p_m q d_o^2, whose only difference is of
+    two complements, so it keeps its digits near unit overlap where z and zz
+    alone cancel. A pure split (q = 1) gives (2 - C^2, C^2, C^2).
     """
-    return _pair_closed(spec, i, j, side)[0]
-
-
-def _pair_closed(spec: SuperpositionSpec, i: int, j: int, side: MeasurementSide) -> tuple:
-    """((lam1, lam2, lam3), q, s_i, s_j): the pair's K eigenvalues, omitted
-    product q and s = sqrt(1 - p^2) of modes i and j, which the concurrence
-    expressions read over the branch denominator."""
-    q = spec.omitted_product(i, j)
-    p_i = spec.overlaps[i - 1]
-    p_j = spec.overlaps[j - 1]
-    s_i = _sqrt((1.0 - p_i) * (1.0 + p_i))
-    s_j = _sqrt((1.0 - p_j) * (1.0 + p_j))
-    sign = spec.parity.sign
-    two_nsq = 2.0 * _square(normalization(spec))
-    p_meas, p_other = (p_i, p_j) if side is MeasurementSide.FIRST else (p_j, p_i)
-    z_local = two_nsq * (p_meas + p_other * q * sign)
-    zz = two_nsq * (p_i * p_j + q * sign)
-    xx = two_nsq * s_i * s_j
+    first = side is MeasurementSide.FIRST
+    p_meas, p_other = (pair.p_a, pair.p_b) if first else (pair.p_b, pair.p_a)
+    scale = 1.0 / pair.denominator  # 2 N^2
+    if pair.sign > 0:
+        z_local = scale * (p_meas + p_other * pair.q)
+        zz = scale * (pair.p_a * pair.p_b + pair.q)
+        lam1 = z_local * z_local + zz * zz
+    else:
+        d_meas, d_other = (pair.d_a, pair.d_b) if first else (pair.d_b, pair.d_a)
+        gap = scale * (pair.d_q - d_meas)
+        tail = scale * d_other
+        lam1 = (1.0 + p_other * p_other) * gap * gap + 2.0 * p_meas * pair.q * tail * tail
+    xx = scale * pair.s_a * pair.s_b
     lam2 = xx * xx
-    return (z_local * z_local + zz * zz, lam2, lam2 * q * q), q, s_i, s_j
+    return lam1, lam2, lam2 * pair.q * pair.q
 
 
 def branch_and_discord(lam1: float, lam2: float, lam3: float) -> tuple:
@@ -201,18 +159,19 @@ def branch_and_discord(lam1: float, lam2: float, lam3: float) -> tuple:
             0.25 * (_where(plus, lam2, lam1) + lam3))
 
 
-def mixed_discord_closed(spec: SuperpositionSpec, i: int, j: int,
+def mixed_discord_closed(pair: PairInputs,
                          side: MeasurementSide = MeasurementSide.FIRST) -> CorrelationReport:
-    """Closed-form discord and concurrence of the (i, j) mode pair."""
-    lams, q, s_i, s_j = _pair_closed(spec, i, j, side)
+    """Closed-form discord and concurrence of a selection's two groups; the
+    branch is pure exactly when nothing is traced out."""
+    lams = pair_k_spectrum(pair, side)
     branch, discord = branch_and_discord(*lams)
     # Same value as discord_trajectory's concurrence at t = 0, but
     # (1+q)-(1-q) is not 2q in floating point, so it keeps its own expression.
     return CorrelationReport(
         discord=discord,
-        branch=branch,
+        branch=branch if pair.traced else Branch.PURE,
         k_eigenvalues=lams,
-        concurrence=q * s_i * s_j / spec.denominator,
+        concurrence=pair.q * pair.s_a * pair.s_b / pair.denominator,
     )
 
 

@@ -14,14 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import (
-    CorrelationReport,
-    MeasurementSide,
-    _pair_closed,
-    branch_and_discord,
-)
+from .correlations import CorrelationReport, MeasurementSide, branch_and_discord, pair_k_spectrum
 from .errors import DomainError
-from .states import BlochForm, SuperpositionSpec, _each, _where, check_density
+from .states import BlochForm, PairInputs, _each, _where, check_density
 
 
 @dataclass(frozen=True)
@@ -94,29 +89,27 @@ def dephased_bloch(bloch: BlochForm, gamma) -> BlochForm:
     return BlochForm(bloch.t * (weight[..., :, None] * weight[..., None, :]))
 
 
-def concurrence_trajectory(spec: SuperpositionSpec, i: int, j: int,
-                           rate: float, time: float | np.ndarray) -> float | np.ndarray:
+def concurrence_trajectory(pair: PairInputs, rate: float,
+                           time: float | np.ndarray) -> float | np.ndarray:
     """Pair concurrence after dephasing for a time (or an (m,) array of them)."""
-    return discord_trajectory(spec, i, j, rate, time).concurrence
+    return discord_trajectory(pair, rate, time).concurrence
 
 
-def sudden_death_time(spec: SuperpositionSpec, i: int, j: int, rate: float) -> float:
+def sudden_death_time(pair: PairInputs, rate: float) -> float:
     """Time at which the pair concurrence reaches zero, inf if never.
 
     Zero initial concurrence gives zero straight away; unit omitted
-    product (the two-mode case) keeps the decay strictly positive for
-    all finite times.
+    product (nothing traced out, as for a pure split) keeps the decay
+    strictly positive for all finite times.
     """
-    if concurrence_trajectory(spec, i, j, rate, 0.0) <= 0.0:
+    if concurrence_trajectory(pair, rate, 0.0) <= 0.0:
         return 0.0
-    q = spec.omitted_product(i, j)
-    if q >= 1.0:
+    if pair.d_q <= 0.0:
         return math.inf
-    return (math.log1p(q) - math.log1p(-q)) / rate
+    return (math.log1p(pair.q) - math.log(pair.d_q)) / rate
 
 
-def discord_trajectory(spec: SuperpositionSpec, i: int, j: int, rate: float,
-                       time: float | np.ndarray,
+def discord_trajectory(pair: PairInputs, rate: float, time: float | np.ndarray,
                        side: MeasurementSide = MeasurementSide.FIRST) -> CorrelationReport:
     """Closed-form discord and concurrence of the dephased pair.
 
@@ -129,18 +122,18 @@ def discord_trajectory(spec: SuperpositionSpec, i: int, j: int, rate: float,
     from the minus branch to the plus branch while it evolves.
 
     The concurrence is max{0, prefactor * [e^(-rate t)(1+q) - (1-q)]} / 2
-    with the usual sqrt((1-p_i^2)(1-p_j^2))/(1+Pc) prefactor; both
-    parities reduce to this same form because flipping the branch sign
-    swaps the two spin-flip eigenvalue candidates.
+    with the usual s_a s_b / denominator prefactor; both parities reduce
+    to this same form because flipping the branch sign swaps the two
+    spin-flip eigenvalue candidates.
     """
     DephasingParams(rate=rate, time=time)
-    (lam1, lam2, lam3), q, s_i, s_j = _pair_closed(spec, i, j, side)
+    lam1, lam2, lam3 = pair_k_spectrum(pair, side)
     # rate * t first: -2.0 * rate can overflow to -inf, and -inf * 0 is NaN
     scale = _each(lambda t: math.exp(-2.0 * (rate * t)), time)
     lams = (lam1, lam2 * scale, lam3 * scale)
     branch, discord = branch_and_discord(*lams)
-    prefactor = 0.5 * s_i * s_j / spec.denominator
-    decayed = _each(lambda t: math.exp(-rate * t), time) * (1.0 + q) - (1.0 - q)
+    prefactor = 0.5 * pair.s_a * pair.s_b / pair.denominator
+    decayed = _each(lambda t: math.exp(-rate * t), time) * (1.0 + pair.q) - pair.d_q
     concurrence = prefactor * decayed
     return CorrelationReport(
         discord=discord,

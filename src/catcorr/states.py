@@ -2,10 +2,12 @@
 
 An n-mode state here is N(|w_1 ... w_n> + e^{i m pi} |w'_1 ... w'_n>)
 where each mode contributes only its real overlap p_i = <w_i|w'_i> and
-the phase enters through the parity of m. Two bipartite views are
-built: the pure k|(n-k) split mapped onto two logical qubits, and the
-reduced density of an arbitrary mode pair (an X-shaped 4x4 matrix).
-All functions are pure; nothing here keeps state.
+the phase enters through the parity of m. A group of modes A maps onto
+one logical qubit as a single mode does, with overlap P_A = prod p_l, so
+any two disjoint groups, the rest traced out, give one X-shaped 4x4 pair
+density; the pure k|(n-k) split is the pair with nothing traced out.
+SuperpositionSpec.pair forms the few numbers every closed pair route
+reads. All functions are pure; nothing here keeps state.
 """
 
 import math
@@ -35,11 +37,6 @@ _PSD_TOL = 1e-10
 # of numpy call overhead, and each pair rounds the same way.
 def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _square(x):
-    # a float's x ** 2 is C pow, which np.square does not always match
-    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
 
 
 def _where(cond, a, b):
@@ -119,18 +116,78 @@ class SuperpositionSpec:
         """Branch denominator 1 + cos(m pi) prod p_i, the one place it is formed."""
         return 1.0 + self.branch_product * self.parity.sign
 
-    def omitted_product(self, i: int, j: int) -> float:
-        """Overlap product of the traced-out modes when (i, j) is kept."""
-        _check_pair(self.n, i, j)
-        return math.prod((p for idx, p in enumerate(self.overlaps, start=1) if idx not in (i, j)),
-                         start=1.0)
+    def omitted_product(self, a, b) -> float:
+        """Overlap product of the traced-out modes when groups a and b are kept."""
+        return math.prod(self._members(a, b)[2], start=1.0)
+
+    def pair(self, a, b) -> "PairInputs":
+        """The closed-route inputs of mode groups a and b, the rest traced out.
+
+        A group is a 1-based mode index or a tuple of them. Even parity forms
+        each complement as 1 - p and reads `denominator`. Odd parity, where
+        1 - P cancels near unit overlap, forms a group's complement as
+        -expm1(sum log1p(-(1 - p_l))) and the denominator as
+        d_b + p_b (d_a + p_a d_q), a sum of nonnegative terms.
+        """
+        ps_a, ps_b, rest = self._members(a, b)
+        p_a, p_b, q = math.prod(ps_a), math.prod(ps_b), math.prod(rest, start=1.0)
+        if self.parity is Parity.EVEN:
+            d_a, d_b, d_q = 1.0 - p_a, 1.0 - p_b, 1.0 - q
+            denominator = self.denominator
+        else:
+            d_a, d_b, d_q = _complement(ps_a), _complement(ps_b), _complement(rest)
+            denominator = d_b + p_b * (d_a + p_a * d_q)
+        return PairInputs(p_a, p_b, q, d_a, d_b, d_q, _sqrt(d_a * (1.0 + p_a)),
+                          _sqrt(d_b * (1.0 + p_b)), denominator, self.parity.sign, bool(rest))
+
+    def _members(self, a, b) -> tuple:
+        """Overlaps of group a, of group b and of the traced-out modes."""
+        group_a, group_b = (tuple(g) if isinstance(g, (tuple, list)) else (g,) for g in (a, b))
+        kept = group_a + group_b
+        if not (group_a and group_b):
+            raise DomainError("a mode group needs at least one mode")
+        if not all(1 <= m <= self.n for m in kept):
+            raise DomainError(f"mode indices must lie in 1..{self.n}, got ({a}, {b})")
+        if len(set(kept)) < len(kept):
+            raise DomainError("pair indices must differ")
+        return ([self.overlaps[m - 1] for m in group_a], [self.overlaps[m - 1] for m in group_b],
+                [p for idx, p in enumerate(self.overlaps, start=1) if idx not in kept])
 
 
-def _check_pair(n: int, i: int, j: int) -> None:
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise DomainError(f"mode indices must lie in 1..{n}, got ({i}, {j})")
-    if i == j:
-        raise DomainError("pair indices must differ")
+def _complement(ps: list):
+    """1 - prod(ps) without cancellation near unit overlaps: 1 - p of one
+    overlap, 0 of none, else -expm1(sum log1p(-(1 - p))) (Higham, Accuracy
+    and Stability of Numerical Algorithms, 1.14), at each point of a grid."""
+    if len(ps) < 2:
+        return 1.0 - ps[0] if ps else 0.0
+    # log1p(-1) is -inf (p = 0, or p so small that 1 - p rounds to 1); 0.0 - turns
+    # -expm1(0.0) = -0.0 (all p = 1) into +0.0
+    total = sum(_each(lambda d: math.log1p(-d) if d < 1.0 else -math.inf, 1.0 - p) for p in ps)
+    return 0.0 - _each(math.expm1, total)
+
+
+@dataclass(frozen=True, eq=False)
+class PairInputs:
+    """What every closed pair route reads of two disjoint mode groups A, B.
+
+    p_a, p_b are the groups' overlaps and q the product of the traced-out
+    ones (1.0 when nothing is traced out); d_a, d_b, d_q are their
+    complements 1 - p, s_a, s_b = sqrt(d (1 + p)), and denominator is the
+    branch denominator 1 + cos(m pi) p_a p_b q. traced says whether any mode
+    is traced out. On a grid spec the numbers are (m,) arrays.
+    """
+
+    p_a: float
+    p_b: float
+    q: float
+    d_a: float
+    d_b: float
+    d_q: float
+    s_a: float
+    s_b: float
+    denominator: float
+    sign: int
+    traced: bool
 
 
 def normalization(spec: SuperpositionSpec) -> float:
@@ -138,84 +195,21 @@ def normalization(spec: SuperpositionSpec) -> float:
     return 1.0 / _sqrt(2.0 * spec.denominator)
 
 
-def qubit_map_coeffs(p: float) -> tuple:
-    """Components (a, b) of one branch state in its mapped qubit basis.
+def reduced_pair_density(pair: PairInputs) -> np.ndarray:
+    """Closed-form reduced density of a selection's two groups in the mapped basis.
 
-    The two nonorthogonal branch states of a mode map to a |0> +- b |1>
-    with a = sqrt((1+p)/2), b = sqrt((1-p)/2).
+    X-shaped: the 00/11 sector carries the factor 1 + q cos(m pi) and the
+    01/10 sector 1 - q cos(m pi), read as 1 + q and d_q in the order the
+    parity puts them; a group of overlap p maps its branch states onto
+    a |0> +- b |1> with a = sqrt((1 + p)/2), b = sqrt(d/2). Nothing is
+    rescaled or validated here: the routes that read the result as a
+    density check it, trace included. A grid spec gives an (m, 4, 4) stack.
     """
-    if _outside_unit(p) is not None:
-        raise DomainError("overlap must lie in [0, 1]")
-    return _sqrt((1.0 + p) / 2.0), _sqrt((1.0 - p) / 2.0)
-
-
-@dataclass(frozen=True)
-class PureSplit:
-    """Two-qubit amplitudes and Schmidt data of a pure k|(n-k) cut (arrays on a grid)."""
-
-    k: int
-    c00: float
-    c01: float
-    c10: float
-    c11: float
-    schmidt_plus: float
-    schmidt_minus: float
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.stack([self.c00, self.c01, self.c10, self.c11], axis=-1)
-
-    def projector(self) -> np.ndarray:
-        """Density matrix of the split state in the mapped basis."""
-        v = self.amplitudes.astype(complex)
-        return v[..., :, None] * v.conj()[..., None, :]
-
-
-def pure_split(spec: SuperpositionSpec, k: int) -> PureSplit:
-    """Map the cut modes 1..k | k+1..n onto a pure two-qubit state.
-
-    Even parity populates the 00/11 amplitudes, odd parity the 01/10
-    ones; either way the four amplitudes are normalized and real.
-    """
-    if not 1 <= k <= spec.n - 1:
-        raise DomainError(f"split size k must lie in 1..{spec.n - 1}")
-    norm = normalization(spec)
-    a_left, b_left = qubit_map_coeffs(math.prod(spec.overlaps[:k]))
-    a_right, b_right = qubit_map_coeffs(math.prod(spec.overlaps[k:]))
-    if spec.parity is Parity.EVEN:
-        c00, c01 = 2.0 * norm * a_left * a_right, 0.0
-        c10, c11 = 0.0, 2.0 * norm * b_left * b_right
-    else:
-        c00, c01 = 0.0, 2.0 * norm * a_left * b_right
-        c10, c11 = 2.0 * norm * a_right * b_left, 0.0
-    # The amplitude ratios are well conditioned but the shared scale
-    # inherits the cancellation error of `norm` close to unit overlaps,
-    # so rescale to an exactly unit vector before deriving anything.
-    scale = _sqrt(c00 * c00 + c01 * c01 + c10 * c10 + c11 * c11)
-    c00, c01, c10, c11 = c00 / scale, c01 / scale, c10 / scale, c11 / scale
-    concurrence = 2.0 * abs(c00 * c11 - c01 * c10)
-    gap_sq = 1.0 - concurrence * concurrence
-    gap = _sqrt(_where(gap_sq > 0.0, gap_sq, 0.0))
-    return PureSplit(k, c00, c01, c10, c11, 0.5 * (1.0 + gap), 0.5 * (1.0 - gap))
-
-
-def reduced_pair_density(spec: SuperpositionSpec, i: int, j: int) -> np.ndarray:
-    """Closed-form reduced density of modes (i, j) in the mapped basis.
-
-    X-shaped: the 00/11 sector carries the factor (1 + q cos m pi) and
-    the 01/10 sector (1 - q cos m pi), with q the overlap product of
-    the traced-out modes. The trace is validated rather than trusted;
-    the routes that read the result as a density check it themselves,
-    as they do a pure split's projector. A grid spec gives an (m, 4, 4)
-    stack.
-    """
-    q = spec.omitted_product(i, j)
-    sign = spec.parity.sign
-    nsq = _square(normalization(spec))
-    a_i, b_i = qubit_map_coeffs(spec.overlaps[i - 1])
-    a_j, b_j = qubit_map_coeffs(spec.overlaps[j - 1])
-    outer = 2.0 * nsq * (1.0 + q * sign)
-    inner = 2.0 * nsq * (1.0 - q * sign)
+    scale = 1.0 / pair.denominator  # 2 N^2
+    outer, inner = (1.0 + pair.q, pair.d_q) if pair.sign > 0 else (pair.d_q, 1.0 + pair.q)
+    outer, inner = scale * outer, scale * inner
+    a_i, b_i = _sqrt((1.0 + pair.p_a) / 2.0), _sqrt(pair.d_a / 2.0)
+    a_j, b_j = _sqrt((1.0 + pair.p_b) / 2.0), _sqrt(pair.d_b / 2.0)
     cross = a_i * a_j * b_i * b_j
     rho = np.zeros(np.shape(outer) + (4, 4), dtype=complex)
     rho[..., 0, 0] = outer * a_i * a_i * a_j * a_j
@@ -224,16 +218,7 @@ def reduced_pair_density(spec: SuperpositionSpec, i: int, j: int) -> np.ndarray:
     rho[..., 1, 1] = inner * a_i * a_i * b_j * b_j
     rho[..., 2, 2] = inner * a_j * a_j * b_i * b_i
     rho[..., 1, 2] = rho[..., 2, 1] = inner * cross
-    # The shared factor nsq loses digits to cancellation when the
-    # branch product approaches 1; sector ratios stay well conditioned,
-    # so rescale by the computed trace. The loose guard still catches
-    # structural mistakes (wrong prefactors) rather than rounding.
-    trace = rho.trace(0, -2, -1).real
-    off = abs(trace - 1.0) > 1e-9
-    if off.any():
-        first = float(np.ravel(trace)[np.argmax(off)])
-        raise InvalidDensityError(f"pair density trace {first} is structurally off unit")
-    return rho / trace[..., None, None]
+    return rho
 
 
 def check_density(rho) -> np.ndarray:

@@ -29,6 +29,11 @@ def random_spec(rng, n_min=2, n_max=8, parity=None, extremes=True):
             continue
 
 
+def pure_cut(spec, k):
+    """The pair inputs of the pure split 1..k | k+1..n: nothing traced out."""
+    return spec.pair(tuple(range(1, k + 1)), tuple(range(k + 1, spec.n + 1)))
+
+
 def random_pair(rng, n):
     i, j = sorted(int(x) + 1 for x in rng.choice(n, size=2, replace=False))
     return i, j

@@ -15,15 +15,15 @@ from catcorr.correlations import (
     MeasurementSide,
     concurrence_mixed,
     geometric_discord_numeric,
-    geometric_discord_pure_closed,
     mixed_discord_closed,
-    mixed_k_eigenvalues,
+    pair_k_spectrum,
     werner_limit_discord,
 )
 from catcorr.dephasing import DephasingParams, apply_dephasing, sudden_death_time
 from catcorr.errors import CatcorrError
 from catcorr.oracle import discord_by_measurement_search, pair_density_from_overlaps
 from catcorr.states import Parity, SuperpositionSpec, reduced_pair_density
+from conftest import pure_cut
 
 
 def _finish(num: int, ok: bool, detail: str) -> None:
@@ -65,7 +65,7 @@ def test_criterion_01_pure_discord_concurrence_identity():
     for _ in range(500):
         spec = _random_spec(rng)
         k = int(rng.integers(1, spec.n))
-        report = geometric_discord_pure_closed(spec, k)
+        report = mixed_discord_closed(pure_cut(spec, k))
         worst = max(worst, abs(report.discord - 0.5 * report.concurrence ** 2))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -74,15 +74,15 @@ def test_criterion_01_pure_discord_concurrence_identity():
 
 
 def test_criterion_02_two_mode_limits():
-    even0 = geometric_discord_pure_closed(
-        SuperpositionSpec(overlaps=(0.0, 0.0), parity=Parity.EVEN), 1).discord
-    even1 = geometric_discord_pure_closed(
-        SuperpositionSpec(overlaps=(1.0, 1.0), parity=Parity.EVEN), 1).discord
+    even0 = mixed_discord_closed(pure_cut(
+        SuperpositionSpec(overlaps=(0.0, 0.0), parity=Parity.EVEN), 1)).discord
+    even1 = mixed_discord_closed(pure_cut(
+        SuperpositionSpec(overlaps=(1.0, 1.0), parity=Parity.EVEN), 1)).discord
     odd_dev = 0.0
     for p in np.linspace(0.0, 1.0 - 1e-6, 101):
         spec = SuperpositionSpec(overlaps=(float(p), float(p)), parity=Parity.ODD)
         odd_dev = max(odd_dev,
-                      abs(geometric_discord_pure_closed(spec, 1).discord - 0.5))
+                      abs(mixed_discord_closed(pure_cut(spec, 1)).discord - 0.5))
     ok = abs(even0 - 0.5) <= 1e-12 and abs(even1) <= 1e-12 and odd_dev <= 1e-9
     _finish(2, ok, f"even D(0) = {even0} (want 0.5 +- 1e-12), even D(1) = {even1}, "
                    f"odd max |D - 1/2| over [0, 1-1e-6] = {odd_dev:.3g} "
@@ -95,7 +95,7 @@ def test_criterion_03_odd_limit_discord_two_over_n_squared():
     failures = []
     for n in range(3, 11):
         spec = SuperpositionSpec(overlaps=(p,) * n, parity=Parity.ODD)
-        value = mixed_discord_closed(spec, 1, 2).discord
+        value = mixed_discord_closed(spec.pair(1, 2)).discord
         target = werner_limit_discord(n)
         dev = abs(value - target)
         rows.append(f"n={n}: |D - 2/n^2| = {dev:.3g}")
@@ -112,7 +112,7 @@ def test_criterion_03_odd_limit_discord_two_over_n_squared():
 def test_criterion_04_branch_threshold_and_sweep_maximum():
     def gap(p: float) -> float:
         spec = SuperpositionSpec(overlaps=(p,) * 3, parity=Parity.EVEN)
-        lam1, lam2, _ = mixed_k_eigenvalues(spec, 1, 2)
+        lam1, lam2, _ = pair_k_spectrum(spec.pair(1, 2))
         return lam1 - lam2
 
     lo, hi = 0.3, 0.5
@@ -129,7 +129,7 @@ def test_criterion_04_branch_threshold_and_sweep_maximum():
     values = []
     for p in grid:
         spec = SuperpositionSpec(overlaps=(float(p),) * 3, parity=Parity.EVEN)
-        rho = reduced_pair_density(spec, 1, 2)
+        rho = reduced_pair_density(spec.pair(1, 2))
         values.append(geometric_discord_numeric(rho).discord)
     argmax = float(grid[int(np.argmax(values))])
     resolution = float(grid[1] - grid[0])
@@ -148,7 +148,7 @@ def test_criterion_05_measurement_search_oracle_equivalence():
     for _ in range(200):
         spec = _random_spec(rng, n_min=2, n_max=7)
         i, j = sorted(int(x) + 1 for x in rng.choice(spec.n, size=2, replace=False))
-        rho = reduced_pair_density(spec, i, j)
+        rho = reduced_pair_density(spec.pair(i, j))
         if rng.uniform() < 0.5:
             params = DephasingParams(rate=float(rng.uniform(0.2, 2.0)),
                                      time=float(rng.uniform(0.0, 2.0)))
@@ -170,7 +170,7 @@ def test_criterion_06_gram_route_matches_closed_density():
         spec = _random_spec(rng)
         i, j = sorted(int(x) + 1 for x in rng.choice(spec.n, size=2, replace=False))
         gap = float(np.max(np.abs(pair_density_from_overlaps(spec, i, j)
-                                  - reduced_pair_density(spec, i, j))))
+                                  - reduced_pair_density(spec.pair(i, j)))))
         worst = max(worst, gap)
     ok = worst <= 1e-12
     _finish(6, ok, f"500 specs, max entrywise gap = {worst:.3g} (bound 1e-12)")
@@ -180,8 +180,8 @@ def test_criterion_07_entanglement_sudden_death():
     rate = 1.0
     min_before, max_after = math.inf, 0.0
     for spec, i, j in _death_study_specs():
-        t0 = sudden_death_time(spec, i, j, rate)
-        rho = reduced_pair_density(spec, i, j)
+        t0 = sudden_death_time(spec.pair(i, j), rate)
+        rho = reduced_pair_density(spec.pair(i, j))
         before = concurrence_mixed(apply_dephasing(
             rho, DephasingParams(rate=rate, time=t0 * (1.0 - 1e-3)).gamma))
         after = concurrence_mixed(apply_dephasing(
@@ -197,9 +197,9 @@ def test_criterion_08_discord_outlives_entanglement():
     rate = 1.0
     min_discord, max_conc = math.inf, 0.0
     for spec, i, j in _death_study_specs():
-        t0 = sudden_death_time(spec, i, j, rate)
+        t0 = sudden_death_time(spec.pair(i, j), rate)
         gamma = DephasingParams(rate=rate, time=2.0 * t0).gamma
-        evolved = apply_dephasing(reduced_pair_density(spec, i, j), gamma)
+        evolved = apply_dephasing(reduced_pair_density(spec.pair(i, j)), gamma)
         min_discord = min(min_discord, geometric_discord_numeric(evolved).discord)
         max_conc = max(max_conc, concurrence_mixed(evolved))
     ok = min_discord > 1e-6 and max_conc <= 1e-12
@@ -220,8 +220,7 @@ def test_criterion_09_sweep_shape_properties():
     for n in range(3, 7):
         grid = np.linspace(0.0, 1.0, 401)
         values = [mixed_discord_closed(
-            SuperpositionSpec(overlaps=(float(p),) * n, parity=Parity.EVEN),
-            1, 2).discord for p in grid]
+            SuperpositionSpec(overlaps=(float(p),) * n, parity=Parity.EVEN).pair(1, 2)).discord for p in grid]
         if abs(values[0]) > 1e-12 or abs(values[-1]) > 1e-12:
             problems.append(f"even n={n} endpoints nonzero")
         if not _is_unimodal(values):
@@ -230,8 +229,7 @@ def test_criterion_09_sweep_shape_properties():
     for n in range(5, 9):
         grid = np.linspace(0.0, 1.0 - 1e-6, 2001)
         values = [mixed_discord_closed(
-            SuperpositionSpec(overlaps=(float(p),) * n, parity=Parity.ODD),
-            1, 2).discord for p in grid]
+            SuperpositionSpec(overlaps=(float(p),) * n, parity=Parity.ODD).pair(1, 2)).discord for p in grid]
         peak = int(np.argmax(values))
         margin = values[peak] - values[-1]
         margins.append(f"odd n={n} interior peak exceeds the p->1 value by "

@@ -10,15 +10,11 @@ import numpy as np
 
 import catcorr.cli
 from catcorr.cli import main
-from catcorr.correlations import (
-    MeasurementSide,
-    geometric_discord_numeric,
-    geometric_discord_pure_closed,
-    mixed_discord_closed,
-)
+from catcorr.correlations import MeasurementSide, geometric_discord_numeric, mixed_discord_closed
 from catcorr.dephasing import DephasingParams
 from catcorr.kernels import WEYL_HEISENBERG, overlap, su2, su11
-from catcorr.states import Parity, SuperpositionSpec, pure_split, reduced_pair_density
+from catcorr.states import Parity, SuperpositionSpec, reduced_pair_density
+from reference import closed_reference
 
 
 def run_cli(capsys, *argv):
@@ -290,8 +286,9 @@ def _sweep_argv(rng, kind, parity, steps):
     p_stop = 1.0 - float(10.0 ** rng.uniform(-6, -1)) if parity == "odd" else 1.0
     p_start = round(float(rng.uniform(0.0, 0.4)), 4)
     if kind == "pure":
-        selection = int(rng.integers(1, n))
-        argv = ["--pure", "--k", str(selection)]
+        k = int(rng.integers(1, n))
+        selection = (tuple(range(1, k + 1)), tuple(range(k + 1, n + 1)))
+        argv = ["--pure", "--k", str(k)]
     else:
         selection = tuple(int(x) + 1 for x in rng.choice(n, size=2, replace=False))
         argv = ["--pair", *map(str, selection)]
@@ -316,13 +313,9 @@ def test_sweep_rows_equal_pointwise_routes(capsys):
                 rows = out.splitlines()[1:]
                 assert len(rows) == len(grid), argv
                 for p, row in zip(grid, rows):
-                    spec = SuperpositionSpec(overlaps=(p,) * n, parity=Parity(parity))
-                    if kind == "pure":
-                        closed = geometric_discord_pure_closed(spec, selection)
-                        rho = pure_split(spec, selection).projector()
-                    else:
-                        closed = mixed_discord_closed(spec, *selection, side)
-                        rho = reduced_pair_density(spec, *selection)
+                    pair = SuperpositionSpec(overlaps=(p,) * n, parity=Parity(parity)).pair(*selection)
+                    closed = mixed_discord_closed(pair, side)
+                    rho = reduced_pair_density(pair)
                     numeric = geometric_discord_numeric(rho, side).discord
                     expected = [fmt(p), fmt(closed.discord), fmt(numeric), closed.branch.value,
                                 fmt(closed.concurrence), *map(fmt, closed.k_eigenvalues)]
@@ -334,27 +327,59 @@ def test_sweep_rows_equal_pointwise_routes(capsys):
      "odd parity with unit overlap product gives a null state"),
     ("sweep --n 3 --parity odd --pure --k 1 --steps 5",
      "odd parity with unit overlap product gives a null state"),
-    ("sweep --n 3 --parity odd --pair 1 2 --p-start 0.99999999 --p-stop 0.999999999 --steps 5",
-     "pair density trace 1.00000000110223 is structurally off unit"),
-    ("sweep --n 4 --parity odd --pair 1 2 --p-stop 0.999999999 --steps 401",
-     "pair density trace 0.9999999987500001 is structurally off unit"),
     ("sweep --n 3 --pair 1 5 --steps 5", "mode indices must lie in 1..3, got (1, 5)"),
     # the earliest failing point decides, and at one point the spec fails first:
     # a bad pair fails every point, so it wins unless point 0 is the null state
     ("sweep --n 3 --parity odd --pair 1 5 --steps 5", "mode indices must lie in 1..3, got (1, 5)"),
     ("sweep --n 3 --parity odd --pair 1 5 --p-start 1 --p-stop 0 --steps 5",
      "odd parity with unit overlap product gives a null state"),
-    # the trace guard fails at a point before the null state at p = 1
+    # the points before the null state at p = 1 pass, so the null state decides
     ("sweep --n 3 --parity odd --pair 1 2 --p-start 0.99999999 --p-stop 1 --steps 5",
-     "pair density trace 1.00000000110223 is structurally off unit"),
+     "odd parity with unit overlap product gives a null state"),
     # failing points past the first stacked pass of the grid
     ("sweep --n 3 --parity odd --pair 1 2 --p-start 0.5 --p-stop 1 --steps 1200",
      "odd parity with unit overlap product gives a null state"),
-    ("sweep --n 3 --parity odd --pair 1 2 --p-start 0.9999999 --p-stop 0.999999999 --steps 1500",
-     "pair density trace 1.0000000010208243 is structurally off unit"),
+    ("sweep --n 3 --pair 1,2 3,1 --steps 5", "pair indices must differ"),
 ])
 def test_sweep_error_exits_are_those_of_the_first_failing_point(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+# odd grids whose last points lie within 1e-8 of unit overlap, where 1 - P
+# formed by cancellation once broke the pair density's trace by ~1e-9
+@pytest.mark.parametrize("argv", [
+    "sweep --n 3 --parity odd --pair 1 2 --p-start 0.99999999 --p-stop 0.999999999 --steps 5",
+    "sweep --n 4 --parity odd --pair 1 2 --p-stop 0.999999999 --steps 401",
+    "sweep --n 3 --parity odd --pair 1 2 --p-start 0.99999999 --p-stop 0.9999999999 --steps 4",
+    "sweep --n 3 --parity odd --pair 1 2 --p-start 0.9999999 --p-stop 0.999999999 --steps 1500",
+    "sweep --n 5 --parity odd --pair 1,4 2,3 --side second --p-start 0.9999 --p-stop 0.99999999999 "
+    "--steps 300",
+])
+def test_near_unit_odd_sweeps_print_the_high_precision_values(capsys, argv):
+    args = catcorr.cli.build_parser().parse_args(argv.split())
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    grid = np.linspace(args.p_start or 0.0, args.p_stop, args.steps).tolist()
+    cells = {"discord_closed": "discord", "discord_numeric": "discord",
+             "concurrence": "concurrence", "lambda1": "lam1", "lambda2": "lam2", "lambda3": "lam3"}
+    for p, row in zip(grid, rows):
+        exact = closed_reference((p,) * args.n, -1, *args.pair, first=args.side == "first")
+        for column, name in cells.items():
+            # 9 printed digits: half a unit in the ninth digit, plus rounding
+            value = float(exact[name])
+            assert abs(float(row[column]) - value) <= 5e-9 * abs(value) + 1e-15, (p, column)
+
+
+def test_near_unit_pure_odd_pair_reports_exactly_half(capsys):
+    # the odd two-mode split has discord 1/2 and concurrence 1 at every p < 1;
+    # 1 - p^2 by cancellation once printed discord 0.500000001 here
+    code, out, _ = run_cli(capsys, "report", "--n", "2", "--p", "0.99999999", "0.99999999",
+                           "--parity", "odd", "--pure", "--k", "1")
+    _, rows = parse_csv(out)
+    assert code == 0
+    assert [rows[0][c] for c in ("discord", "discord_numeric", "concurrence", "branch")] == [
+        "0.5", "0.5", "1", "pure"]
 
 
 def test_evolve_matches_report_at_time_zero(capsys):
@@ -530,34 +555,76 @@ def _count_calls(monkeypatch, targets) -> Counter:
 
 # a sweep evaluates its whole grid in one pass, and evolve its whole time grid
 # (its trajectory pass, its gamma column and sudden_death_time's t = 0 call),
-# so their counts are per request
-@pytest.mark.parametrize("argv, exact, at_most", [
+# so their counts are per request; a selection's inputs are formed once per
+# request, and once per sample in verify
+@pytest.mark.parametrize("argv, exact", [
     ("sweep --n 3 --parity even --pair 1 2 --steps 100",
-     {"_pair_closed": 1, "omitted_product": 2}, {"mixed_k_eigenvalues": 0}),
+     {"pair": 1, "pair_k_spectrum": 1, "reduced_pair_density": 1, "omitted_product": 0}),
     ("sweep --n 3 --parity even --pure --k 1 --steps 100",
-     {"geometric_discord_pure_closed": 1}, {}),
+     {"pair": 1, "pair_k_spectrum": 1, "reduced_pair_density": 1}),
+    ("sweep --n 5 --parity odd --pair 1,3 5 --p-stop 0.99 --steps 100",
+     {"pair": 1, "pair_k_spectrum": 1, "reduced_pair_density": 1}),
+    ("report --n 4 --p 0.5 0.6 0.7 0.8 --pure --k 2 --rate 1 --time 0.5",
+     {"pair": 1, "pair_k_spectrum": 3, "reduced_pair_density": 1, "apply_dephasing": 0}),
     ("evolve --n 4 --p 0.5 0.5 0.5 0.5 --pair 1 2 --rate 1 --t-max 1.5 --steps 100",
-     {"__post_init__": 3, "_pair_closed": 2, "omitted_product": 3, "mixed_k_eigenvalues": 0},
-     {}),
+     {"__post_init__": 3, "pair": 1, "pair_k_spectrum": 2, "omitted_product": 0}),
     # closed and Gram routes per sample (the Gram route checks its density);
     # each numeric route once per side group, the search on the first 48
     # samples of each group: 100 + 2 * 5 density checks
     ("verify --samples 100",
-     {"reduced_pair_density": 100, "apply_dephasing": 4, "k_spectrum_discord": 2,
-      "discord_by_measurement_search": 2, "check_density": 110},
-     {}),
+     {"pair": 100, "reduced_pair_density": 100, "apply_dephasing": 4, "k_spectrum_discord": 2,
+      "discord_by_measurement_search": 2, "check_density": 110}),
 ])
-def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact, at_most):
+def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact):
     correlations, states = catcorr.correlations, catcorr.states
     counts = _count_calls(monkeypatch, [
-        (correlations, "mixed_k_eigenvalues"), (correlations, "_pair_closed"),
-        (correlations, "geometric_discord_pure_closed"),
-        (correlations, "k_spectrum_discord"), (states, "reduced_pair_density"),
-        (states, "check_density"), (catcorr.dephasing, "apply_dephasing"),
-        (catcorr.oracle, "discord_by_measurement_search"),
-        (SuperpositionSpec, "omitted_product"), (DephasingParams, "__post_init__")])
+        (correlations, "pair_k_spectrum"), (correlations, "k_spectrum_discord"),
+        (states, "reduced_pair_density"), (states, "check_density"),
+        (catcorr.dephasing, "apply_dephasing"), (catcorr.oracle, "discord_by_measurement_search"),
+        (SuperpositionSpec, "pair"), (SuperpositionSpec, "omitted_product"),
+        (DephasingParams, "__post_init__")])
     code, _, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert {name: counts[name] for name in exact} == exact
-    for name, limit in at_most.items():
-        assert counts[name] <= limit, (name, counts[name])
+
+
+def test_group_pairs_through_unit_and_zero_overlaps_print_clean_cells(capsys):
+    # p = 1 rows print 0, never -0 (-expm1(0.0) is -0.0), and p = 0 rows of
+    # odd groups take log1p(-1) without a numpy warning, which pytest raises
+    for argv in ("sweep --n 3 --parity even --pure --k 1 --steps 5",
+                 "sweep --n 4 --parity even --pair 1,2 3,4 --steps 5",
+                 "sweep --n 4 --parity odd --pair 1,2 3,4 --p-stop 0.99 --steps 5",
+                 "sweep --n 5 --parity odd --pure --k 2 --p-stop 0.99 --steps 5 --format json",
+                 "sweep --n 5 --parity odd --pair 1,2 4 --p-stop 0.99 --steps 5"):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, ""), argv
+        cells = out.replace("\n", ",").replace(" ", ",").split(",")
+        assert "-0" not in cells and "-0.0" not in cells, argv
+
+
+def test_pure_and_pair_spellings_of_one_cut_print_the_same(capsys):
+    # --pure --k K is --pair 1,...,K K+1,...,n: the same bytes, mode and branch pure
+    outputs = set()
+    for selection in (["--pure", "--k", "2"], ["--pair", "1,2", "3,4"]):
+        code, out, err = run_cli(capsys, "report", "--n", "4", "--p", "0.5", "0.6", "0.7", "0.8",
+                                 "--parity", "odd", *selection, "--rate", "1", "--time", "0.4")
+        assert (code, err) == (0, "")
+        outputs.add(out)
+    assert len(outputs) == 1
+    _, rows = parse_csv(outputs.pop())
+    assert (rows[0]["mode"], rows[0]["selection"], rows[0]["branch"]) == ("pure", "2", "pure")
+    assert rows[0]["sudden_death_time"] == "infinite"
+    # any other selection reads as its groups; traced-out modes make it mixed
+    code, out, _ = run_cli(capsys, "report", "--n", "4", "--p", "0.5", "0.6", "0.7", "0.8",
+                           "--pair", "1,3", "4", "--format", "json")
+    payload = json.loads(out)
+    assert payload["selection"] == {"mode": "mixed", "pair": [[1, 3], 4]}
+    assert payload["branch"] in ("mixed_plus", "mixed_minus")
+    code, out, _ = run_cli(capsys, "report", "--n", "4", "--p", "0.5", "0.6", "0.7", "0.8",
+                           "--pair", "1,3", "4")
+    _, rows = parse_csv(out)
+    assert rows[0]["selection"] == "1 3-4"
+    for bad in (["--pair", "1,2", "2"], ["--pair", "1,5", "2"], ["--pure", "--k", "4"]):
+        code, out, err = run_cli(capsys, "report", "--n", "4", "--p", "0.5", "0.6", "0.7", "0.8",
+                                 *bad)
+        assert code == 2 and out == "" and err.startswith("error:"), bad

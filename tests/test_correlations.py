@@ -10,13 +10,11 @@ from catcorr.correlations import (
     MeasurementSide,
     branch_and_discord,
     concurrence_mixed,
-    concurrence_pure,
     geometric_discord_numeric,
-    geometric_discord_pure_closed,
     k_matrix,
     k_spectrum_discord,
     mixed_discord_closed,
-    mixed_k_eigenvalues,
+    pair_k_spectrum,
     werner_limit_discord,
     werner_limit_k_eigenvalues,
     zero_discord_witness,
@@ -31,10 +29,9 @@ from catcorr.states import (
     SuperpositionSpec,
     bloch_decompose,
     check_density,
-    pure_split,
     reduced_pair_density,
 )
-from conftest import haar_qubit, random_density, random_pair, random_spec
+from conftest import haar_qubit, pure_cut, random_density, random_pair, random_spec
 
 overlap_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -51,19 +48,19 @@ def test_pure_discord_is_half_squared_concurrence(ps, parity, k_raw):
         ps = [min(p, 0.999) for p in ps]
     spec = SuperpositionSpec(overlaps=tuple(ps), parity=parity)
     k = 1 + k_raw % (spec.n - 1)
-    report = geometric_discord_pure_closed(spec, k)
+    report = mixed_discord_closed(pure_cut(spec, k))
     assert abs(report.discord - 0.5 * report.concurrence ** 2) < 1e-14
     assert report.branch is Branch.PURE
 
 
 def test_pure_frozen_values_two_modes():
     spec = SuperpositionSpec(overlaps=(0.5, 0.5), parity=Parity.EVEN)
-    report = geometric_discord_pure_closed(spec, 1)
+    report = mixed_discord_closed(pure_cut(spec, 1))
     assert abs(report.concurrence - 0.6) < 1e-15
     assert abs(report.discord - 0.18) < 1e-15
     # maximal entanglement at orthogonal branches
     zero = SuperpositionSpec(overlaps=(0.0, 0.0), parity=Parity.EVEN)
-    top = geometric_discord_pure_closed(zero, 1)
+    top = mixed_discord_closed(pure_cut(zero, 1))
     assert top.discord == 0.5
     assert abs(top.concurrence - 1.0) < 1e-14
 
@@ -71,7 +68,7 @@ def test_pure_frozen_values_two_modes():
 def test_pure_odd_two_modes_constant_half():
     for p in np.linspace(0.0, 1.0 - 1e-6, 41):
         spec = SuperpositionSpec(overlaps=(p, p), parity=Parity.ODD)
-        report = geometric_discord_pure_closed(spec, 1)
+        report = mixed_discord_closed(pure_cut(spec, 1))
         assert abs(report.discord - 0.5) < 1e-9
         assert abs(report.concurrence - 1.0) < 1e-9
 
@@ -80,8 +77,8 @@ def test_pure_closed_matches_numeric_k_route(rng):
     for _ in range(50):
         spec = random_spec(rng, n_max=7)
         k = int(rng.integers(1, spec.n))
-        closed = geometric_discord_pure_closed(spec, k)
-        numeric = geometric_discord_numeric(pure_split(spec, k).projector())
+        closed = mixed_discord_closed(pure_cut(spec, k))
+        numeric = geometric_discord_numeric(reduced_pair_density(pure_cut(spec, k)))
         assert abs(closed.discord - numeric.discord) < 1e-12
         assert abs(closed.concurrence - numeric.concurrence) < 1e-12
 
@@ -92,23 +89,23 @@ def test_pure_k_spectrum_is_that_of_the_numeric_route():
     printed = {Parity.EVEN: "1.43654337", Parity.ODD: "1.08729339"}
     for parity in Parity:
         spec = SuperpositionSpec(overlaps=(0.5, 0.4, 0.6), parity=parity)
-        closed = geometric_discord_pure_closed(spec, 1)
-        numeric = geometric_discord_numeric(pure_split(spec, 1).projector())
+        closed = mixed_discord_closed(pure_cut(spec, 1))
+        numeric = geometric_discord_numeric(reduced_pair_density(pure_cut(spec, 1)))
         assert f"{closed.k_eigenvalues[0]:.9g}" == printed[parity]
         assert np.max(np.abs(np.array(closed.k_eigenvalues) - numeric.k_eigenvalues)) < 1e-12
         p = np.linspace(0.0, 0.99, 41)
         grid = SuperpositionSpec(overlaps=(p, p[::-1], np.full(p.size, 0.6), p), parity=parity)
         for k in (1, 2, 3):
-            closed = geometric_discord_pure_closed(grid, k)
-            numeric = geometric_discord_numeric(pure_split(grid, k).projector())
+            closed = mixed_discord_closed(pure_cut(grid, k))
+            numeric = geometric_discord_numeric(reduced_pair_density(pure_cut(grid, k)))
             lams = np.column_stack(np.broadcast_arrays(*closed.k_eigenvalues))
             assert np.max(np.abs(lams - numeric.k_eigenvalues)) < 1e-12
 
 
 def test_concurrence_pure_equals_mixed_route_on_projector():
     spec = SuperpositionSpec(overlaps=(0.3, 0.8, 0.6), parity=Parity.ODD)
-    c_pure = concurrence_pure(spec, 2)
-    c_mixed = concurrence_mixed(pure_split(spec, 2).projector())
+    c_pure = mixed_discord_closed(pure_cut(spec, 2)).concurrence
+    c_mixed = concurrence_mixed(reduced_pair_density(pure_cut(spec, 2)))
     assert abs(c_pure - c_mixed) < 1e-12
 
 
@@ -116,11 +113,11 @@ def test_concurrence_pure_equals_mixed_route_on_projector():
 
 def test_mixed_frozen_even_three_modes():
     spec = SuperpositionSpec(overlaps=(0.5, 0.5, 0.5), parity=Parity.EVEN)
-    lam1, lam2, lam3 = mixed_k_eigenvalues(spec, 1, 2)
+    lam1, lam2, lam3 = pair_k_spectrum(spec.pair(1, 2))
     assert abs(lam1 - 8.0 / 9.0) < 1e-15
     assert abs(lam2 - 4.0 / 9.0) < 1e-15
     assert abs(lam3 - 1.0 / 9.0) < 1e-15
-    report = mixed_discord_closed(spec, 1, 2)
+    report = mixed_discord_closed(spec.pair(1, 2))
     assert report.branch is Branch.MIXED_PLUS
     assert abs(report.discord - 5.0 / 36.0) < 1e-15
     assert abs(report.concurrence - 1.0 / 3.0) < 1e-15
@@ -128,11 +125,11 @@ def test_mixed_frozen_even_three_modes():
 
 def test_mixed_frozen_odd_three_modes():
     spec = SuperpositionSpec(overlaps=(0.5, 0.5, 0.5), parity=Parity.ODD)
-    lam1, lam2, lam3 = mixed_k_eigenvalues(spec, 1, 2)
+    lam1, lam2, lam3 = pair_k_spectrum(spec.pair(1, 2))
     assert abs(lam1 - 0.16326530612244897) < 1e-15
     assert abs(lam2 - 0.7346938775510204) < 1e-15
     assert abs(lam3 - 0.18367346938775511) < 1e-15
-    report = mixed_discord_closed(spec, 1, 2)
+    report = mixed_discord_closed(spec.pair(1, 2))
     assert report.branch is Branch.MIXED_MINUS
     assert abs(report.discord - 0.08673469387755102) < 1e-15
 
@@ -156,31 +153,31 @@ def test_grid_routes_equal_single_state_routes():
     p = np.linspace(0.0, 0.999, 1500)
     for parity in Parity:
         grid = SuperpositionSpec(overlaps=(p, p[::-1], np.full(p.size, 0.6), p), parity=parity)
-        pure = geometric_discord_pure_closed(grid, 1)
+        pure = mixed_discord_closed(pure_cut(grid, 1))
         for side in MeasurementSide:
-            closed = mixed_discord_closed(grid, 2, 4, side)
-            numeric = k_spectrum_discord(reduced_pair_density(grid, 2, 4), side)
+            closed = mixed_discord_closed(grid.pair(2, 4), side)
+            numeric = k_spectrum_discord(reduced_pair_density(grid.pair(2, 4)), side)
             for k in range(p.size):
                 spec = SuperpositionSpec(overlaps=tuple(float(o[k]) for o in grid.overlaps),
                                          parity=parity)
-                one = mixed_discord_closed(spec, 2, 4, side)
+                one = mixed_discord_closed(spec.pair(2, 4), side)
                 assert (closed.discord[k], closed.concurrence[k], closed.branch[k]) == (
                     one.discord, one.concurrence, one.branch.value)
                 assert tuple(lam[k] for lam in closed.k_eigenvalues) == one.k_eigenvalues
-                split = geometric_discord_pure_closed(spec, 1)
+                split = mixed_discord_closed(pure_cut(spec, 1))
                 assert (pure.discord[k], pure.concurrence[k]) == (split.discord, split.concurrence)
                 if k % 50 == 0:
                     assert numeric[k] == geometric_discord_numeric(
-                        reduced_pair_density(spec, 2, 4), side).discord
+                        reduced_pair_density(spec.pair(2, 4)), side).discord
 
 
 def test_mixed_closed_matches_numeric_both_sides(rng):
     for _ in range(60):
         spec = random_spec(rng, n_min=2, n_max=7)
         i, j = random_pair(rng, spec.n)
-        rho = reduced_pair_density(spec, i, j)
+        rho = reduced_pair_density(spec.pair(i, j))
         for side in MeasurementSide:
-            closed = mixed_discord_closed(spec, i, j, side)
+            closed = mixed_discord_closed(spec.pair(i, j), side)
             numeric = geometric_discord_numeric(rho, side)
             assert abs(closed.discord - numeric.discord) < 1e-12
             # the numeric report carries K's spectrum in descending order
@@ -196,26 +193,26 @@ def test_measurement_side_matters_for_unequal_overlaps():
     # straddles lam2 depending on the side: plus branch measured on the
     # first member, minus branch on the second
     spec = SuperpositionSpec(overlaps=(0.8, 0.5, 0.4), parity=Parity.ODD)
-    first = mixed_discord_closed(spec, 1, 2, MeasurementSide.FIRST)
-    second = mixed_discord_closed(spec, 1, 2, MeasurementSide.SECOND)
+    first = mixed_discord_closed(spec.pair(1, 2), MeasurementSide.FIRST)
+    second = mixed_discord_closed(spec.pair(1, 2), MeasurementSide.SECOND)
     assert first.branch is Branch.MIXED_PLUS
     assert second.branch is Branch.MIXED_MINUS
     assert abs(first.discord - second.discord) > 1e-2
     # the side only ever selects lam1; the planar pair is shared
-    lam_f = mixed_k_eigenvalues(spec, 1, 2, MeasurementSide.FIRST)
-    lam_s = mixed_k_eigenvalues(spec, 1, 2, MeasurementSide.SECOND)
+    lam_f = pair_k_spectrum(spec.pair(1, 2), MeasurementSide.FIRST)
+    lam_s = pair_k_spectrum(spec.pair(1, 2), MeasurementSide.SECOND)
     assert abs(lam_f[0] - lam_s[0]) > 1e-3
     assert lam_f[1] == lam_s[1] and lam_f[2] == lam_s[2]
     # equal overlaps make the two sides agree
     eq = SuperpositionSpec(overlaps=(0.5, 0.5, 0.5), parity=Parity.ODD)
-    assert abs(mixed_discord_closed(eq, 1, 2, MeasurementSide.FIRST).discord
-               - mixed_discord_closed(eq, 1, 2, MeasurementSide.SECOND).discord) < 1e-15
+    assert abs(mixed_discord_closed(eq.pair(1, 2), MeasurementSide.FIRST).discord
+               - mixed_discord_closed(eq.pair(1, 2), MeasurementSide.SECOND).discord) < 1e-15
 
 
 def test_swapping_pair_indices_swaps_sides():
     spec = SuperpositionSpec(overlaps=(0.9, 0.2, 0.6), parity=Parity.EVEN)
-    a = mixed_discord_closed(spec, 1, 2, MeasurementSide.FIRST)
-    b = mixed_discord_closed(spec, 2, 1, MeasurementSide.SECOND)
+    a = mixed_discord_closed(spec.pair(1, 2), MeasurementSide.FIRST)
+    b = mixed_discord_closed(spec.pair(2, 1), MeasurementSide.SECOND)
     assert abs(a.discord - b.discord) < 1e-15
 
 
@@ -224,15 +221,15 @@ def test_branch_switch_location_three_modes_even():
     root = math.sqrt(2.0) - 1.0
     spec_lo = SuperpositionSpec(overlaps=(root - 1e-6,) * 3, parity=Parity.EVEN)
     spec_hi = SuperpositionSpec(overlaps=(root + 1e-6,) * 3, parity=Parity.EVEN)
-    assert mixed_discord_closed(spec_lo, 1, 2).branch is Branch.MIXED_MINUS
-    assert mixed_discord_closed(spec_hi, 1, 2).branch is Branch.MIXED_PLUS
+    assert mixed_discord_closed(spec_lo.pair(1, 2)).branch is Branch.MIXED_MINUS
+    assert mixed_discord_closed(spec_hi.pair(1, 2)).branch is Branch.MIXED_PLUS
 
 
 def test_discord_bounded_by_half(rng):
     for _ in range(100):
         spec = random_spec(rng)
         i, j = random_pair(rng, spec.n)
-        report = mixed_discord_closed(spec, i, j)
+        report = mixed_discord_closed(spec.pair(i, j))
         assert -1e-15 <= report.discord <= 0.5 + 1e-12
 
 
@@ -253,10 +250,10 @@ def test_mixed_discord_approaches_werner_limit():
     p = 1.0 - 1e-7
     for n in (2, 4, 5, 6, 7, 8, 9, 10):
         spec = SuperpositionSpec(overlaps=(p,) * n, parity=Parity.ODD)
-        value = mixed_discord_closed(spec, 1, 2).discord
+        value = mixed_discord_closed(spec.pair(1, 2)).discord
         assert abs(value - werner_limit_discord(n)) < 1e-5, n
     spec3 = SuperpositionSpec(overlaps=(p,) * 3, parity=Parity.ODD)
-    assert abs(mixed_discord_closed(spec3, 1, 2).discord - 1.0 / 6.0) < 1e-5
+    assert abs(mixed_discord_closed(spec3.pair(1, 2)).discord - 1.0 / 6.0) < 1e-5
 
 
 def test_werner_limit_three_modes_is_exactly_one_sixth():
@@ -275,7 +272,7 @@ def test_werner_limit_three_modes_is_exactly_one_sixth():
     assert exact_discord == sympy.Rational(1, 6)
     assert branch_and_discord(*floats) == (Branch.MIXED_MINUS, pytest.approx(1.0 / 6.0, abs=1e-15))
     spec = SuperpositionSpec(overlaps=(1.0 - 1e-6,) * 3, parity=Parity.ODD)
-    near = mixed_discord_closed(spec, 1, 2)
+    near = mixed_discord_closed(spec.pair(1, 2))
     assert near.branch is Branch.MIXED_MINUS
     assert abs(near.discord - float(exact_discord)) < 1e-4
 
@@ -284,7 +281,7 @@ def test_werner_limit_spectrum_matches_closed_form_near_one():
     p = 1.0 - 1e-8
     for n in (2, 3, 4, 6, 9):
         spec = SuperpositionSpec(overlaps=(p,) * n, parity=Parity.ODD)
-        closed = mixed_k_eigenvalues(spec, 1, 2)
+        closed = pair_k_spectrum(spec.pair(1, 2))
         limit = werner_limit_k_eigenvalues(n)
         assert max(abs(a - b) for a, b in zip(closed, limit)) < 1e-6
 
@@ -400,8 +397,8 @@ def test_mixed_concurrence_closed_matches_wootters(rng):
     for _ in range(40):
         spec = random_spec(rng, n_min=3, n_max=6, extremes=False)
         i, j = random_pair(rng, spec.n)
-        closed = mixed_discord_closed(spec, i, j).concurrence
-        direct = concurrence_mixed(reduced_pair_density(spec, i, j))
+        closed = mixed_discord_closed(spec.pair(i, j)).concurrence
+        direct = concurrence_mixed(reduced_pair_density(spec.pair(i, j)))
         assert abs(closed - direct) < 1e-12
 
 
@@ -411,7 +408,7 @@ def test_concurrence_mixed_matches_high_precision_closed_form():
     # a square-root route ~1e-8; the factorized route stays at rounding
     mpmath = pytest.importorskip("mpmath")
     p = np.linspace(0.0, 1.0, 2001)[1:-1]
-    rhos = reduced_pair_density(SuperpositionSpec(overlaps=(p, p, p), parity=Parity.EVEN), 1, 2)
+    rhos = reduced_pair_density(SuperpositionSpec(overlaps=(p, p, p), parity=Parity.EVEN).pair(1, 2))
     worst = 0.0
     with mpmath.workdps(50):
         for p_k, rho in zip(p.tolist(), rhos):
@@ -426,7 +423,7 @@ def test_concurrence_mixed_matches_high_precision_closed_form():
 
 def test_zero_discord_witness_flags_correlated_state():
     spec = SuperpositionSpec(overlaps=(0.5, 0.5, 0.5), parity=Parity.EVEN)
-    bloch = bloch_decompose(reduced_pair_density(spec, 1, 2))
+    bloch = bloch_decompose(reduced_pair_density(spec.pair(1, 2)))
     assert zero_discord_witness(bloch) is DiscordWitness.NON_ZERO_DISCORD
     # R = diag(0.3, 0.3, 0) has rank 2; the local x = (0, 0, 0.2) lifts the
     # full table (1, y^T; x, R) to rank 3
@@ -438,22 +435,22 @@ def test_zero_discord_witness_flags_correlated_state():
 
 def test_zero_discord_witness_passes_product_and_classical_states():
     ones = SuperpositionSpec(overlaps=(1.0, 1.0, 1.0), parity=Parity.EVEN)
-    bloch = bloch_decompose(reduced_pair_density(ones, 1, 2))
+    bloch = bloch_decompose(reduced_pair_density(ones.pair(1, 2)))
     assert zero_discord_witness(bloch) is DiscordWitness.ZERO_DISCORD_POSSIBLE
     zeros = SuperpositionSpec(overlaps=(0.0, 0.0, 0.0), parity=Parity.EVEN)
-    bloch0 = bloch_decompose(reduced_pair_density(zeros, 1, 2))
+    bloch0 = bloch_decompose(reduced_pair_density(zeros.pair(1, 2)))
     assert zero_discord_witness(bloch0) is DiscordWitness.ZERO_DISCORD_POSSIBLE
     # and the discord of both is exactly zero
-    assert mixed_discord_closed(zeros, 1, 2).discord == 0.0
-    assert mixed_discord_closed(ones, 1, 2).discord == 0.0
+    assert mixed_discord_closed(zeros.pair(1, 2)).discord == 0.0
+    assert mixed_discord_closed(ones.pair(1, 2)).discord == 0.0
 
 
 def test_witness_consistent_with_discord_on_random_specs(rng):
     for _ in range(40):
         spec = random_spec(rng, extremes=False)
         i, j = random_pair(rng, spec.n)
-        report = mixed_discord_closed(spec, i, j)
-        bloch = bloch_decompose(reduced_pair_density(spec, i, j))
+        report = mixed_discord_closed(spec.pair(i, j))
+        bloch = bloch_decompose(reduced_pair_density(spec.pair(i, j)))
         witness = zero_discord_witness(bloch)
         if witness is DiscordWitness.NON_ZERO_DISCORD:
             assert report.discord > 0.0
@@ -468,7 +465,7 @@ def test_geometric_discord_numeric_checks_density_once(monkeypatch):
 
     for module in ("catcorr.states", "catcorr.correlations"):
         monkeypatch.setattr(f"{module}.check_density", counting)
-    rho = reduced_pair_density(SuperpositionSpec(overlaps=(0.5, 0.5, 0.5)), 1, 2)
+    rho = reduced_pair_density(SuperpositionSpec(overlaps=(0.5, 0.5, 0.5)).pair(1, 2))
     calls.clear()
     report = geometric_discord_numeric(rho, MeasurementSide.SECOND)
     assert len(calls) == 1
@@ -476,27 +473,27 @@ def test_geometric_discord_numeric_checks_density_once(monkeypatch):
 
 
 def test_closed_reports_carry_the_labeled_k_spectrum(rng):
-    # labeled (lam1, lam2, lam3), z eigenvalue first, as mixed_k_eigenvalues
+    # labeled (lam1, lam2, lam3), z eigenvalue first, as pair_k_spectrum
     # gives it, also where the minus branch puts lam1 below lam2
     specs = [SuperpositionSpec(overlaps=(0.3, 0.3, 0.3))]
     specs += [random_spec(rng, n_min=3) for _ in range(30)]
-    assert mixed_k_eigenvalues(specs[0], 1, 2)[0] < mixed_k_eigenvalues(specs[0], 1, 2)[1]
+    assert pair_k_spectrum(specs[0].pair(1, 2))[0] < pair_k_spectrum(specs[0].pair(1, 2))[1]
     for spec in specs:
         i, j = random_pair(rng, spec.n)
         for side in MeasurementSide:
-            expected = mixed_k_eigenvalues(spec, i, j, side)
-            assert mixed_discord_closed(spec, i, j, side).k_eigenvalues == expected
-            assert discord_trajectory(spec, i, j, 0.7, 0.0, side).k_eigenvalues == expected
+            expected = pair_k_spectrum(spec.pair(i, j), side)
+            assert mixed_discord_closed(spec.pair(i, j), side).k_eigenvalues == expected
+            assert discord_trajectory(spec.pair(i, j), 0.7, 0.0, side).k_eigenvalues == expected
 
 
 def test_k_matrix_side_selection():
     spec = SuperpositionSpec(overlaps=(0.9, 0.2, 0.6), parity=Parity.EVEN)
-    bloch = bloch_decompose(reduced_pair_density(spec, 1, 2))
+    bloch = bloch_decompose(reduced_pair_density(spec.pair(1, 2)))
     k_first = k_matrix(bloch, MeasurementSide.FIRST)
     k_second = k_matrix(bloch, MeasurementSide.SECOND)
     assert np.max(np.abs(k_first - k_first.T)) < 1e-14
     assert np.max(np.abs(k_first - k_second)) > 1e-3
-    lam1, lam2, lam3 = mixed_k_eigenvalues(spec, 1, 2, MeasurementSide.SECOND)
+    lam1, lam2, lam3 = pair_k_spectrum(spec.pair(1, 2), MeasurementSide.SECOND)
     numeric = np.sort(np.linalg.eigvalsh(k_second))[::-1]
     closed = np.sort(np.array([lam1, lam2, lam3]))[::-1]
     assert np.max(np.abs(numeric - closed)) < 1e-14
@@ -530,8 +527,8 @@ def test_numeric_route_on_a_stack_is_bitwise_single_calls(rng):
     for _ in range(30):
         spec = random_spec(rng)
         i, j = random_pair(rng, spec.n)
-        rhos.append(reduced_pair_density(spec, i, j))
-        rhos.append(pure_split(spec, 1).projector())
+        rhos.append(reduced_pair_density(spec.pair(i, j)))
+        rhos.append(reduced_pair_density(pure_cut(spec, 1)))
     stack = np.array(rhos)
     assert concurrence_mixed(stack).tolist() == [concurrence_mixed(rho) for rho in rhos]
     for side in MeasurementSide:
@@ -577,3 +574,123 @@ def test_numeric_k_spectrum_handles_degenerate_spectrum():
             report = geometric_discord_numeric(rho, side)
             assert np.max(np.abs(report.k_eigenvalues - c * c)) < 1e-15
             assert abs(report.discord - 0.5 * c * c) < 1e-15
+
+
+# --- mode groups -----------------------------------------------------------
+
+def _kron_all(vectors):
+    out = np.ones(1)
+    for v in vectors:
+        out = np.kron(out, v)
+    return out
+
+
+def _brute_pair_density(overlaps, sign, group_a, group_b):
+    """The groups' pair density from the n-mode state vector alone: each mode
+    in its own two-dimensional branch span, the other modes traced out, and
+    each group mapped onto the plane of its two branch states."""
+    n = len(overlaps)
+    kets = [np.array([1.0, 0.0]) for _ in overlaps]
+    primed = [np.array([p, math.sqrt(1.0 - p * p)]) for p in overlaps]
+    psi = _kron_all(kets) + sign * _kron_all(primed)
+    psi /= np.linalg.norm(psi)
+    kept = [m - 1 for m in group_a + group_b]
+    rest = [m for m in range(n) if m not in kept]
+    amplitudes = psi.reshape((2,) * n).transpose(kept + rest).reshape(2 ** len(kept), -1)
+    rho = amplitudes @ amplitudes.T
+
+    def plane(group):
+        # orthonormal sum and difference of the group's two branch states
+        w, w_p = _kron_all([kets[m - 1] for m in group]), _kron_all([primed[m - 1] for m in group])
+        return np.column_stack([(w + w_p) / np.linalg.norm(w + w_p),
+                                (w - w_p) / np.linalg.norm(w - w_p)])
+
+    basis = np.kron(plane(group_a), plane(group_b))
+    return basis.T @ rho @ basis
+
+
+def test_groups_match_the_brute_force_state_vector(rng):
+    seen = set()
+    for _ in range(120):
+        n = int(rng.integers(2, 7))
+        overlaps = tuple(rng.uniform(0.05, 0.95, size=n).tolist())
+        order = [int(m) + 1 for m in rng.permutation(n)]
+        size_a = int(rng.integers(1, n))
+        size_b = int(rng.integers(1, n - size_a + 1))
+        group_a, group_b = tuple(order[:size_a]), tuple(order[size_a:size_a + size_b])
+        for parity in Parity:
+            brute = _brute_pair_density(overlaps, parity.sign, group_a, group_b)
+            pair = SuperpositionSpec(overlaps=overlaps, parity=parity).pair(group_a, group_b)
+            assert np.max(np.abs(reduced_pair_density(pair) - brute)) < 1e-14
+            for side in MeasurementSide:
+                closed = mixed_discord_closed(pair, side)
+                k = k_matrix(bloch_decompose(brute), side)
+                lam1, lam2, lam3 = closed.k_eigenvalues
+                assert np.max(np.abs(k - np.diag(np.diagonal(k)))) < 1e-14
+                assert abs(lam1 - k[2, 2]) < 1e-13
+                assert max(abs(lam2 - max(k[0, 0], k[1, 1])), abs(lam3 - min(k[0, 0], k[1, 1]))) < 1e-13
+                numeric = geometric_discord_numeric(brute, side)
+                assert abs(closed.discord - numeric.discord) < 1e-13
+                assert abs(closed.concurrence - numeric.concurrence) < 1e-12
+                traced = size_a + size_b < n
+                assert (closed.branch is Branch.PURE) == (not traced)
+                seen.add((traced, size_a > 1 or size_b > 1))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# overlaps 1 - 10^-U(3, 14), drawn from a small pool so that modes often share one
+_near_unit = st.lists(st.floats(min_value=3.0, max_value=14.0).map(lambda u: 1.0 - 10.0 ** -u),
+                      min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=6))
+
+
+def _assert_near_reference(ps, groups, first):
+    # each closed value lies within a few ulps times its condition number of a
+    # 50-digit evaluation at the same double overlaps (8 ulps of 1 at most
+    # over 5,500 random draws); 1 - P by cancellation once cost up to 1e-8
+    # relative here
+    reference = pytest.importorskip("reference")
+    side = MeasurementSide.FIRST if first else MeasurementSide.SECOND
+    closed = mixed_discord_closed(SuperpositionSpec(tuple(ps), Parity.ODD).pair(*groups), side)
+    exact = reference.closed_reference(ps, -1, *groups, first=first)
+    values = dict(zip(("lam1", "lam2", "lam3"), closed.k_eigenvalues),
+                  discord=closed.discord, concurrence=closed.concurrence)
+    for name, value in values.items():
+        kappa = reference.condition(name, ps, -1, *groups, first=first)
+        bound = 16.0 * 2.0 ** -53 * (kappa + 1.0) * abs(float(exact[name]))
+        assert abs(value - float(exact[name])) <= bound, (name, value, float(exact[name]), kappa)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_unit, st.booleans(), st.booleans(), st.data())
+def test_odd_closed_forms_near_unit_overlap_match_high_precision(ps, single, first, data):
+    n = len(ps)
+    order = data.draw(st.permutations(range(1, n + 1)))
+    size_a = 1 if single else data.draw(st.integers(1, n - 1))
+    size_b = 1 if single else data.draw(st.integers(1, n - size_a))
+    _assert_near_reference(ps, (tuple(order[:size_a]), tuple(order[size_a:size_a + size_b])), first)
+
+
+def test_odd_z_eigenvalue_keeps_its_digits_where_its_terms_cancel():
+    # p_a = q: z and zz each cancel to ~1e-6 of their terms, while their sum
+    # of squares has condition number 4; adding the squares of z and zz formed
+    # from complements lost 1e-13 relative here
+    _assert_near_reference([0.999999, 0.999, 0.999], ((2,), (1,)), True)
+    _assert_near_reference([0.999, 0.99999, 0.999, 0.9999], ((1, 4), (2,)), False)
+
+
+def test_unit_and_zero_overlaps_in_groups_give_clean_values():
+    # p = 1 members give +0.0, never -0.0 (-expm1(0.0) is -0.0), and p = 0
+    # members take log1p(-1) = -inf without a numpy warning, on grids too
+    grid = np.array([0.0, 0.5, 1.0])
+    for overlaps in ((1.0, 1.0, 0.5, 0.3), (0.0, 0.0, 0.5, 0.3), (1.0, 0.0, 1.0, 0.3),
+                     (grid, grid, np.full(3, 0.5), np.full(3, 0.3))):
+        for groups in (((1, 2), (3,)), ((1, 2), (3, 4)), ((3,), (1, 2, 4)), ((1, 3), (2, 4))):
+            pair = SuperpositionSpec(overlaps, Parity.ODD).pair(*groups)
+            report = mixed_discord_closed(pair)
+            rho = reduced_pair_density(pair)
+            fields = [pair.d_a, pair.d_b, pair.d_q, report.discord, report.concurrence,
+                      *report.k_eigenvalues, rho.real]
+            for field in fields:
+                assert not np.any(np.signbit(field) & (np.asarray(field) == 0.0)), (overlaps, groups)
+            check_density(rho)

@@ -26,10 +26,9 @@ from catcorr.states import (
     SuperpositionSpec,
     bloch_compose,
     bloch_decompose,
-    pure_split,
     reduced_pair_density,
 )
-from conftest import random_density, random_pair, random_spec
+from conftest import pure_cut, random_density, random_pair, random_spec
 
 
 def test_params_validation_and_gamma():
@@ -83,7 +82,7 @@ def test_kraus_routes_on_stacks_are_bitwise_single_calls(rng):
     rhos = [random_density(rng) for _ in range(20)]
     while len(rhos) < gammas.size:
         spec = random_spec(rng)
-        rhos.append(reduced_pair_density(spec, *random_pair(rng, spec.n)))
+        rhos.append(reduced_pair_density(spec.pair(*random_pair(rng, spec.n))))
     stack = np.array(rhos)
     e0, e1 = kraus_ops(gammas)
     assert e0.shape == e1.shape == (gammas.size, 2, 2)
@@ -171,8 +170,8 @@ def test_concurrence_trajectory_matches_static_at_zero(rng):
     for _ in range(25):
         spec = random_spec(rng, extremes=False)
         i, j = random_pair(rng, spec.n)
-        static = mixed_discord_closed(spec, i, j).concurrence
-        assert abs(concurrence_trajectory(spec, i, j, 1.0, 0.0) - static) < 1e-14
+        static = mixed_discord_closed(spec.pair(i, j)).concurrence
+        assert abs(concurrence_trajectory(spec.pair(i, j), 1.0, 0.0) - static) < 1e-14
 
 
 def test_concurrence_trajectory_matches_kraus_route(rng):
@@ -182,48 +181,48 @@ def test_concurrence_trajectory_matches_kraus_route(rng):
         rate = float(rng.uniform(0.3, 2.0))
         t = float(rng.uniform(0.0, 2.0))
         gamma = DephasingParams(rate=rate, time=t).gamma
-        evolved = apply_dephasing(reduced_pair_density(spec, i, j), gamma)
-        assert abs(concurrence_trajectory(spec, i, j, rate, t)
+        evolved = apply_dephasing(reduced_pair_density(spec.pair(i, j)), gamma)
+        assert abs(concurrence_trajectory(spec.pair(i, j), rate, t)
                    - concurrence_mixed(evolved)) < 1e-12
 
 
 def test_sudden_death_frozen_values():
     # omitted product 1/2 with unit rate: t0 = ln 3
     spec3 = SuperpositionSpec(overlaps=(0.5, 0.6, 0.7), parity=Parity.EVEN)
-    assert abs(sudden_death_time(spec3, 2, 3, 1.0) - math.log(3.0)) < 1e-15
-    assert abs(sudden_death_time(spec3, 2, 3, 1.0) - 1.0986122886681098) < 1e-15
+    assert abs(sudden_death_time(spec3.pair(2, 3), 1.0) - math.log(3.0)) < 1e-15
+    assert abs(sudden_death_time(spec3.pair(2, 3), 1.0) - 1.0986122886681098) < 1e-15
     # four equal overlaps 0.5: q = 1/4, t0 = ln(5/3)
     spec4 = SuperpositionSpec(overlaps=(0.5,) * 4, parity=Parity.EVEN)
-    assert abs(sudden_death_time(spec4, 1, 2, 1.0) - 0.5108256237659907) < 1e-15
+    assert abs(sudden_death_time(spec4.pair(1, 2), 1.0) - 0.5108256237659907) < 1e-15
     # doubling the rate halves the death time
-    assert abs(sudden_death_time(spec4, 1, 2, 2.0)
-               - 0.5 * sudden_death_time(spec4, 1, 2, 1.0)) < 1e-15
+    assert abs(sudden_death_time(spec4.pair(1, 2), 2.0)
+               - 0.5 * sudden_death_time(spec4.pair(1, 2), 1.0)) < 1e-15
 
 
 def test_sudden_death_edge_cases():
     # two modes: q = 1, entanglement only dies asymptotically
     two = SuperpositionSpec(overlaps=(0.5, 0.5), parity=Parity.EVEN)
-    assert sudden_death_time(two, 1, 2, 1.0) == math.inf
+    assert sudden_death_time(two.pair(1, 2), 1.0) == math.inf
     # a unit overlap inside the pair kills concurrence from the start
     dead = SuperpositionSpec(overlaps=(1.0, 0.5, 0.5), parity=Parity.EVEN)
-    assert sudden_death_time(dead, 1, 2, 1.0) == 0.0
+    assert sudden_death_time(dead.pair(1, 2), 1.0) == 0.0
     # zero omitted product likewise
     zero_q = SuperpositionSpec(overlaps=(0.5, 0.5, 0.0), parity=Parity.EVEN)
-    assert sudden_death_time(zero_q, 1, 2, 1.0) == 0.0
+    assert sudden_death_time(zero_q.pair(1, 2), 1.0) == 0.0
     with pytest.raises(DomainError):
-        sudden_death_time(two, 1, 2, -1.0)
+        sudden_death_time(two.pair(1, 2), -1.0)
 
 
 def test_concurrence_sign_straddles_death_time(rng):
     for _ in range(25):
         spec = random_spec(rng, n_min=3, n_max=6, extremes=False)
         i, j = random_pair(rng, spec.n)
-        t0 = sudden_death_time(spec, i, j, 1.0)
+        t0 = sudden_death_time(spec.pair(i, j), 1.0)
         if t0 <= 0.0 or math.isinf(t0):
             continue
-        assert concurrence_trajectory(spec, i, j, 1.0, t0 * 0.99) > 0.0
-        assert concurrence_trajectory(spec, i, j, 1.0, t0 * 1.01) == 0.0
-        assert abs(concurrence_trajectory(spec, i, j, 1.0, t0)) < 1e-12
+        assert concurrence_trajectory(spec.pair(i, j), 1.0, t0 * 0.99) > 0.0
+        assert concurrence_trajectory(spec.pair(i, j), 1.0, t0 * 1.01) == 0.0
+        assert abs(concurrence_trajectory(spec.pair(i, j), 1.0, t0)) < 1e-12
 
 
 def test_discord_trajectory_matches_numeric_kraus_route(rng):
@@ -234,16 +233,16 @@ def test_discord_trajectory_matches_numeric_kraus_route(rng):
         t = float(rng.uniform(0.0, 2.5))
         side = MeasurementSide.FIRST if rng.uniform() < 0.5 else MeasurementSide.SECOND
         gamma = DephasingParams(rate=rate, time=t).gamma
-        evolved = apply_dephasing(reduced_pair_density(spec, i, j), gamma)
-        closed = discord_trajectory(spec, i, j, rate, t, side)
+        evolved = apply_dephasing(reduced_pair_density(spec.pair(i, j)), gamma)
+        closed = discord_trajectory(spec.pair(i, j), rate, t, side)
         numeric = geometric_discord_numeric(evolved, side)
         assert abs(closed.discord - numeric.discord) < 1e-12
 
 
 def test_discord_trajectory_at_zero_equals_static():
     spec = SuperpositionSpec(overlaps=(0.5, 0.5, 0.5), parity=Parity.EVEN)
-    static = mixed_discord_closed(spec, 1, 2)
-    traj = discord_trajectory(spec, 1, 2, 1.0, 0.0)
+    static = mixed_discord_closed(spec.pair(1, 2))
+    traj = discord_trajectory(spec.pair(1, 2), 1.0, 0.0)
     assert traj.discord == static.discord
     assert traj.branch is static.branch
 
@@ -252,8 +251,8 @@ def test_discord_branch_can_flip_during_evolution():
     # plus branch at t = 0 (lam1 largest) stays plus; a minus-branch
     # state flips to plus once the planar eigenvalues decay below lam1
     spec = SuperpositionSpec(overlaps=(0.5, 0.5, 0.5), parity=Parity.ODD)
-    start = discord_trajectory(spec, 1, 2, 1.0, 0.0)
-    late = discord_trajectory(spec, 1, 2, 1.0, 3.0)
+    start = discord_trajectory(spec.pair(1, 2), 1.0, 0.0)
+    late = discord_trajectory(spec.pair(1, 2), 1.0, 3.0)
     assert start.branch is Branch.MIXED_MINUS
     assert late.branch is Branch.MIXED_PLUS
     assert late.discord < start.discord
@@ -263,10 +262,10 @@ def test_discord_survives_where_concurrence_dies(rng):
     for _ in range(10):
         spec = random_spec(rng, n_min=3, n_max=5, extremes=False)
         i, j = random_pair(rng, spec.n)
-        t0 = sudden_death_time(spec, i, j, 1.0)
+        t0 = sudden_death_time(spec.pair(i, j), 1.0)
         if t0 <= 0.0 or math.isinf(t0):
             continue
-        after = discord_trajectory(spec, i, j, 1.0, 2.0 * t0)
+        after = discord_trajectory(spec.pair(i, j), 1.0, 2.0 * t0)
         assert after.concurrence == 0.0
         assert after.discord > 0.0
 
@@ -274,10 +273,10 @@ def test_discord_survives_where_concurrence_dies(rng):
 def _assert_grid_is_pointwise(spec, i, j, rate, times, side=MeasurementSide.FIRST):
     """discord_trajectory on an array of times equals the float call at each
     time bit for bit, the sign of a zero included."""
-    grid = discord_trajectory(spec, i, j, rate, times, side)
+    grid = discord_trajectory(spec.pair(i, j), rate, times, side)
     lams = [np.broadcast_to(lam, times.shape) for lam in grid.k_eigenvalues]
     for k, t in enumerate(times.tolist()):
-        point = discord_trajectory(spec, i, j, rate, t, side)
+        point = discord_trajectory(spec.pair(i, j), rate, t, side)
         assert grid.branch[k] == point.branch
         pairs = [(grid.discord[k], point.discord), (grid.concurrence[k], point.concurrence)]
         pairs += [(lam[k], want) for lam, want in zip(lams, point.k_eigenvalues)]
@@ -320,24 +319,29 @@ def test_params_take_an_array_of_times():
         with pytest.raises(DomainError, match="evolution time must be nonnegative"):
             DephasingParams(rate=1.0, time=np.array([0.0, bad, 1.0]))
     with pytest.raises(DomainError, match="dephasing rate"):
-        discord_trajectory(SuperpositionSpec(overlaps=(0.5, 0.5)), 1, 2, -1.0, times)
+        discord_trajectory(SuperpositionSpec(overlaps=(0.5, 0.5)).pair(1, 2), -1.0, times)
 
 
 def test_pure_split_dephasing_closed_laws(rng):
     # concurrence of the dephased split decays as exp(-rate t) and the
-    # numeric discord tracks half the squared decayed concurrence
+    # numeric discord tracks half the squared decayed concurrence; the
+    # closed trajectory of the split, which report's rate block prints, does too
     for _ in range(20):
         spec = random_spec(rng, n_min=2, n_max=6, extremes=False)
         k = int(rng.integers(1, spec.n))
         rate, t = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.0, 2.0))
-        split = pure_split(spec, k)
-        c0 = 2.0 * abs(split.c00 * split.c11 - split.c01 * split.c10)
+        split = pure_cut(spec, k)
+        c0 = mixed_discord_closed(split).concurrence
         gamma = DephasingParams(rate=rate, time=t).gamma
-        evolved = apply_dephasing(split.projector(), gamma)
+        evolved = apply_dephasing(reduced_pair_density(split), gamma)
         decayed = math.exp(-rate * t) * c0
         assert abs(concurrence_mixed(evolved) - decayed) < 1e-12
         numeric = geometric_discord_numeric(evolved)
         assert abs(numeric.discord - 0.5 * decayed ** 2) < 1e-12
+        closed = discord_trajectory(split, rate, t)
+        assert abs(closed.discord - numeric.discord) < 1e-12
+        assert abs(closed.concurrence - decayed) < 1e-12
+        assert sudden_death_time(split, rate) == math.inf
 
 
 @settings(max_examples=60, deadline=None)

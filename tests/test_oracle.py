@@ -72,7 +72,7 @@ def test_fibonacci_sphere_layout():
 def test_measurement_distance_axis_validation():
     # the single-axis objective agrees with the explicit projector sum
     rho = reduced_pair_density(SuperpositionSpec(overlaps=(0.5, 0.7, 0.3),
-                                                 parity=Parity.ODD), 1, 3)
+                                                 parity=Parity.ODD).pair(1, 3))
     for axis in fibonacci_sphere(8):
         for side in MeasurementSide:
             expected = _distance_by_projectors(rho, axis, side)
@@ -117,7 +117,7 @@ def test_measurement_distance_zero_for_classical_state():
 
 def test_measurement_distance_nonnegative_random_axes(rng):
     spec = SuperpositionSpec(overlaps=(0.5, 0.7, 0.3), parity=Parity.ODD)
-    rho = reduced_pair_density(spec, 1, 3)
+    rho = reduced_pair_density(spec.pair(1, 3))
     for axis in fibonacci_sphere(32):
         for side in MeasurementSide:
             assert measurement_distance(rho, tuple(axis), side) >= 0.0
@@ -128,7 +128,7 @@ def test_gram_path_matches_closed_density(rng):
         spec = random_spec(rng)
         i, j = random_pair(rng, spec.n)
         gap = np.max(np.abs(pair_density_from_overlaps(spec, i, j)
-                            - reduced_pair_density(spec, i, j)))
+                            - reduced_pair_density(spec.pair(i, j))))
         assert gap < 1e-12
 
 
@@ -138,11 +138,11 @@ def test_gram_path_handles_degenerate_overlaps():
     spec = SuperpositionSpec(overlaps=(1.0, 0.5, 1.0), parity=Parity.EVEN)
     for pair in ((1, 2), (1, 3), (2, 3)):
         gap = np.max(np.abs(pair_density_from_overlaps(spec, *pair)
-                            - reduced_pair_density(spec, *pair)))
+                            - reduced_pair_density(spec.pair(*pair))))
         assert gap < 1e-13
     zeros = SuperpositionSpec(overlaps=(0.0, 0.0), parity=Parity.ODD)
     gap = np.max(np.abs(pair_density_from_overlaps(zeros, 1, 2)
-                        - reduced_pair_density(zeros, 1, 2)))
+                        - reduced_pair_density(zeros.pair(1, 2))))
     assert gap < 1e-13
 
 
@@ -150,7 +150,7 @@ def test_search_agrees_with_spectrum_route(rng):
     for _ in range(15):
         spec = random_spec(rng, n_max=6, extremes=False)
         i, j = random_pair(rng, spec.n)
-        rho = reduced_pair_density(spec, i, j)
+        rho = reduced_pair_density(spec.pair(i, j))
         side = MeasurementSide.FIRST if rng.uniform() < 0.5 else MeasurementSide.SECOND
         found = discord_by_measurement_search(rho, side)
         expected = geometric_discord_numeric(rho, side).discord
@@ -161,7 +161,7 @@ def test_search_agrees_on_dephased_states(rng):
     for _ in range(8):
         spec = random_spec(rng, n_min=3, n_max=5, extremes=False)
         i, j = random_pair(rng, spec.n)
-        rho = apply_dephasing(reduced_pair_density(spec, i, j),
+        rho = apply_dephasing(reduced_pair_density(spec.pair(i, j)),
                               float(rng.uniform(0.1, 0.9)))
         found = discord_by_measurement_search(rho)
         expected = geometric_discord_numeric(rho).discord
@@ -170,7 +170,7 @@ def test_search_agrees_on_dephased_states(rng):
 
 def test_search_is_deterministic():
     spec = SuperpositionSpec(overlaps=(0.6, 0.4, 0.8), parity=Parity.EVEN)
-    rho = reduced_pair_density(spec, 1, 2)
+    rho = reduced_pair_density(spec.pair(1, 2))
     first = discord_by_measurement_search(rho)
     second = discord_by_measurement_search(rho)
     assert first == second
@@ -185,7 +185,7 @@ def test_search_zero_discord_state():
 
 def test_search_respects_side_asymmetry():
     spec = SuperpositionSpec(overlaps=(0.8, 0.5, 0.4), parity=Parity.ODD)
-    rho = reduced_pair_density(spec, 1, 2)
+    rho = reduced_pair_density(spec.pair(1, 2))
     first = discord_by_measurement_search(rho, MeasurementSide.FIRST)
     second = discord_by_measurement_search(rho, MeasurementSide.SECOND)
     assert abs(first - second) > 1e-2
@@ -199,7 +199,7 @@ def _search_inputs(rng) -> list:
     rhos = [np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)]
     while len(rhos) < 40:
         spec = random_spec(rng)
-        rho = reduced_pair_density(spec, *random_pair(rng, spec.n))
+        rho = reduced_pair_density(spec.pair(*random_pair(rng, spec.n)))
         rhos.append(rho)
         rhos.append(apply_dephasing(rho, float(rng.uniform())))
         rhos.append(random_density(rng))

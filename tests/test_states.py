@@ -19,11 +19,9 @@ from catcorr.states import (
     check_density,
     normalization,
     partial_trace,
-    pure_split,
-    qubit_map_coeffs,
     reduced_pair_density,
 )
-from conftest import random_density, random_spec
+from conftest import pure_cut, random_density, random_spec
 
 spec_strategy = st.builds(
     lambda ps, parity: (tuple(ps), parity),
@@ -60,12 +58,12 @@ def test_grid_spec_gives_each_point_its_own_state(rng):
     grid = (np.linspace(0.0, 0.999, 40), rng.uniform(0.0, 1.0, 40), np.full(40, 0.7))
     for parity in Parity:
         spec = SuperpositionSpec(overlaps=grid, parity=parity)
-        rho, split = reduced_pair_density(spec, 1, 3), pure_split(spec, 2)
-        assert rho.shape == (40, 4, 4) and split.projector().shape == (40, 4, 4)
+        rho, split = reduced_pair_density(spec.pair(1, 3)), reduced_pair_density(pure_cut(spec, 2))
+        assert rho.shape == (40, 4, 4) and split.shape == (40, 4, 4)
         for k in range(40):
             point = SuperpositionSpec(overlaps=tuple(float(p[k]) for p in grid), parity=parity)
-            assert np.array_equal(rho[k], reduced_pair_density(point, 1, 3))
-            assert np.array_equal(split.projector()[k], pure_split(point, 2).projector())
+            assert np.array_equal(rho[k], reduced_pair_density(point.pair(1, 3)))
+            assert np.array_equal(split[k], reduced_pair_density(pure_cut(point, 2)))
             assert normalization(point) == normalization(spec)[k]
 
 
@@ -118,17 +116,6 @@ def test_near_null_superposition_rejected_at_construction():
     assert first.value.point == expected[::-1].index(True)
 
 
-def test_qubit_map_frozen_values():
-    a, b = qubit_map_coeffs(0.5)
-    assert abs(a - 0.8660254037844386) < 1e-16
-    assert abs(b - 0.5) < 1e-16
-    assert qubit_map_coeffs(1.0) == (1.0, 0.0)
-    a0, b0 = qubit_map_coeffs(0.0)
-    assert abs(a0 - b0) < 1e-16
-    with pytest.raises(DomainError):
-        qubit_map_coeffs(1.5)
-
-
 def test_omitted_product_example_and_validation():
     spec = SuperpositionSpec(overlaps=(0.3, 0.5, 0.7, 0.9))
     assert abs(spec.omitted_product(2, 3) - 0.27) < 1e-15
@@ -144,37 +131,39 @@ def test_omitted_product_example_and_validation():
 
 
 def test_pure_split_even_sector_and_norm():
+    # the split density is |c><c| with c = (c00, 0, 0, c11)
     spec = SuperpositionSpec(overlaps=(0.5, 0.5), parity=Parity.EVEN)
-    split = pure_split(spec, 1)
-    assert split.c01 == 0.0 and split.c10 == 0.0
-    assert abs(np.sum(split.amplitudes ** 2) - 1.0) < 1e-14
-    # concurrence of this frozen case is 0.6
-    assert abs(2.0 * split.c00 * split.c11 - 0.6) < 1e-15
-    assert abs(split.schmidt_plus + split.schmidt_minus - 1.0) < 1e-15
-    assert abs(split.schmidt_plus - 0.9) < 1e-15
+    rho = reduced_pair_density(pure_cut(spec, 1))
+    assert np.max(np.abs(rho[1:3, :])) == 0.0 and np.max(np.abs(rho[:, 1:3])) == 0.0
+    assert abs(np.trace(rho).real - 1.0) < 1e-14
+    # concurrence 2 |c00 c11| of this frozen case is 0.6
+    assert abs(2.0 * abs(rho[0, 3]) - 0.6) < 1e-15
+    schmidt = np.linalg.eigvalsh(partial_trace(rho, 1))
+    assert abs(schmidt.sum() - 1.0) < 1e-15
+    assert abs(schmidt[1] - 0.9) < 1e-15
 
 
 def test_pure_split_odd_sector():
     spec = SuperpositionSpec(overlaps=(0.5, 0.5, 0.5), parity=Parity.ODD)
-    split = pure_split(spec, 1)
-    assert split.c00 == 0.0 and split.c11 == 0.0
-    assert abs(np.sum(split.amplitudes ** 2) - 1.0) < 1e-14
-    with pytest.raises(DomainError):
-        pure_split(spec, 3)
-    with pytest.raises(DomainError):
-        pure_split(spec, 0)
+    rho = reduced_pair_density(pure_cut(spec, 1))
+    assert rho[0, 0] == rho[3, 3] == rho[0, 3] == 0.0
+    assert abs(np.trace(rho).real - 1.0) < 1e-14
+    # a cut needs a mode on each side
+    for groups in (((1, 2, 3), ()), ((), (1, 2, 3))):
+        with pytest.raises(DomainError, match="at least one mode"):
+            spec.pair(*groups)
 
 
 def test_pure_split_projector_is_valid_density():
     spec = SuperpositionSpec(overlaps=(0.3, 0.8, 0.6), parity=Parity.ODD)
-    rho = pure_split(spec, 2).projector()
+    rho = reduced_pair_density(pure_cut(spec, 2))
     check_density(rho)
     assert abs(np.trace(rho @ rho).real - 1.0) < 1e-13
 
 
 def test_reduced_pair_density_frozen_x_structure():
     spec = SuperpositionSpec(overlaps=(0.5, 0.5, 0.5), parity=Parity.EVEN)
-    rho = reduced_pair_density(spec, 1, 2)
+    rho = reduced_pair_density(spec.pair(1, 2))
     zero_mask = np.array([
         [False, True, True, False],
         [True, False, False, True],
@@ -189,7 +178,7 @@ def test_reduced_pair_density_frozen_x_structure():
 
 def test_reduced_pair_density_all_zero_overlaps():
     spec = SuperpositionSpec(overlaps=(0.0, 0.0, 0.0), parity=Parity.EVEN)
-    rho = reduced_pair_density(spec, 1, 2)
+    rho = reduced_pair_density(spec.pair(1, 2))
     expected = np.array([
         [0.25, 0.0, 0.0, 0.25],
         [0.0, 0.25, 0.25, 0.0],
@@ -200,19 +189,25 @@ def test_reduced_pair_density_all_zero_overlaps():
 
 
 def test_reduced_pair_density_matches_partial_trace_of_split():
-    # with two modes the pair density is the split projector itself
+    # with two modes the pair density is the projector onto the split's
+    # amplitudes: each branch maps to a|0> +- b|1>, so even parity fills
+    # 00/11 (2N a a', 2N b b') and odd parity 01/10 (2N a b', 2N b a')
     for parity in (Parity.EVEN, Parity.ODD):
         spec = SuperpositionSpec(overlaps=(0.3, 0.7), parity=parity)
-        rho = reduced_pair_density(spec, 1, 2)
-        proj = pure_split(spec, 1).projector()
-        assert np.max(np.abs(rho - proj)) < 1e-14
+        rho = reduced_pair_density(spec.pair(1, 2))
+        (a1, b1), (a2, b2) = ((math.sqrt((1.0 + p) / 2.0), math.sqrt((1.0 - p) / 2.0))
+                              for p in (0.3, 0.7))
+        two_n = 2.0 * normalization(spec)
+        c = two_n * (np.array([a1 * a2, 0.0, 0.0, b1 * b2]) if parity is Parity.EVEN
+                     else np.array([0.0, a1 * b2, b1 * a2, 0.0]))
+        assert np.max(np.abs(rho - np.outer(c, c))) < 1e-14
 
 
 @settings(max_examples=150, deadline=None)
 @given(spec_strategy)
 def test_reduced_pair_density_is_density(params):
     spec = _build(*params)
-    rho = reduced_pair_density(spec, 1, spec.n)
+    rho = reduced_pair_density(spec.pair(1, spec.n))
     assert abs(np.trace(rho).real - 1.0) < 1e-12
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
 
@@ -281,7 +276,7 @@ def test_bloch_decompose_matches_explicit_pauli_traces(rng):
 
 def test_bloch_frozen_values_equal_overlaps():
     spec = SuperpositionSpec(overlaps=(0.5, 0.5, 0.5), parity=Parity.EVEN)
-    bloch = bloch_decompose(reduced_pair_density(spec, 1, 2))
+    bloch = bloch_decompose(reduced_pair_density(spec.pair(1, 2)))
     # R is diagonal with xx = 2/3, yy = -xx * q, zz = 2 N^2 (p^2 + q)
     assert abs(bloch.r[0, 0] - 2.0 / 3.0) < 1e-14
     assert abs(bloch.r[1, 1] + 1.0 / 3.0) < 1e-14
@@ -298,7 +293,7 @@ def test_bloch_local_vectors_match_marginals(rng):
     for _ in range(25):
         spec = random_spec(rng, n_max=6)
         i, j = 1, spec.n
-        rho = reduced_pair_density(spec, i, j)
+        rho = reduced_pair_density(spec.pair(i, j))
         bloch = bloch_decompose(rho)
         left = partial_trace(rho, 1)
         right = partial_trace(rho, 2)

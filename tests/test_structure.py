@@ -7,8 +7,7 @@ import catcorr
 # coupling between modules has to be added here on purpose
 ALLOWED_PRIVATE_IMPORTS = {
     ("cli", "states"): {"_bloch"},
-    ("correlations", "states"): {"_bloch", "_sqrt", "_square", "_where"},
-    ("dephasing", "correlations"): {"_pair_closed"},
+    ("correlations", "states"): {"_bloch", "_where"},
     ("dephasing", "states"): {"_each", "_where"},
 }
 
