@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -58,24 +59,24 @@ def _json_text(payload) -> str:
 
 
 def _emit_table(args, columns, rows, summary=None) -> None:
-    """Write value rows as CSV or as JSON {"columns", "rows"}.
-
-    summary, a (key, value) pair, becomes a top-level JSON key or a
-    trailing "# key=value" CSV comment.
-    """
+    """Write a list of rows, tuples of float and str cells (a column's kind is
+    read from the first row), as CSV or JSON {"columns", "rows"}, one `%` call
+    per row; summary, a (key, value) pair, is a JSON key or a "# key=value" line."""
+    kinds = ["%.9g" if isinstance(val, float) else "%s" for val in rows[0]]
     if args.format == "json":
-        payload = {
-            "columns": columns,
-            "rows": [{key: (_jnum(val) if isinstance(val, float) else val)
-                      for key, val in zip(columns, row)} for row in rows],
-        }
-        if summary is not None:
-            payload[summary[0]] = summary[1]
-        _emit(_json_text(payload), args.out)
+        # json.dumps(indent=2, sort_keys=True) of _jnum cells; the C encoder writes the cells
+        cells = [json.dumps(list(map(float, map(kind.__mod__, column))))[1:-1].split(", ")
+                 if kind == "%.9g" else list(map(encode_basestring_ascii, column))
+                 for kind, column in zip(kinds, zip(*rows))]
+        keys = sorted(dict(zip(columns, range(len(columns)))).items())  # as in a dict of a row
+        template = "\n    {%s\n    }" % ",".join(
+            f"\n      {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key, _ in keys)
+        body = ",".join(map(template.__mod__, zip(*[cells[at] for _, at in keys])))
+        skeleton = dict([("columns", columns), ("rows", [0])] + ([summary] if summary else []))
+        text = _json_text(skeleton).replace('"rows": [\n    0\n  ]', f'"rows": [{body}\n  ]')
+        _emit(text, args.out)
         return
-    lines = [",".join(columns)]
-    lines.extend(",".join([_fmt(val) if isinstance(val, float) else val for val in row])
-                 for row in rows)
+    lines = [",".join(columns), *map(",".join(kinds).__mod__, rows)]
     if summary is not None:
         key, val = summary
         lines.append(f"# {key}={_fmt(val) if isinstance(val, float) else val}")
@@ -139,6 +140,8 @@ def _mode_group(text: str):
 def _selection_from_args(args, n: int, default=None) -> tuple:
     """The two mode groups of --pair A B, or of --pure --k K as 1..K | K+1..n;
     `default` when neither is given."""
+    if not args.pure:
+        _reject_given(args, ("--k",), "{} needs --pure")
     if args.pure and args.pair is not None:
         raise DomainError("give either --pure/--k or --pair, not both")
     if args.pure:
@@ -194,6 +197,8 @@ def cmd_report(args) -> int:
         raise DomainError("--time needs --rate")
     if args.rate is not None:
         t = args.time if args.time is not None else 0.0
+        if not math.isfinite(t):
+            raise DomainError("report needs a finite --time")
         params = DephasingParams(rate=args.rate, time=t)
         traj = discord_trajectory(pair, args.rate, t, side)
         t0 = sudden_death_time(pair, args.rate)
@@ -221,7 +226,7 @@ def cmd_report(args) -> int:
                    "sudden_death_time"]
         row += [block[key] for key in ("rate", "time", "gamma", "discord",
                                        "concurrence", "sudden_death_time")]
-    _emit_table(args, header, [row])
+    _emit_table(args, header, [tuple(row)])
     return 0
 
 
@@ -300,7 +305,7 @@ def cmd_evolve(args) -> int:
     pair = spec.pair(*(args.pair if args.pair is not None else (1, 2)))
     traj = discord_trajectory(pair, args.rate, times, side)
     columns = [times, gamma, traj.discord, traj.concurrence]
-    rows = zip(*(column.tolist() for column in columns))
+    rows = list(zip(*(column.tolist() for column in columns)))
     t0 = sudden_death_time(pair, args.rate)
     t0_repr = "infinite" if math.isinf(t0) else _jnum(t0)
     _emit_table(args, _EVOLVE_COLUMNS, rows, summary=("sudden_death_time", t0_repr))

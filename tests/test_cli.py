@@ -75,6 +75,11 @@ def test_report_validation_failures_exit_2(capsys):
          "--pair", "1", "2"],                                              # bad spin label
         ["report", "--p", "0.5", "0.5", "--pair", "1", "2", "--time", "1"],  # time, no rate
         ["report", "--p", "0.5", "0.5", "--pair", "1", "2", "--rate", "inf"],  # infinite rate
+        # an infinite time printed "time": Infinity, which is not JSON
+        ["report", "--p", "0.5", "0.6", "--pair", "1", "2", "--rate", "1", "--time", "inf",
+         "--format", "json"],
+        ["report", "--p", "0.5", "0.6", "--pair", "1", "2", "--rate", "1", "--time", "nan"],
+        ["report", "--p", "0.5", "0.5", "0.5", "--pair", "1", "2", "--k", "1"],  # --k, no --pure
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
@@ -255,6 +260,8 @@ def test_sweep_rejects_inputs_it_would_ignore(capsys):
                            (["--z-stop", "0.2"], "--z-stop needs --family"),
                            (["--j", "1"], "--j needs --family"),
                            (["--bargmann", "1"], "--bargmann needs --family"),
+                           # the default pair ran and the split size was dropped
+                           (["--k", "1", "--steps", "3"], "--k needs --pure"),
                            (["--family", "su2", "--j", "inf", "--z-start", "0.1",
                              "--z-stop", "0.2"], "--j must be a positive integer or half-integer"),
                            (["--family", "su11", "--bargmann", "inf", "--z-start", "0.1",

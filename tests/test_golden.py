@@ -27,6 +27,8 @@ CASES = {
     "report_mixed_rate.json": ["report", "--n", "4", "--p", "0.5", "0.6", "0.7", "0.8",
                                "--parity", "even", "--pair", "1", "3", "--side", "second",
                                "--rate", "1", "--time", "0.3", "--format", "json"],
+    "report_groups.json": ["report", "--n", "4", "--p", "0.5", "0.6", "0.7", "0.8", "--parity",
+                           "odd", "--pair", "1,3", "4", "--format", "json"],
     "sweep_mixed_even.csv": ["sweep", "--n", "3", "--parity", "even", "--pair", "1", "2",
                              "--steps", "7"],
     "sweep_mixed_odd.csv": ["sweep", "--n", "4", "--parity", "odd", "--pair", "2", "4",
@@ -34,6 +36,13 @@ CASES = {
                             "--steps", "7"],
     "sweep_pure.json": ["sweep", "--n", "3", "--parity", "odd", "--pure", "--k", "2",
                         "--p-stop", "0.99", "--steps", "7", "--format", "json"],
+    # odd mixed pair crossing from mixed_minus to mixed_plus: string cells in JSON rows
+    "sweep_mixed_odd.json": ["sweep", "--n", "5", "--parity", "odd", "--pair", "2", "5",
+                             "--p-start", "0.05", "--p-stop", "0.95", "--steps", "9",
+                             "--format", "json"],
+    "sweep_su11.json": ["sweep", "--n", "3", "--family", "su11", "--bargmann", "1.5",
+                        "--z-start", "0", "--z-stop", "0.8", "--pair", "1", "3", "--steps", "7",
+                        "--format", "json"],
     "sweep_su2.csv": ["sweep", "--n", "3", "--family", "su2", "--j", "1.5", "--z-start", "0",
                       "--z-stop", "0.8", "--pair", "1", "3", "--steps", "7"],
     "evolve.csv": ["evolve", "--n", "4", "--p", "0.5", "0.6", "0.7", "0.8", "--parity", "odd",
@@ -43,6 +52,9 @@ CASES = {
                     "--format", "json"],
     "evolve_two_modes.csv": ["evolve", "--n", "2", "--p", "0.5", "0.5", "--rate", "1",
                              "--t-max", "3", "--steps", "7"],
+    # n = 2: nothing traced out, the summary is the string "infinite"
+    "evolve_two_modes.json": ["evolve", "--n", "2", "--p", "0.5", "0.5", "--rate", "1",
+                              "--t-max", "3", "--steps", "7", "--format", "json"],
     # minus-to-plus branch crossing at t_c = 0.401, between two rows
     "evolve_crossing.csv": ["evolve", "--n", "3", "--p", "0.9", "0.9", "0.9", "--parity", "odd",
                             "--pair", "1", "2", "--rate", "1", "--t-max", "3", "--steps", "31"],
