@@ -11,7 +11,6 @@ from .correlations import (
     Branch,
     CorrelationReport,
     DiscordWitness,
-    MeasurementSide,
     branch_and_discord,
     concurrence_mixed,
     geometric_discord_numeric,
@@ -71,7 +70,6 @@ __all__ = [
     "Family",
     "FamilyParams",
     "InvalidDensityError",
-    "MeasurementSide",
     "PairInputs",
     "Parity",
     "SuperpositionSpec",

@@ -10,6 +10,7 @@ violated.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,12 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .correlations import (
-    MeasurementSide,
-    geometric_discord_numeric,
-    k_spectrum_discord,
-    mixed_discord_closed,
-)
+from .correlations import geometric_discord_numeric, k_spectrum_discord, mixed_discord_closed
 from .dephasing import (
     DephasingParams,
     apply_dephasing,
@@ -157,6 +153,12 @@ def _selection_from_args(args, n: int, default=None) -> tuple:
     return default
 
 
+def _measured_first(side: str, groups) -> tuple:
+    """A selection's groups with the measured one first: --side second
+    measures B of --pair A B, the first group of the pair (B, A)."""
+    return tuple(groups) if side == "first" else tuple(groups)[::-1]
+
+
 def _describe_selection(groups, n: int) -> tuple:
     """(mode, CSV cell, JSON object) of a selection. The cut 1..k | k+1..n
     reads as pure split k however it was spelled; any other selection reads
@@ -170,10 +172,9 @@ def _describe_selection(groups, n: int) -> tuple:
 
 def cmd_report(args) -> int:
     spec = _spec_from_args(args)
-    side = MeasurementSide(args.side)
     groups = _selection_from_args(args, spec.n)
-    pair = spec.pair(*groups)
-    closed, rho = mixed_discord_closed(pair, side), reduced_pair_density(pair)
+    pair = spec.pair(*_measured_first(args.side, groups))
+    closed, rho = mixed_discord_closed(pair), reduced_pair_density(pair)
     lam1, lam2, lam3 = closed.k_eigenvalues
     mode, selection_repr, selection_json = _describe_selection(groups, spec.n)
     payload = {
@@ -183,9 +184,9 @@ def cmd_report(args) -> int:
             "parity": spec.parity.value,
         },
         "selection": selection_json,
-        "measurement_side": side.value,
+        "measurement_side": args.side,
         "discord": _jnum(closed.discord),
-        "discord_numeric": _jnum(k_spectrum_discord(rho, side)),
+        "discord_numeric": _jnum(k_spectrum_discord(rho)),
         "branch": closed.branch.value,
         "concurrence": _jnum(closed.concurrence),
         "lambda1": _jnum(lam1),
@@ -200,7 +201,7 @@ def cmd_report(args) -> int:
         if not math.isfinite(t):
             raise DomainError("report needs a finite --time")
         params = DephasingParams(rate=args.rate, time=t)
-        traj = discord_trajectory(pair, args.rate, t, side)
+        traj = discord_trajectory(pair, args.rate, t)
         t0 = sudden_death_time(pair, args.rate)
         payload["trajectory"] = {
             "rate": _jnum(args.rate),
@@ -219,7 +220,7 @@ def cmd_report(args) -> int:
               "lambda1", "lambda2", "lambda3"]
     row = [str(spec.n), spec.parity.value,
            " ".join(_fmt(p) for p in spec.overlaps), mode, selection_repr,
-           side.value] + [payload[key] for key in header[6:]]
+           args.side] + [payload[key] for key in header[6:]]
     if "trajectory" in payload:
         block = payload["trajectory"]
         header += ["rate", "time", "gamma", "discord_t", "concurrence_t",
@@ -260,31 +261,31 @@ def cmd_sweep(args) -> int:
         grid = np.array([overlap(z, params) for z in grid.tolist()])
     if grid.min() < 0.0 or grid.max() > 1.0:
         raise DomainError("overlap grid must stay within [0, 1]")
-    groups = _selection_from_args(args, args.n, default=(1, 2))
-    side = MeasurementSide(args.side)
+    groups = _measured_first(args.side, _selection_from_args(args, args.n, default=(1, 2)))
     parity = Parity(args.parity)
     rows = []
     for first in range(0, grid.size, _SWEEP_BLOCK):
         block = grid[first:first + _SWEEP_BLOCK]
-        columns = _sweep_columns(block, args.n, parity, groups, side)
+        columns = _sweep_columns(block, args.n, parity, groups)
         rows.extend(zip(*(np.broadcast_to(column, block.shape).tolist() for column in columns)))
     _emit_table(args, _SWEEP_COLUMNS, rows)
     return 0
 
 
-def _sweep_columns(grid, n: int, parity: Parity, groups: tuple, side: MeasurementSide) -> list:
-    """The sweep's columns for a block of grid points, in one pass: the closed
-    report and the K-spectrum discord of the densities (no numeric concurrence)."""
+def _sweep_columns(grid, n: int, parity: Parity, groups: tuple) -> list:
+    """The sweep's columns for a block of grid points, first group measured, in
+    one pass: the closed report and the K-spectrum discord of the densities (no
+    numeric concurrence)."""
     try:
         spec = SuperpositionSpec(overlaps=(grid,) * n, parity=parity)
     except DivergentNormalizationError as null:
         # point by point, a later stage failing before the first null state raised first
         if null.point:
-            _sweep_columns(grid[:null.point], n, parity, groups, side)
+            _sweep_columns(grid[:null.point], n, parity, groups)
         raise
     pair = spec.pair(*groups)
-    closed = mixed_discord_closed(pair, side)
-    return [grid, closed.discord, k_spectrum_discord(reduced_pair_density(pair), side),
+    closed = mixed_discord_closed(pair)
+    return [grid, closed.discord, k_spectrum_discord(reduced_pair_density(pair)),
             closed.branch, closed.concurrence, *closed.k_eigenvalues]
 
 
@@ -293,7 +294,6 @@ _EVOLVE_COLUMNS = ["t", "gamma", "discord", "concurrence"]
 
 def cmd_evolve(args) -> int:
     spec = _spec_from_args(args)
-    side = MeasurementSide(args.side)
     if args.rate is None:
         raise DomainError("evolve needs --rate")
     if args.t_max is None or not 0.0 < args.t_max < math.inf:
@@ -302,8 +302,9 @@ def cmd_evolve(args) -> int:
         raise DomainError("a time grid needs at least 2 steps")
     times = np.linspace(0.0, args.t_max, args.steps)
     gamma = DephasingParams(rate=args.rate, time=times).gamma
-    pair = spec.pair(*(args.pair if args.pair is not None else (1, 2)))
-    traj = discord_trajectory(pair, args.rate, times, side)
+    groups = args.pair if args.pair is not None else (1, 2)
+    pair = spec.pair(*_measured_first(args.side, groups))
+    traj = discord_trajectory(pair, args.rate, times)
     columns = [times, gamma, traj.discord, traj.concurrence]
     rows = list(zip(*(column.tolist() for column in columns)))
     t0 = sudden_death_time(pair, args.rate)
@@ -323,7 +324,7 @@ def _random_verify_samples(rng, count: int) -> list:
         except CatcorrError:
             continue
         i, j = sorted(int(x) + 1 for x in rng.choice(n, size=2, replace=False))
-        side = MeasurementSide.FIRST if rng.uniform() < 0.5 else MeasurementSide.SECOND
+        side = "first" if rng.uniform() < 0.5 else "second"
         rate = float(rng.uniform(0.2, 2.0))
         t = float(rng.uniform(0.0, 3.0))
         gamma = float(rng.uniform(0.0, 1.0))
@@ -335,7 +336,7 @@ def _describe_sample(sample) -> str:
     spec, i, j, side, rate, t, gamma = sample
     ps = ",".join(_fmt(p) for p in spec.overlaps)
     return (f"n={spec.n} parity={spec.parity.value} p=[{ps}] pair=({i},{j}) "
-            f"side={side.value} rate={_fmt(rate)} t={_fmt(t)} gamma={_fmt(gamma)}")
+            f"side={side} rate={_fmt(rate)} t={_fmt(t)} gamma={_fmt(gamma)}")
 
 
 _VERIFY_CHECKS = ("gram_vs_closed", "closed_vs_numeric", "kraus_vs_bloch_scaling",
@@ -346,47 +347,39 @@ def _verify_gaps(samples, searched: int) -> np.ndarray:
     """The deviations of every sample, one row per check in _VERIFY_CHECKS
     order; the search row holds the first `searched` samples only.
 
+    A second-side sample measures the first mode of its reversed pair (j, i).
     The closed routes and the Gram route run per sample; every numeric route
-    runs once over the stack of one side's samples. The search reads the
-    pair density, or the density dephased to time t when t > 1.5.
+    runs once over the stack of all samples. The search reads the pair
+    density, or the density dephased to time t when t > 1.5.
     """
     count = len(samples)
     rho = np.empty((count, 4, 4), dtype=complex)
     gram = np.empty_like(rho)
     closed, traj_discord, traj_concurrence, gamma, gamma_t, times = np.empty((6, count))
-    sides = []
     for k, (spec, i, j, side, rate, t, g) in enumerate(samples):
-        pair = spec.pair(i, j)
+        a, b = _measured_first(side, (i, j))
+        pair = spec.pair(a, b)
         rho[k] = reduced_pair_density(pair)
-        gram[k] = pair_density_from_overlaps(spec, i, j)
-        closed[k] = mixed_discord_closed(pair, side).discord
-        traj = discord_trajectory(pair, rate, t, side)
+        gram[k] = pair_density_from_overlaps(spec, a, b)
+        closed[k] = mixed_discord_closed(pair).discord
+        traj = discord_trajectory(pair, rate, t)
         traj_discord[k], traj_concurrence[k] = traj.discord, traj.concurrence
         gamma[k], gamma_t[k], times[k] = g, DephasingParams(rate=rate, time=t).gamma, t
-        sides.append(side)
     gaps = np.empty((len(_VERIFY_CHECKS), count))
     gaps[0] = np.abs(gram - rho).reshape(count, 16).max(axis=1)
-    for side in MeasurementSide:
-        group = np.flatnonzero([s is side for s in sides])
-        if not group.size:
-            continue
-        # the first route that reads the stack as densities checks it
-        discord = k_spectrum_discord(rho[group], side)
-        gaps[1, group] = np.abs(closed[group] - discord)
-        rebuilt = bloch_compose(dephased_bloch(_bloch(rho[group]), gamma[group]))
-        kraus = apply_dephasing(rho[group], gamma[group])
-        gaps[2, group] = np.abs(kraus - rebuilt).reshape(-1, 16).max(axis=1)
-        evolved = apply_dephasing(rho[group], gamma_t[group])
-        numeric = geometric_discord_numeric(evolved, side)
-        gaps[3, group] = np.maximum(np.abs(traj_discord[group] - numeric.discord),
-                                    np.abs(traj_concurrence[group] - numeric.concurrence))
-        hunted = group < searched
-        if hunted.any():
-            late = times[group] > 1.5
-            target = np.where(late[:, None, None], evolved, rho[group])[hunted]
-            expected = np.where(late, numeric.discord, discord)[hunted]
-            found = discord_by_measurement_search(target, side)
-            gaps[4, group[hunted]] = np.abs(found - expected)
+    # the first route that reads the stack as densities checks it
+    discord = k_spectrum_discord(rho)
+    gaps[1] = np.abs(closed - discord)
+    rebuilt = bloch_compose(dephased_bloch(_bloch(rho), gamma))
+    gaps[2] = np.abs(apply_dephasing(rho, gamma) - rebuilt).reshape(count, 16).max(axis=1)
+    evolved = apply_dephasing(rho, gamma_t)
+    numeric = geometric_discord_numeric(evolved)
+    gaps[3] = np.maximum(np.abs(traj_discord - numeric.discord),
+                         np.abs(traj_concurrence - numeric.concurrence))
+    late = (times > 1.5)[:searched]
+    target = np.where(late[:, None, None], evolved[:searched], rho[:searched])
+    expected = np.where(late, numeric.discord[:searched], discord[:searched])
+    gaps[4, :searched] = np.abs(discord_by_measurement_search(target) - expected)
     return gaps
 
 
@@ -449,7 +442,9 @@ def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output file (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The catcorr parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="catcorr",
         description="Pairwise quantum correlations of multimode coherent-state "

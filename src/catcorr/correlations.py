@@ -2,9 +2,11 @@
 
 Geometric discord is the squared Hilbert-Schmidt distance to the
 nearest classical-quantum state, computed from the spectrum of
-K = x x^T + R R^T (or the primed pair for measurements on the second
-member). For the states built in this package K is diagonal in closed
-form, so both a closed route and a spectral route exist and are kept
+K = x x^T + R R^T. The measured member is always the first: the first
+qubit of a density, the first group of a PairInputs. Measuring the
+second is measuring the first of the reversed pair, spec.pair(b, a).
+For the states built in this package K is diagonal in closed form, so
+both a closed route and a spectral route exist and are kept
 deliberately separate so they can check each other.
 
 The closed routes read the few numbers SuperpositionSpec.pair forms for
@@ -25,13 +27,6 @@ from .states import PAULI_PRODUCTS, BlochForm, PairInputs, _bloch, _where, check
 _WITNESS_TOL = 1e-10
 
 
-class MeasurementSide(str, Enum):
-    """Which member of the pair the local measurement acts on."""
-
-    FIRST = "first"
-    SECOND = "second"
-
-
 class Branch(str, Enum):
     """Which analytic (or numeric) expression produced a discord value."""
 
@@ -46,7 +41,8 @@ class Branch(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class CorrelationReport:
-    """Discord value plus the data that determined it.
+    """Discord value plus the data that determined it, for a measurement on
+    the first member of the pair.
 
     k_eigenvalues is labeled on the closed branches: (lam1, lam2, lam3)
     as pair_k_spectrum gives them, z eigenvalue first, which is
@@ -61,27 +57,27 @@ class CorrelationReport:
     concurrence: float
 
 
-def k_matrix(bloch: BlochForm, side: MeasurementSide = MeasurementSide.FIRST) -> np.ndarray:
-    """K = x x^T + R R^T, whose two smallest eigenvalues set the discord (side two: t^T).
+def k_matrix(bloch: BlochForm) -> np.ndarray:
+    """K = x x^T + R R^T of a measurement on the first qubit, whose two
+    smallest eigenvalues set the discord; x is the first qubit's Bloch vector.
 
     (..., 4, 4) Pauli tables give (..., 3, 3) matrices.
     """
-    t = bloch.t if side is MeasurementSide.FIRST else bloch.t.swapaxes(-1, -2)
-    x, r = t[..., 1:, 0], t[..., 1:, 1:]
+    x, r = bloch.x, bloch.r
     return x[..., :, None] * x[..., None, :] + r @ r.swapaxes(-1, -2)
 
 
-def _k_discord(rho: np.ndarray, side: MeasurementSide) -> tuple:
+def _k_discord(rho: np.ndarray) -> tuple:
     """Discord and descending K spectrum of checked densities, (..., 4, 4)."""
-    lams = np.linalg.eigh(k_matrix(_bloch(rho), side))[0][..., ::-1]
+    lams = np.linalg.eigh(k_matrix(_bloch(rho)))[0][..., ::-1]
     return 0.25 * (lams[..., 1] + lams[..., 2]), lams
 
 
-def geometric_discord_numeric(rho, side: MeasurementSide = MeasurementSide.FIRST) -> CorrelationReport:
+def geometric_discord_numeric(rho) -> CorrelationReport:
     """Discord of an arbitrary two-qubit state via the K spectrum; a
     (..., 4, 4) stack gives a report of arrays, one entry per member."""
     rho = check_density(rho)
-    discord, lams = _k_discord(rho, side)
+    discord, lams = _k_discord(rho)
     return CorrelationReport(
         discord=discord if rho.ndim > 2 else float(discord),
         branch=Branch.NUMERIC_K,
@@ -90,10 +86,10 @@ def geometric_discord_numeric(rho, side: MeasurementSide = MeasurementSide.FIRST
     )
 
 
-def k_spectrum_discord(rho, side: MeasurementSide = MeasurementSide.FIRST):
+def k_spectrum_discord(rho):
     """The discord of geometric_discord_numeric alone, without the spin-flip
     concurrence, for a density or each member of a (..., 4, 4) stack."""
-    return _k_discord(check_density(rho), side)[0]
+    return _k_discord(check_density(rho))[0]
 
 
 def concurrence_mixed(rho):
@@ -118,30 +114,27 @@ def _concurrence(rho: np.ndarray):
     return _where(gap > 0.0, gap, 0.0) if gap.ndim else max(0.0, float(gap))
 
 
-def pair_k_spectrum(pair: PairInputs, side: MeasurementSide = MeasurementSide.FIRST) -> tuple:
-    """Closed-form eigenvalues (lam1, lam2, lam3) of K for a selection's two groups.
+def pair_k_spectrum(pair: PairInputs) -> tuple:
+    """Closed-form eigenvalues (lam1, lam2, lam3) of K for a selection's two
+    groups, group a measured (group b: pass spec.pair(b, a)).
 
     lam1 is the eigenvalue along z, the sum of the squared local z component
-    z = p_m + cos(m pi) p_o q and zz correlation p_a p_b + cos(m pi) q (over
-    the denominator), m the measured group and o the other; measuring the
-    first member makes m group a. Even parity adds the squares, which has
-    no cancellation. With odd parity the sum equals
-    (1 + p_o^2)(d_q - d_m)^2 + 2 p_m q d_o^2, whose only difference is of
+    z = p_a + cos(m pi) p_b q and zz correlation p_a p_b + cos(m pi) q (over
+    the denominator). Even parity adds the squares, which has no
+    cancellation. With odd parity the sum equals
+    (1 + p_b^2)(d_q - d_a)^2 + 2 p_a q d_b^2, whose only difference is of
     two complements, so it keeps its digits near unit overlap where z and zz
     alone cancel. A pure split (q = 1) gives (2 - C^2, C^2, C^2).
     """
-    first = side is MeasurementSide.FIRST
-    p_meas, p_other = (pair.p_a, pair.p_b) if first else (pair.p_b, pair.p_a)
     scale = 1.0 / pair.denominator  # 2 N^2
     if pair.sign > 0:
-        z_local = scale * (p_meas + p_other * pair.q)
+        z_local = scale * (pair.p_a + pair.p_b * pair.q)
         zz = scale * (pair.p_a * pair.p_b + pair.q)
         lam1 = z_local * z_local + zz * zz
     else:
-        d_meas, d_other = (pair.d_a, pair.d_b) if first else (pair.d_b, pair.d_a)
-        gap = scale * (pair.d_q - d_meas)
-        tail = scale * d_other
-        lam1 = (1.0 + p_other * p_other) * gap * gap + 2.0 * p_meas * pair.q * tail * tail
+        gap = scale * (pair.d_q - pair.d_a)
+        tail = scale * pair.d_b
+        lam1 = (1.0 + pair.p_b * pair.p_b) * gap * gap + 2.0 * pair.p_a * pair.q * tail * tail
     xx = scale * pair.s_a * pair.s_b
     lam2 = xx * xx
     return lam1, lam2, lam2 * pair.q * pair.q
@@ -159,11 +152,10 @@ def branch_and_discord(lam1: float, lam2: float, lam3: float) -> tuple:
             0.25 * (_where(plus, lam2, lam1) + lam3))
 
 
-def mixed_discord_closed(pair: PairInputs,
-                         side: MeasurementSide = MeasurementSide.FIRST) -> CorrelationReport:
-    """Closed-form discord and concurrence of a selection's two groups; the
-    branch is pure exactly when nothing is traced out."""
-    lams = pair_k_spectrum(pair, side)
+def mixed_discord_closed(pair: PairInputs) -> CorrelationReport:
+    """Closed-form discord (group a measured) and concurrence of a selection's
+    two groups; the branch is pure exactly when nothing is traced out."""
+    lams = pair_k_spectrum(pair)
     branch, discord = branch_and_discord(*lams)
     # Same value as discord_trajectory's concurrence at t = 0, but
     # (1+q)-(1-q) is not 2q in floating point, so it keeps its own expression.

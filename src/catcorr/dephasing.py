@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import CorrelationReport, MeasurementSide, branch_and_discord, pair_k_spectrum
+from .correlations import CorrelationReport, branch_and_discord, pair_k_spectrum
 from .errors import DomainError
 from .states import BlochForm, PairInputs, _each, _where, check_density
 
@@ -100,18 +100,22 @@ def sudden_death_time(pair: PairInputs, rate: float) -> float:
 
     Zero initial concurrence gives zero straight away; unit omitted
     product (nothing traced out, as for a pure split) keeps the decay
-    strictly positive for all finite times.
+    strictly positive for all finite times. A finite time too large for
+    a float raises DomainError, so inf always means never.
     """
     if concurrence_trajectory(pair, rate, 0.0) <= 0.0:
         return 0.0
     if pair.d_q <= 0.0:
         return math.inf
-    return (math.log1p(pair.q) - math.log(pair.d_q)) / rate
+    t0 = (math.log1p(pair.q) - math.log(pair.d_q)) / rate
+    if math.isinf(t0):
+        raise DomainError(f"sudden-death time overflows a float at rate {rate!r}")
+    return t0
 
 
-def discord_trajectory(pair: PairInputs, rate: float, time: float | np.ndarray,
-                       side: MeasurementSide = MeasurementSide.FIRST) -> CorrelationReport:
-    """Closed-form discord and concurrence of the dephased pair.
+def discord_trajectory(pair: PairInputs, rate: float,
+                       time: float | np.ndarray) -> CorrelationReport:
+    """Closed-form discord (group a measured) and concurrence of the dephased pair.
 
     time is one instant (a float) or an (m,) array of them; an array
     gives a report of (m,) arrays, each member bit-equal to the float
@@ -127,7 +131,7 @@ def discord_trajectory(pair: PairInputs, rate: float, time: float | np.ndarray,
     spin-flip eigenvalue candidates.
     """
     DephasingParams(rate=rate, time=time)
-    lam1, lam2, lam3 = pair_k_spectrum(pair, side)
+    lam1, lam2, lam3 = pair_k_spectrum(pair)
     # rate * t first: -2.0 * rate can overflow to -inf, and -inf * 0 is NaN
     scale = _each(lambda t: math.exp(-2.0 * (rate * t)), time)
     lams = (lam1, lam2 * scale, lam3 * scale)

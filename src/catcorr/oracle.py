@@ -6,15 +6,14 @@ the two branch vectors, and discord is recovered by brute-force
 minimization of the Hilbert-Schmidt distance to the post-measurement
 state over projective measurement axes. Agreement between these
 routes and the analytic ones is the package's correctness argument,
-so keep this file free of imports from correlations except the
-measurement-side enum, which is shared for type compatibility only.
+so this file imports nothing from correlations or dephasing. The
+measurement acts on the first qubit of a density, as in every route.
 """
 
 import math
 
 import numpy as np
 
-from .correlations import MeasurementSide
 from .errors import DomainError
 from .states import PAULI_PRODUCTS, SuperpositionSpec, check_density, normalization
 
@@ -27,9 +26,6 @@ _COMPASS_MOVES = 64
 # the number of densities; scan passes of two stay in cache, larger ones are slower
 _SEARCH_BLOCK = 64
 _SCAN_BLOCK = 2
-# O_a = sigma_a (x) 1 or 1 (x) sigma_a, a = x, y, z: the local Paulis of the measured member
-_LOCAL_PAULIS = {MeasurementSide.FIRST: PAULI_PRODUCTS[1:, 0],
-                 MeasurementSide.SECOND: PAULI_PRODUCTS[0, 1:]}
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -91,11 +87,11 @@ def pair_density_from_overlaps(spec: SuperpositionSpec, i: int, j: int) -> np.nd
     return check_density(rho / trace)
 
 
-def measurement_distance(rho, axis, side: MeasurementSide = MeasurementSide.FIRST) -> float:
+def measurement_distance(rho, axis) -> float:
     """Squared distance from rho to its post-measurement state.
 
     The measurement is the projective pair along the given Bloch axis
-    on one member of the pair; the objective being minimized over axes
+    on the first qubit; the objective being minimized over axes
     is Tr[(rho - chi)^2] with chi the dephased-in-basis state.
     """
     rho = check_density(rho)
@@ -106,7 +102,7 @@ def measurement_distance(rho, axis, side: MeasurementSide = MeasurementSide.FIRS
     if abs(norm - 1.0) > 1e-12:
         raise DomainError(f"measurement axis must be unit length, |e| = {norm}")
     stack = _stack(rho)
-    return float(_distances(stack, _sandwiches(stack, side), axis[None])[0, 0])
+    return float(_distances(stack, _sandwiches(stack), axis[None])[0, 0])
 
 
 def _stack(rho: np.ndarray) -> np.ndarray:
@@ -115,14 +111,15 @@ def _stack(rho: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rho).reshape(-1, 4, 4)
 
 
-def _sandwiches(rho: np.ndarray, side: MeasurementSide) -> np.ndarray:
-    """T_ab = O_a rho O_b for a, b = x, y, z, as (m, 9, 32) real tables.
+def _sandwiches(rho: np.ndarray) -> np.ndarray:
+    """T_ab = O_a rho O_b for a, b = x, y, z, O_a = sigma_a (x) 1, as (m, 9, 32)
+    real tables.
 
     Each O_a has one entry of 1, -1, i or -i per row, so every T_ab is
     rho's entries moved and sign-flipped, exactly. Row 3a + b holds T_ab's
     16 entries, real and imaginary parts interleaved.
     """
-    ops = _LOCAL_PAULIS[side]
+    ops = PAULI_PRODUCTS[1:, 0]
     products = ops[:, None] @ rho[:, None, None] @ ops
     return products.reshape(len(rho), 9, 16).view(np.float64)
 
@@ -132,7 +129,7 @@ def _distances(rho: np.ndarray, tables: np.ndarray, axes: np.ndarray) -> np.ndar
     axis, for (n, 3) axes shared by all densities or (m, n, 3) axes of
     their own: an (m, n) array.
 
-    With S = e.sigma on the measured member, the projectors are (1 +- S)/2,
+    With S = e.sigma on the first qubit, the projectors are (1 +- S)/2,
     so the post-measurement state sum_+- P rho P is chi = (rho + S rho S)/2,
     and S rho S = sum_ab e_a e_b T_ab: one real product with the tables
     gives every entry of every axis's chi. Each density is its own matrix
@@ -166,7 +163,7 @@ def _spherical(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return axes
 
 
-def discord_by_measurement_search(rho, side: MeasurementSide = MeasurementSide.FIRST):
+def discord_by_measurement_search(rho):
     """Geometric discord by direct minimization over measurement axes, for a
     density or each member of a (..., 4, 4) stack.
 
@@ -187,13 +184,13 @@ def discord_by_measurement_search(rho, side: MeasurementSide = MeasurementSide.F
     best = np.empty(len(stack))
     for first in range(0, len(stack), _SEARCH_BLOCK):
         block = slice(first, first + _SEARCH_BLOCK)
-        best[block] = _lockstep_search(stack[block], side)
+        best[block] = _lockstep_search(stack[block])
     return float(best[0]) if rho.ndim == 2 else best.reshape(rho.shape[:-2])
 
 
-def _lockstep_search(stack: np.ndarray, side: MeasurementSide) -> np.ndarray:
+def _lockstep_search(stack: np.ndarray) -> np.ndarray:
     """discord_by_measurement_search of each density of an (m, 4, 4) stack."""
-    tables = _sandwiches(stack, side)
+    tables = _sandwiches(stack)
     count = len(stack)
     best = np.empty(count)
     seed = np.empty(count, dtype=np.intp)

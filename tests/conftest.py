@@ -51,3 +51,12 @@ def haar_qubit(rng):
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def swap_qubits(rho):
+    """rho, or each member of a (..., 4, 4) stack, with its two qubits
+    exchanged: the library measures the first qubit, so this measures the
+    second. For one density it is rho.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)."""
+    rho = np.asarray(rho)
+    lead = rho.shape[:-2]
+    return rho.reshape(lead + (2, 2, 2, 2)).swapaxes(-4, -3).swapaxes(-2, -1).reshape(lead + (4, 4))

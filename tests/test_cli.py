@@ -10,7 +10,7 @@ import numpy as np
 
 import catcorr.cli
 from catcorr.cli import main
-from catcorr.correlations import MeasurementSide, geometric_discord_numeric, mixed_discord_closed
+from catcorr.correlations import geometric_discord_numeric, mixed_discord_closed
 from catcorr.dephasing import DephasingParams
 from catcorr.kernels import WEYL_HEISENBERG, overlap, su2, su11
 from catcorr.states import Parity, SuperpositionSpec, reduced_pair_density
@@ -80,6 +80,8 @@ def test_report_validation_failures_exit_2(capsys):
          "--format", "json"],
         ["report", "--p", "0.5", "0.6", "--pair", "1", "2", "--rate", "1", "--time", "nan"],
         ["report", "--p", "0.5", "0.5", "0.5", "--pair", "1", "2", "--k", "1"],  # --k, no --pure
+        # a finite sudden-death time beyond the largest float once printed "infinite"
+        ["report", "--n", "3", "--p", "0.5", "0.6", "0.7", "--pair", "1", "2", "--rate", "1e-320"],
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
@@ -310,20 +312,22 @@ def test_sweep_rows_equal_pointwise_routes(capsys):
     fmt = catcorr.cli._fmt
     for kind in ("mixed", "pure", "family"):
         for parity in ("even", "odd"):
-            for side in MeasurementSide:
+            for side in ("first", "second"):
                 # one grid longer than a stacked pass, where odd grids are most delicate
                 steps = 700 if (kind, parity) == ("mixed", "odd") else int(rng.integers(40, 90))
                 n, selection, flags, grid = _sweep_argv(rng, kind, parity, steps)
-                argv = ["sweep", "--n", str(n), "--parity", parity, "--side", side.value, *flags]
+                argv = ["sweep", "--n", str(n), "--parity", parity, "--side", side, *flags]
+                # the second side measures the first group of the reversed pair
+                groups = selection if side == "first" else selection[::-1]
                 code, out, err = run_cli(capsys, *argv)
                 assert code == 0 and err == "", argv
                 rows = out.splitlines()[1:]
                 assert len(rows) == len(grid), argv
                 for p, row in zip(grid, rows):
-                    pair = SuperpositionSpec(overlaps=(p,) * n, parity=Parity(parity)).pair(*selection)
-                    closed = mixed_discord_closed(pair, side)
+                    pair = SuperpositionSpec(overlaps=(p,) * n, parity=Parity(parity)).pair(*groups)
+                    closed = mixed_discord_closed(pair)
                     rho = reduced_pair_density(pair)
-                    numeric = geometric_discord_numeric(rho, side).discord
+                    numeric = geometric_discord_numeric(rho).discord
                     expected = [fmt(p), fmt(closed.discord), fmt(numeric), closed.branch.value,
                                 fmt(closed.concurrence), *map(fmt, closed.k_eigenvalues)]
                     assert row == ",".join(expected), (argv, p)
@@ -452,7 +456,10 @@ def test_evolve_validation(capsys):
     for flags, message in (
             (["--rate", "1", "--t-max", "inf"], "evolve needs a positive, finite --t-max"),
             (["--rate", "1", "--t-max", "nan"], "evolve needs a positive, finite --t-max"),
-            (["--rate", "inf", "--t-max", "1"], "dephasing rate must be positive and finite")):
+            (["--rate", "inf", "--t-max", "1"], "dephasing rate must be positive and finite"),
+            # a finite sudden-death time beyond the largest float once printed "infinite"
+            (["--rate", "1e-320", "--t-max", "1e300", "--format", "json"],
+             "sudden-death time overflows a float at rate 1e-320")):
         code, out, err = run_cli(capsys, "evolve", "--n", "3", "--p", "0.5", "0.5", "0.5",
                                  "--steps", "3", *flags)
         assert code == 2 and out == "", flags
@@ -576,11 +583,11 @@ def _count_calls(monkeypatch, targets) -> Counter:
     ("evolve --n 4 --p 0.5 0.5 0.5 0.5 --pair 1 2 --rate 1 --t-max 1.5 --steps 100",
      {"__post_init__": 3, "pair": 1, "pair_k_spectrum": 2, "omitted_product": 0}),
     # closed and Gram routes per sample (the Gram route checks its density);
-    # each numeric route once per side group, the search on the first 48
-    # samples of each group: 100 + 2 * 5 density checks
+    # each numeric route once over all samples, the search on the first 48:
+    # 100 + 5 density checks
     ("verify --samples 100",
-     {"pair": 100, "reduced_pair_density": 100, "apply_dephasing": 4, "k_spectrum_discord": 2,
-      "discord_by_measurement_search": 2, "check_density": 110}),
+     {"pair": 100, "reduced_pair_density": 100, "apply_dephasing": 2, "k_spectrum_discord": 1,
+      "discord_by_measurement_search": 1, "check_density": 105}),
 ])
 def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact):
     correlations, states = catcorr.correlations, catcorr.states
@@ -635,3 +642,45 @@ def test_pure_and_pair_spellings_of_one_cut_print_the_same(capsys):
         code, out, err = run_cli(capsys, "report", "--n", "4", "--p", "0.5", "0.6", "0.7", "0.8",
                                  *bad)
         assert code == 2 and out == "" and err.startswith("error:"), bad
+
+
+@pytest.mark.parametrize("command", [
+    "report --n 4 --p 0.5 0.6 0.7 0.8 --parity {parity} --rate 1 --time 0.4",
+    "report --n 4 --p 0.5 0.6 0.7 0.8 --parity {parity} --format json",
+    "sweep --n 4 --parity {parity} --p-stop 0.99 --steps 40",
+    "evolve --n 4 --p 0.3 0.6 0.8 0.4 --parity {parity} --rate 0.7 --t-max 3 --steps 40",
+])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("groups", [("1", "2"), ("1,3", "4"), ("4", "1,2,3")])
+def test_second_side_is_the_first_side_of_the_reversed_pair(capsys, command, parity, groups):
+    # --side second --pair A B is a spelling of --side first --pair B A; only
+    # report's selection labels tell the two apart
+    def numbers(side, pair):
+        argv = command.format(parity=parity).split() + ["--side", side, "--pair", *pair]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if argv[0] != "report":
+            return out
+        row = json.loads(out) if "json" in argv else parse_csv(out)[1][0]
+        return {key: val for key, val in row.items()
+                if key not in ("selection", "measurement_side")}
+
+    assert numbers("second", groups) == numbers("first", groups[::-1])
+
+
+def test_parser_built_once_parses_each_request_afresh(capsys):
+    # main reuses one parser: a later request sees none of an earlier one's flags
+    assert catcorr.cli.build_parser() is catcorr.cli.build_parser()
+    base = ["report", "--n", "3", "--p", "0.5", "0.6", "0.7", "--pair", "1", "2"]
+    code, out, _ = run_cli(capsys, *base, "--rate", "1", "--time", "0.3")
+    assert code == 0 and "sudden_death_time" in out.splitlines()[0]
+    code, out, err = run_cli(capsys, *base)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].split(",")[-1] == "lambda3"
+    # an argparse error still exits 2 with the message a freshly built parser gives
+    code, out, err = run_cli(capsys, "report", "--side", "third")
+    assert (code, out) == (2, "") and "invalid choice: 'third'" in err
+    with pytest.raises(SystemExit):
+        catcorr.cli.build_parser.__wrapped__().parse_args(["report", "--side", "third"])
+    assert capsys.readouterr().err == err
+    assert run_cli(capsys, "report", "--side", "third") == (2, "", err)

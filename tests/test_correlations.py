@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from catcorr.correlations import (
     Branch,
     DiscordWitness,
-    MeasurementSide,
     branch_and_discord,
     concurrence_mixed,
     geometric_discord_numeric,
@@ -21,6 +20,7 @@ from catcorr.correlations import (
 )
 from catcorr.dephasing import discord_trajectory
 from catcorr.errors import InvalidDensityError
+from catcorr.oracle import discord_by_measurement_search
 from catcorr.states import (
     SIGMA_X,
     SIGMA_Y,
@@ -31,7 +31,7 @@ from catcorr.states import (
     check_density,
     reduced_pair_density,
 )
-from conftest import haar_qubit, pure_cut, random_density, random_pair, random_spec
+from conftest import haar_qubit, pure_cut, random_density, random_pair, random_spec, swap_qubits
 
 overlap_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -154,13 +154,13 @@ def test_grid_routes_equal_single_state_routes():
     for parity in Parity:
         grid = SuperpositionSpec(overlaps=(p, p[::-1], np.full(p.size, 0.6), p), parity=parity)
         pure = mixed_discord_closed(pure_cut(grid, 1))
-        for side in MeasurementSide:
-            closed = mixed_discord_closed(grid.pair(2, 4), side)
-            numeric = k_spectrum_discord(reduced_pair_density(grid.pair(2, 4)), side)
+        for groups in ((2, 4), (4, 2)):
+            closed = mixed_discord_closed(grid.pair(*groups))
+            numeric = k_spectrum_discord(reduced_pair_density(grid.pair(*groups)))
             for k in range(p.size):
                 spec = SuperpositionSpec(overlaps=tuple(float(o[k]) for o in grid.overlaps),
                                          parity=parity)
-                one = mixed_discord_closed(spec.pair(2, 4), side)
+                one = mixed_discord_closed(spec.pair(*groups))
                 assert (closed.discord[k], closed.concurrence[k], closed.branch[k]) == (
                     one.discord, one.concurrence, one.branch.value)
                 assert tuple(lam[k] for lam in closed.k_eigenvalues) == one.k_eigenvalues
@@ -168,7 +168,7 @@ def test_grid_routes_equal_single_state_routes():
                 assert (pure.discord[k], pure.concurrence[k]) == (split.discord, split.concurrence)
                 if k % 50 == 0:
                     assert numeric[k] == geometric_discord_numeric(
-                        reduced_pair_density(spec.pair(2, 4)), side).discord
+                        reduced_pair_density(spec.pair(*groups))).discord
 
 
 def test_mixed_closed_matches_numeric_both_sides(rng):
@@ -176,44 +176,48 @@ def test_mixed_closed_matches_numeric_both_sides(rng):
         spec = random_spec(rng, n_min=2, n_max=7)
         i, j = random_pair(rng, spec.n)
         rho = reduced_pair_density(spec.pair(i, j))
-        for side in MeasurementSide:
-            closed = mixed_discord_closed(spec.pair(i, j), side)
-            numeric = geometric_discord_numeric(rho, side)
+        # measuring mode j: the pair (j, i), the second qubit of rho
+        for pair, measured in ((spec.pair(i, j), rho), (spec.pair(j, i), swap_qubits(rho))):
+            closed = mixed_discord_closed(pair)
+            numeric = geometric_discord_numeric(measured)
             assert abs(closed.discord - numeric.discord) < 1e-12
             # the numeric report carries K's spectrum in descending order
             lams = numeric.k_eigenvalues
             assert lams[0] >= lams[1] >= lams[2]
-            expected = np.linalg.eigvalsh(k_matrix(bloch_decompose(rho), side))[::-1]
+            expected = np.linalg.eigvalsh(k_matrix(bloch_decompose(measured)))[::-1]
             assert np.max(np.abs(lams - expected)) < 1e-12
             assert abs(closed.concurrence - numeric.concurrence) < 1e-12
 
 
 def test_measurement_side_matters_for_unequal_overlaps():
     # zz vanishes here (p1 p2 = q, odd), so lam1 is pure z_local^2 and
-    # straddles lam2 depending on the side: plus branch measured on the
-    # first member, minus branch on the second
+    # straddles lam2 depending on the side: plus branch measured on mode 1,
+    # minus branch on mode 2, the first group of the pair (2, 1)
     spec = SuperpositionSpec(overlaps=(0.8, 0.5, 0.4), parity=Parity.ODD)
-    first = mixed_discord_closed(spec.pair(1, 2), MeasurementSide.FIRST)
-    second = mixed_discord_closed(spec.pair(1, 2), MeasurementSide.SECOND)
+    first = mixed_discord_closed(spec.pair(1, 2))
+    second = mixed_discord_closed(spec.pair(2, 1))
     assert first.branch is Branch.MIXED_PLUS
     assert second.branch is Branch.MIXED_MINUS
     assert abs(first.discord - second.discord) > 1e-2
     # the side only ever selects lam1; the planar pair is shared
-    lam_f = pair_k_spectrum(spec.pair(1, 2), MeasurementSide.FIRST)
-    lam_s = pair_k_spectrum(spec.pair(1, 2), MeasurementSide.SECOND)
+    lam_f = pair_k_spectrum(spec.pair(1, 2))
+    lam_s = pair_k_spectrum(spec.pair(2, 1))
     assert abs(lam_f[0] - lam_s[0]) > 1e-3
     assert lam_f[1] == lam_s[1] and lam_f[2] == lam_s[2]
     # equal overlaps make the two sides agree
     eq = SuperpositionSpec(overlaps=(0.5, 0.5, 0.5), parity=Parity.ODD)
-    assert abs(mixed_discord_closed(eq.pair(1, 2), MeasurementSide.FIRST).discord
-               - mixed_discord_closed(eq.pair(1, 2), MeasurementSide.SECOND).discord) < 1e-15
+    assert abs(mixed_discord_closed(eq.pair(1, 2)).discord
+               - mixed_discord_closed(eq.pair(2, 1)).discord) < 1e-15
 
 
 def test_swapping_pair_indices_swaps_sides():
+    # the density of the pair (2, 1) is that of (1, 2) with its qubits swapped
     spec = SuperpositionSpec(overlaps=(0.9, 0.2, 0.6), parity=Parity.EVEN)
-    a = mixed_discord_closed(spec.pair(1, 2), MeasurementSide.FIRST)
-    b = mixed_discord_closed(spec.pair(2, 1), MeasurementSide.SECOND)
-    assert abs(a.discord - b.discord) < 1e-15
+    rho = reduced_pair_density(spec.pair(1, 2))
+    assert np.max(np.abs(reduced_pair_density(spec.pair(2, 1)) - swap_qubits(rho))) < 1e-16
+    a = mixed_discord_closed(spec.pair(1, 2))
+    b = k_spectrum_discord(swap_qubits(reduced_pair_density(spec.pair(2, 1))))
+    assert abs(a.discord - b) < 1e-15
 
 
 def test_branch_switch_location_three_modes_even():
@@ -467,7 +471,7 @@ def test_geometric_discord_numeric_checks_density_once(monkeypatch):
         monkeypatch.setattr(f"{module}.check_density", counting)
     rho = reduced_pair_density(SuperpositionSpec(overlaps=(0.5, 0.5, 0.5)).pair(1, 2))
     calls.clear()
-    report = geometric_discord_numeric(rho, MeasurementSide.SECOND)
+    report = geometric_discord_numeric(rho)
     assert len(calls) == 1
     assert abs(report.discord - 5.0 / 36.0) < 1e-12
 
@@ -480,20 +484,24 @@ def test_closed_reports_carry_the_labeled_k_spectrum(rng):
     assert pair_k_spectrum(specs[0].pair(1, 2))[0] < pair_k_spectrum(specs[0].pair(1, 2))[1]
     for spec in specs:
         i, j = random_pair(rng, spec.n)
-        for side in MeasurementSide:
-            expected = pair_k_spectrum(spec.pair(i, j), side)
-            assert mixed_discord_closed(spec.pair(i, j), side).k_eigenvalues == expected
-            assert discord_trajectory(spec.pair(i, j), 0.7, 0.0, side).k_eigenvalues == expected
+        for pair in (spec.pair(i, j), spec.pair(j, i)):
+            expected = pair_k_spectrum(pair)
+            assert mixed_discord_closed(pair).k_eigenvalues == expected
+            assert discord_trajectory(pair, 0.7, 0.0).k_eigenvalues == expected
 
 
 def test_k_matrix_side_selection():
+    # K of the swapped density measures the second qubit: y y^T + R^T R of rho
     spec = SuperpositionSpec(overlaps=(0.9, 0.2, 0.6), parity=Parity.EVEN)
-    bloch = bloch_decompose(reduced_pair_density(spec.pair(1, 2)))
-    k_first = k_matrix(bloch, MeasurementSide.FIRST)
-    k_second = k_matrix(bloch, MeasurementSide.SECOND)
+    rho = reduced_pair_density(spec.pair(1, 2))
+    bloch = bloch_decompose(rho)
+    k_first = k_matrix(bloch)
+    k_second = k_matrix(bloch_decompose(swap_qubits(rho)))
+    y, r = bloch.y, bloch.r
+    assert np.max(np.abs(k_second - (np.outer(y, y) + r.T @ r))) < 1e-15
     assert np.max(np.abs(k_first - k_first.T)) < 1e-14
     assert np.max(np.abs(k_first - k_second)) > 1e-3
-    lam1, lam2, lam3 = pair_k_spectrum(spec.pair(1, 2), MeasurementSide.SECOND)
+    lam1, lam2, lam3 = pair_k_spectrum(spec.pair(2, 1))
     numeric = np.sort(np.linalg.eigvalsh(k_second))[::-1]
     closed = np.sort(np.array([lam1, lam2, lam3]))[::-1]
     assert np.max(np.abs(numeric - closed)) < 1e-14
@@ -504,10 +512,10 @@ def test_k_matrix_side_selection():
 def test_numeric_k_spectrum_matches_eigvalsh_on_random_densities(rng):
     for _ in range(200):
         rho = random_density(rng)
-        for side in MeasurementSide:
-            report = geometric_discord_numeric(rho, side)
+        for measured in (rho, swap_qubits(rho)):
+            report = geometric_discord_numeric(measured)
             lams = report.k_eigenvalues
-            expected = np.linalg.eigvalsh(k_matrix(bloch_decompose(rho), side))[::-1]
+            expected = np.linalg.eigvalsh(k_matrix(bloch_decompose(measured)))[::-1]
             assert lams[0] >= lams[1] >= lams[2]
             assert np.max(np.abs(lams - expected)) < 1e-12
             assert report.discord == 0.25 * (lams[1] + lams[2])
@@ -515,11 +523,11 @@ def test_numeric_k_spectrum_matches_eigvalsh_on_random_densities(rng):
 
 def test_numeric_k_spectrum_of_a_stack_is_each_density_alone(rng):
     stack = np.array([[random_density(rng) for _ in range(2)] for _ in range(5)])
-    for side in MeasurementSide:
-        discord = k_spectrum_discord(stack, side)
+    for measured in (stack, swap_qubits(stack)):
+        discord = k_spectrum_discord(measured)
         assert discord.shape == (5, 2)
         for idx in np.ndindex(5, 2):
-            assert discord[idx] == geometric_discord_numeric(stack[idx], side).discord
+            assert discord[idx] == geometric_discord_numeric(measured[idx]).discord
 
 
 def test_numeric_route_on_a_stack_is_bitwise_single_calls(rng):
@@ -531,16 +539,16 @@ def test_numeric_route_on_a_stack_is_bitwise_single_calls(rng):
         rhos.append(reduced_pair_density(pure_cut(spec, 1)))
     stack = np.array(rhos)
     assert concurrence_mixed(stack).tolist() == [concurrence_mixed(rho) for rho in rhos]
-    for side in MeasurementSide:
-        report = geometric_discord_numeric(stack, side)
-        discord = k_spectrum_discord(stack, side)
+    for measured in (stack, swap_qubits(stack)):
+        report = geometric_discord_numeric(measured)
+        discord = k_spectrum_discord(measured)
         assert report.discord.shape == report.concurrence.shape == (len(rhos),)
         assert report.k_eigenvalues.shape == (len(rhos), 3)
-        for k, rho in enumerate(rhos):
-            one = geometric_discord_numeric(rho, side)
+        for k, rho in enumerate(measured):
+            one = geometric_discord_numeric(rho)
             assert (report.discord[k], report.concurrence[k]) == (one.discord, one.concurrence)
             assert report.k_eigenvalues[k].tolist() == one.k_eigenvalues.tolist()
-            assert discord[k] == k_spectrum_discord(rho, side) == one.discord
+            assert discord[k] == k_spectrum_discord(rho) == one.discord
 
 
 def test_numeric_route_on_a_stack_rejects_its_first_bad_member():
@@ -558,11 +566,9 @@ def test_numeric_k_spectrum_descending_and_exact_on_diagonal():
     # entries, so its numeric spectrum is exact and comes largest first
     rho = (np.eye(4) + 0.5 * np.kron(SIGMA_Z, np.eye(2)) + 0.375 * np.kron(SIGMA_X, SIGMA_X)
            + 0.25 * np.kron(SIGMA_Y, SIGMA_Y) + 0.125 * np.kron(SIGMA_Z, SIGMA_Z)) / 4.0
-    for side in MeasurementSide:
-        lams = geometric_discord_numeric(rho, side).k_eigenvalues
-        expected = [0.265625, 0.140625, 0.0625] if side is MeasurementSide.FIRST else [
-            0.140625, 0.0625, 0.015625]
-        assert lams.tolist() == expected, side
+    for measured, expected in ((rho, [0.265625, 0.140625, 0.0625]),
+                               (swap_qubits(rho), [0.140625, 0.0625, 0.015625])):
+        assert geometric_discord_numeric(measured).k_eigenvalues.tolist() == expected
 
 
 def test_numeric_k_spectrum_handles_degenerate_spectrum():
@@ -570,8 +576,8 @@ def test_numeric_k_spectrum_handles_degenerate_spectrum():
     singlet_corr = sum(np.kron(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
     for c in (0.0, 0.25, 0.5, 1.0 / 3.0):
         rho = (np.eye(4) - c * singlet_corr) / 4.0
-        for side in MeasurementSide:
-            report = geometric_discord_numeric(rho, side)
+        for measured in (rho, swap_qubits(rho)):
+            report = geometric_discord_numeric(measured)
             assert np.max(np.abs(report.k_eigenvalues - c * c)) < 1e-15
             assert abs(report.discord - 0.5 * c * c) < 1e-15
 
@@ -620,22 +626,60 @@ def test_groups_match_the_brute_force_state_vector(rng):
         group_a, group_b = tuple(order[:size_a]), tuple(order[size_a:size_a + size_b])
         for parity in Parity:
             brute = _brute_pair_density(overlaps, parity.sign, group_a, group_b)
-            pair = SuperpositionSpec(overlaps=overlaps, parity=parity).pair(group_a, group_b)
+            spec = SuperpositionSpec(overlaps=overlaps, parity=parity)
+            pair = spec.pair(group_a, group_b)
             assert np.max(np.abs(reduced_pair_density(pair) - brute)) < 1e-14
-            for side in MeasurementSide:
-                closed = mixed_discord_closed(pair, side)
-                k = k_matrix(bloch_decompose(brute), side)
+            # measuring group b: the pair (b, a), the brute density's qubits swapped
+            for pair, brute in ((pair, brute), (spec.pair(group_b, group_a), swap_qubits(brute))):
+                closed = mixed_discord_closed(pair)
+                k = k_matrix(bloch_decompose(brute))
                 lam1, lam2, lam3 = closed.k_eigenvalues
                 assert np.max(np.abs(k - np.diag(np.diagonal(k)))) < 1e-14
                 assert abs(lam1 - k[2, 2]) < 1e-13
                 assert max(abs(lam2 - max(k[0, 0], k[1, 1])), abs(lam3 - min(k[0, 0], k[1, 1]))) < 1e-13
-                numeric = geometric_discord_numeric(brute, side)
+                numeric = geometric_discord_numeric(brute)
                 assert abs(closed.discord - numeric.discord) < 1e-13
                 assert abs(closed.concurrence - numeric.concurrence) < 1e-12
                 traced = size_a + size_b < n
                 assert (closed.branch is Branch.PURE) == (not traced)
                 seen.add((traced, size_a > 1 or size_b > 1))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_group_order_is_the_measured_side(rng):
+    # measuring group b of the pair (a, b) is measuring the first group of
+    # spec.pair(b, a): its closed spectrum, discord and branch are those every
+    # numeric route finds on the qubit-swapped density of (a, b)
+    reports, swapped, seen = [], [], set()
+    for _ in range(40):
+        spec = random_spec(rng, n_max=6, extremes=False)
+        order = [int(m) + 1 for m in rng.permutation(spec.n)]
+        size_a = int(rng.integers(1, spec.n))
+        size_b = int(rng.integers(1, spec.n - size_a + 1))
+        a, b = tuple(order[:size_a]), tuple(order[size_a:size_a + size_b])
+        reports.append((mixed_discord_closed(spec.pair(b, a)), size_a + size_b < spec.n))
+        swapped.append(swap_qubits(reduced_pair_density(spec.pair(a, b))))
+        seen.add((spec.parity, size_a + size_b > 2))
+    assert len(seen) == 4  # both parities, single modes and groups
+    stack = np.array(swapped)
+    numeric = geometric_discord_numeric(stack)
+    spectrum = k_spectrum_discord(stack)
+    search = discord_by_measurement_search(stack)
+    k = k_matrix(bloch_decompose(stack))
+    for m, (closed, traced) in enumerate(reports):
+        lams = np.array(closed.k_eigenvalues)
+        assert np.max(np.abs(np.sort(lams)[::-1] - numeric.k_eigenvalues[m])) < 1e-12
+        assert abs(lams[0] - k[m, 2, 2]) < 1e-12  # lam1 is the z eigenvalue
+        assert abs(closed.discord - numeric.discord[m]) < 1e-12
+        assert abs(closed.discord - spectrum[m]) < 1e-12
+        assert abs(closed.discord - search[m]) < 1e-6
+        assert abs(closed.concurrence - numeric.concurrence[m]) < 1e-12
+        planar = max(k[m, 0, 0], k[m, 1, 1])
+        if not traced:
+            assert closed.branch is Branch.PURE
+        elif abs(k[m, 2, 2] - planar) > 1e-9:
+            plus = k[m, 2, 2] > planar
+            assert closed.branch is (Branch.MIXED_PLUS if plus else Branch.MIXED_MINUS)
 
 
 # overlaps 1 - 10^-U(3, 14), drawn from a small pool so that modes often share one
@@ -650,8 +694,9 @@ def _assert_near_reference(ps, groups, first):
     # over 5,500 random draws); 1 - P by cancellation once cost up to 1e-8
     # relative here
     reference = pytest.importorskip("reference")
-    side = MeasurementSide.FIRST if first else MeasurementSide.SECOND
-    closed = mixed_discord_closed(SuperpositionSpec(tuple(ps), Parity.ODD).pair(*groups), side)
+    # the reference measures the second group itself; the package reverses the pair
+    measured = groups if first else groups[::-1]
+    closed = mixed_discord_closed(SuperpositionSpec(tuple(ps), Parity.ODD).pair(*measured))
     exact = reference.closed_reference(ps, -1, *groups, first=first)
     values = dict(zip(("lam1", "lam2", "lam3"), closed.k_eigenvalues),
                   discord=closed.discord, concurrence=closed.concurrence)

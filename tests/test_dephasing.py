@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from catcorr.correlations import (
     Branch,
-    MeasurementSide,
     concurrence_mixed,
     geometric_discord_numeric,
     mixed_discord_closed,
@@ -28,7 +27,7 @@ from catcorr.states import (
     bloch_decompose,
     reduced_pair_density,
 )
-from conftest import pure_cut, random_density, random_pair, random_spec
+from conftest import pure_cut, random_density, random_pair, random_spec, swap_qubits
 
 
 def test_params_validation_and_gamma():
@@ -231,11 +230,12 @@ def test_discord_trajectory_matches_numeric_kraus_route(rng):
         i, j = random_pair(rng, spec.n)
         rate = float(rng.uniform(0.3, 2.0))
         t = float(rng.uniform(0.0, 2.5))
-        side = MeasurementSide.FIRST if rng.uniform() < 0.5 else MeasurementSide.SECOND
+        first = rng.uniform() < 0.5
         gamma = DephasingParams(rate=rate, time=t).gamma
         evolved = apply_dephasing(reduced_pair_density(spec.pair(i, j)), gamma)
-        closed = discord_trajectory(spec.pair(i, j), rate, t, side)
-        numeric = geometric_discord_numeric(evolved, side)
+        # measuring mode j is measuring the first group of the pair (j, i)
+        closed = discord_trajectory(spec.pair(*((i, j) if first else (j, i))), rate, t)
+        numeric = geometric_discord_numeric(evolved if first else swap_qubits(evolved))
         assert abs(closed.discord - numeric.discord) < 1e-12
 
 
@@ -270,13 +270,13 @@ def test_discord_survives_where_concurrence_dies(rng):
         assert after.discord > 0.0
 
 
-def _assert_grid_is_pointwise(spec, i, j, rate, times, side=MeasurementSide.FIRST):
+def _assert_grid_is_pointwise(spec, i, j, rate, times):
     """discord_trajectory on an array of times equals the float call at each
     time bit for bit, the sign of a zero included."""
-    grid = discord_trajectory(spec.pair(i, j), rate, times, side)
+    grid = discord_trajectory(spec.pair(i, j), rate, times)
     lams = [np.broadcast_to(lam, times.shape) for lam in grid.k_eigenvalues]
     for k, t in enumerate(times.tolist()):
-        point = discord_trajectory(spec.pair(i, j), rate, t, side)
+        point = discord_trajectory(spec.pair(i, j), rate, t)
         assert grid.branch[k] == point.branch
         pairs = [(grid.discord[k], point.discord), (grid.concurrence[k], point.concurrence)]
         pairs += [(lam[k], want) for lam, want in zip(lams, point.k_eigenvalues)]
@@ -287,12 +287,12 @@ def _assert_grid_is_pointwise(spec, i, j, rate, times, side=MeasurementSide.FIRS
 
 def test_array_time_trajectory_equals_scalar_calls(rng):
     for parity in Parity:
-        for side in MeasurementSide:
+        for reverse in (False, True):
             for _ in range(8):
                 spec = random_spec(rng, n_max=7, parity=parity)
-                i, j = random_pair(rng, spec.n)
+                i, j = random_pair(rng, spec.n)[::-1 if reverse else 1]
                 times = np.linspace(0.0, float(rng.uniform(0.5, 5.0)), 41)
-                _assert_grid_is_pointwise(spec, i, j, float(rng.uniform(0.2, 2.0)), times, side)
+                _assert_grid_is_pointwise(spec, i, j, float(rng.uniform(0.2, 2.0)), times)
     # t = 0 and times past the sudden death at ln 3
     spec = SuperpositionSpec(overlaps=(0.5, 0.6, 0.7), parity=Parity.EVEN)
     t0 = math.log(3.0)
@@ -300,8 +300,8 @@ def test_array_time_trajectory_equals_scalar_calls(rng):
     assert grid.concurrence[1] > 0.0 and grid.concurrence[2] == grid.concurrence[3] == 0.0
     # minus-to-plus branch crossing at t_c = ln(lam2 / lam1) / 2 = 0.401
     odd = SuperpositionSpec(overlaps=(0.9,) * 3, parity=Parity.ODD)
-    for side in MeasurementSide:
-        grid = _assert_grid_is_pointwise(odd, 1, 2, 1.0, np.linspace(0.0, 3.0, 31), side)
+    for i, j in ((1, 2), (2, 1)):
+        grid = _assert_grid_is_pointwise(odd, i, j, 1.0, np.linspace(0.0, 3.0, 31))
         assert grid.branch[4] == Branch.MIXED_MINUS and grid.branch[5] == Branch.MIXED_PLUS
     # p_1 = 1 makes the prefactor 0, so the product is -0.0 after death; the
     # concurrence clamps it to +0.0 as the float call's max(0, .) does

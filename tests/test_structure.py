@@ -21,3 +21,12 @@ def test_private_imports_between_modules_are_the_allowed_ones():
                 if private:
                     found.setdefault((path.stem, node.module), set()).update(private)
     assert found == ALLOWED_PRIVATE_IMPORTS
+
+
+def test_oracle_imports_nothing_but_states_and_errors():
+    # the Gram route and the measurement search check the closed forms, so
+    # they share no code with correlations or dephasing
+    tree = ast.parse((Path(catcorr.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"states", "errors"}
