@@ -24,7 +24,6 @@ from .correlations import (
 from .dephasing import (
     DephasingParams,
     apply_dephasing,
-    concurrence_trajectory,
     discord_trajectory,
     kraus_ops,
     sudden_death_time,
@@ -51,7 +50,6 @@ from .states import (
     bloch_compose,
     bloch_decompose,
     check_density,
-    normalization,
     partial_trace,
     reduced_pair_density,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "branch_and_discord",
     "check_density",
     "concurrence_mixed",
-    "concurrence_trajectory",
     "discord_by_measurement_search",
     "discord_trajectory",
     "fibonacci_sphere",
@@ -91,7 +88,6 @@ __all__ = [
     "measurement_distance",
     "mixed_discord_closed",
     "pair_k_spectrum",
-    "normalization",
     "overlap",
     "pair_density_from_overlaps",
     "partial_trace",

@@ -44,8 +44,11 @@ def _jnum(x: float) -> float:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CatcorrError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -170,12 +173,28 @@ def _describe_selection(groups, n: int) -> tuple:
     return mode, "-".join(" ".join(map(str, g)) for g in (a, b)), {"mode": mode, "pair": list(groups)}
 
 
+def _closed_cells(pair) -> list:
+    """The discord, discord_numeric, branch, concurrence and lambda cells of a
+    selection, or arrays of them over a grid: no numeric concurrence."""
+    closed = mixed_discord_closed(pair)
+    return [closed.discord, k_spectrum_discord(reduced_pair_density(pair)), closed.branch,
+            closed.concurrence, *closed.k_eigenvalues]
+
+
+def _trajectory_cells(pair, params: DephasingParams) -> tuple:
+    """gamma, discord and concurrence at params.time (a float or an array of
+    times), and the sudden-death cell: "infinite" or the time as printed."""
+    traj = discord_trajectory(pair, params.rate, params.time)
+    t0 = sudden_death_time(pair, params.rate)
+    return (params.gamma, traj.discord, traj.concurrence,
+            "infinite" if math.isinf(t0) else _jnum(t0))
+
+
 def cmd_report(args) -> int:
     spec = _spec_from_args(args)
     groups = _selection_from_args(args, spec.n)
     pair = spec.pair(*_measured_first(args.side, groups))
-    closed, rho = mixed_discord_closed(pair), reduced_pair_density(pair)
-    lam1, lam2, lam3 = closed.k_eigenvalues
+    discord, discord_numeric, branch, concurrence, lam1, lam2, lam3 = _closed_cells(pair)
     mode, selection_repr, selection_json = _describe_selection(groups, spec.n)
     payload = {
         "spec": {
@@ -185,10 +204,10 @@ def cmd_report(args) -> int:
         },
         "selection": selection_json,
         "measurement_side": args.side,
-        "discord": _jnum(closed.discord),
-        "discord_numeric": _jnum(k_spectrum_discord(rho)),
-        "branch": closed.branch.value,
-        "concurrence": _jnum(closed.concurrence),
+        "discord": _jnum(discord),
+        "discord_numeric": _jnum(discord_numeric),
+        "branch": branch.value,
+        "concurrence": _jnum(concurrence),
         "lambda1": _jnum(lam1),
         "lambda2": _jnum(lam2),
         "lambda3": _jnum(lam3),
@@ -200,16 +219,15 @@ def cmd_report(args) -> int:
         t = args.time if args.time is not None else 0.0
         if not math.isfinite(t):
             raise DomainError("report needs a finite --time")
-        params = DephasingParams(rate=args.rate, time=t)
-        traj = discord_trajectory(pair, args.rate, t)
-        t0 = sudden_death_time(pair, args.rate)
+        gamma, discord_t, concurrence_t, t0 = _trajectory_cells(
+            pair, DephasingParams(rate=args.rate, time=t))
         payload["trajectory"] = {
             "rate": _jnum(args.rate),
             "time": _jnum(t),
-            "gamma": _jnum(params.gamma),
-            "discord": _jnum(traj.discord),
-            "concurrence": _jnum(traj.concurrence),
-            "sudden_death_time": "infinite" if math.isinf(t0) else _jnum(t0),
+            "gamma": _jnum(gamma),
+            "discord": _jnum(discord_t),
+            "concurrence": _jnum(concurrence_t),
+            "sudden_death_time": t0,
         }
 
     if args.format == "json":
@@ -273,9 +291,7 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_columns(grid, n: int, parity: Parity, groups: tuple) -> list:
-    """The sweep's columns for a block of grid points, first group measured, in
-    one pass: the closed report and the K-spectrum discord of the densities (no
-    numeric concurrence)."""
+    """The sweep's columns for a block of grid points, in one pass."""
     try:
         spec = SuperpositionSpec(overlaps=(grid,) * n, parity=parity)
     except DivergentNormalizationError as null:
@@ -283,10 +299,7 @@ def _sweep_columns(grid, n: int, parity: Parity, groups: tuple) -> list:
         if null.point:
             _sweep_columns(grid[:null.point], n, parity, groups)
         raise
-    pair = spec.pair(*groups)
-    closed = mixed_discord_closed(pair)
-    return [grid, closed.discord, k_spectrum_discord(reduced_pair_density(pair)),
-            closed.branch, closed.concurrence, *closed.k_eigenvalues]
+    return [grid, *_closed_cells(spec.pair(*groups))]
 
 
 _EVOLVE_COLUMNS = ["t", "gamma", "discord", "concurrence"]
@@ -300,16 +313,11 @@ def cmd_evolve(args) -> int:
         raise DomainError("evolve needs a positive, finite --t-max")
     if args.steps < 2:
         raise DomainError("a time grid needs at least 2 steps")
-    times = np.linspace(0.0, args.t_max, args.steps)
-    gamma = DephasingParams(rate=args.rate, time=times).gamma
+    params = DephasingParams(rate=args.rate, time=np.linspace(0.0, args.t_max, args.steps))
     groups = args.pair if args.pair is not None else (1, 2)
-    pair = spec.pair(*_measured_first(args.side, groups))
-    traj = discord_trajectory(pair, args.rate, times)
-    columns = [times, gamma, traj.discord, traj.concurrence]
-    rows = list(zip(*(column.tolist() for column in columns)))
-    t0 = sudden_death_time(pair, args.rate)
-    t0_repr = "infinite" if math.isinf(t0) else _jnum(t0)
-    _emit_table(args, _EVOLVE_COLUMNS, rows, summary=("sudden_death_time", t0_repr))
+    *columns, t0 = _trajectory_cells(spec.pair(*_measured_first(args.side, groups)), params)
+    rows = list(zip(*(column.tolist() for column in [params.time, *columns])))
+    _emit_table(args, _EVOLVE_COLUMNS, rows, summary=("sudden_death_time", t0))
     return 0
 
 
@@ -390,6 +398,8 @@ def cmd_verify(args) -> int:
         raise DomainError("verify needs --search-samples of at least 1")
     if not 0.0 <= args.tol < math.inf:
         raise DomainError("verify needs a finite, nonnegative --tol")
+    if args.seed < 0:
+        raise DomainError("verify needs a nonnegative --seed")
     rng = np.random.default_rng(args.seed)
     samples = _random_verify_samples(rng, args.samples)
     searched = min(args.samples, args.search_samples)

@@ -16,7 +16,13 @@ import numpy as np
 
 from .correlations import CorrelationReport, branch_and_discord, pair_k_spectrum
 from .errors import DomainError
-from .states import BlochForm, PairInputs, _each, _where, check_density
+from .states import BlochForm, PairInputs, _where, check_density
+
+
+def _each(fn, x):
+    # fn of a float, at each member of an array: a math-module expression
+    # keeps its own rounding and overflows without numpy's warnings
+    return np.array([fn(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else fn(x)
 
 
 @dataclass(frozen=True)
@@ -89,12 +95,6 @@ def dephased_bloch(bloch: BlochForm, gamma) -> BlochForm:
     return BlochForm(bloch.t * (weight[..., :, None] * weight[..., None, :]))
 
 
-def concurrence_trajectory(pair: PairInputs, rate: float,
-                           time: float | np.ndarray) -> float | np.ndarray:
-    """Pair concurrence after dephasing for a time (or an (m,) array of them)."""
-    return discord_trajectory(pair, rate, time).concurrence
-
-
 def sudden_death_time(pair: PairInputs, rate: float) -> float:
     """Time at which the pair concurrence reaches zero, inf if never.
 
@@ -103,7 +103,7 @@ def sudden_death_time(pair: PairInputs, rate: float) -> float:
     strictly positive for all finite times. A finite time too large for
     a float raises DomainError, so inf always means never.
     """
-    if concurrence_trajectory(pair, rate, 0.0) <= 0.0:
+    if discord_trajectory(pair, rate, 0.0).concurrence <= 0.0:
         return 0.0
     if pair.d_q <= 0.0:
         return math.inf

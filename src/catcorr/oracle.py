@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .states import PAULI_PRODUCTS, SuperpositionSpec, check_density, normalization
+from .states import PAULI_PRODUCTS, SuperpositionSpec, check_density
 
 _COARSE_STEPS = 512
 _REFINEMENT_TOL = 1e-8
@@ -49,11 +49,17 @@ def pair_density_from_overlaps(spec: SuperpositionSpec, i: int, j: int) -> np.nd
     and (p, sqrt(1-p^2)); tracing the remaining modes leaves the
     two-branch mixture with cross weight q cos(m pi). The result is
     expressed in the orthonormalized sum/difference basis per mode,
-    matching the mapped-qubit convention used everywhere else.
+    matching the mapped-qubit convention used everywhere else. The
+    traced-out product and N^2 = 1 / (2 + 2 cos(m pi) prod p) are formed
+    here from the overlaps, by direct products.
     """
-    q = spec.omitted_product(i, j)
+    if not (1 <= i <= spec.n and 1 <= j <= spec.n):
+        raise DomainError(f"mode indices must lie in 1..{spec.n}, got ({i}, {j})")
+    if i == j:
+        raise DomainError("pair indices must differ")
+    q = math.prod((p for m, p in enumerate(spec.overlaps, start=1) if m not in (i, j)), start=1.0)
     sign = spec.parity.sign
-    nsq = normalization(spec) ** 2
+    nsq = (1.0 / math.sqrt(2.0 * (1.0 + math.prod(spec.overlaps) * sign))) ** 2
 
     def mode_basis(p: float) -> tuple:
         ket = np.array([1.0, 0.0])
@@ -79,8 +85,8 @@ def pair_density_from_overlaps(spec: SuperpositionSpec, i: int, j: int) -> np.nd
     basis = (np.array([e0_i, e1_i])[:, None, :, None]
              * np.array([e0_j, e1_j])[None, :, None, :]).reshape(4, 4)
     rho = basis @ raw @ basis.T
-    # Same trace rescaling as the closed route: nsq is a shared factor
-    # with a cancellation-limited relative error near unit products.
+    # nsq is a shared factor whose 1 + cos(m pi) prod p cancels near unit
+    # products, so the trace is rescaled to 1, and refused beyond 1e-9 off it.
     trace = rho.trace().real
     if abs(trace - 1.0) > 1e-9:
         raise DomainError(f"overlap-matrix density trace {trace} is structurally off unit")

@@ -43,12 +43,6 @@ def _where(cond, a, b):
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
-def _each(fn, x):
-    # fn of a float, at each member of an array: a math-module expression
-    # keeps its own rounding and overflows without numpy's warnings
-    return np.array([fn(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else fn(x)
-
-
 def _outside_unit(p):
     """The first value of p outside [0, 1] (NaN included), or None."""
     if isinstance(p, np.ndarray):
@@ -95,7 +89,7 @@ class SuperpositionSpec:
             outside = _outside_unit(p)
             if outside is not None:
                 raise DomainError(f"overlaps must lie in [0, 1], got {outside}")
-        null = np.flatnonzero(2.0 * self.denominator <= _NULL_STATE_TOL)
+        null = np.flatnonzero(2.0 * (1.0 + math.prod(ps) * self.parity.sign) <= _NULL_STATE_TOL)
         if null.size:
             error = DivergentNormalizationError(
                 "odd parity with unit overlap product gives a null state")
@@ -106,37 +100,19 @@ class SuperpositionSpec:
     def n(self) -> int:
         return len(self.overlaps)
 
-    @property
-    def branch_product(self) -> float:
-        """Product of all single-mode overlaps, the <branch|branch'> value."""
-        return math.prod(self.overlaps)
-
-    @property
-    def denominator(self) -> float:
-        """Branch denominator 1 + cos(m pi) prod p_i, the one place it is formed."""
-        return 1.0 + self.branch_product * self.parity.sign
-
-    def omitted_product(self, a, b) -> float:
-        """Overlap product of the traced-out modes when groups a and b are kept."""
-        return math.prod(self._members(a, b)[2], start=1.0)
-
     def pair(self, a, b) -> "PairInputs":
         """The closed-route inputs of mode groups a and b, the rest traced out.
 
-        A group is a 1-based mode index or a tuple of them. Even parity forms
-        each complement as 1 - p and reads `denominator`. Odd parity, where
-        1 - P cancels near unit overlap, forms a group's complement as
-        -expm1(sum log1p(-(1 - p_l))) and the denominator as
-        d_b + p_b (d_a + p_a d_q), a sum of nonnegative terms.
+        A group is a 1-based mode index or a tuple of them. Each complement
+        1 - P comes from _complement, which does not cancel near unit
+        overlap. The denominator 1 + cos(m pi) P is 1 + P for even parity
+        and d_b + p_b (d_a + p_a d_q), a sum of nonnegative terms, for odd.
         """
         ps_a, ps_b, rest = self._members(a, b)
         p_a, p_b, q = math.prod(ps_a), math.prod(ps_b), math.prod(rest, start=1.0)
-        if self.parity is Parity.EVEN:
-            d_a, d_b, d_q = 1.0 - p_a, 1.0 - p_b, 1.0 - q
-            denominator = self.denominator
-        else:
-            d_a, d_b, d_q = _complement(ps_a), _complement(ps_b), _complement(rest)
-            denominator = d_b + p_b * (d_a + p_a * d_q)
+        d_a, d_b, d_q = _complement(ps_a), _complement(ps_b), _complement(rest)
+        denominator = (1.0 + math.prod(self.overlaps) if self.parity is Parity.EVEN
+                       else d_b + p_b * (d_a + p_a * d_q))
         return PairInputs(p_a, p_b, q, d_a, d_b, d_q, _sqrt(d_a * (1.0 + p_a)),
                           _sqrt(d_b * (1.0 + p_b)), denominator, self.parity.sign, bool(rest))
 
@@ -155,15 +131,14 @@ class SuperpositionSpec:
 
 
 def _complement(ps: list):
-    """1 - prod(ps) without cancellation near unit overlaps: 1 - p of one
-    overlap, 0 of none, else -expm1(sum log1p(-(1 - p))) (Higham, Accuracy
-    and Stability of Numerical Algorithms, 1.14), at each point of a grid."""
-    if len(ps) < 2:
-        return 1.0 - ps[0] if ps else 0.0
-    # log1p(-1) is -inf (p = 0, or p so small that 1 - p rounds to 1); 0.0 - turns
-    # -expm1(0.0) = -0.0 (all p = 1) into +0.0
-    total = sum(_each(lambda d: math.log1p(-d) if d < 1.0 else -math.inf, 1.0 - p) for p in ps)
-    return 0.0 - _each(math.expm1, total)
+    """1 - p_1 p_2 ... p_k without cancellation near unit overlaps, as the sum
+    of nonnegative terms d_1 + p_1 (d_2 + p_2 (... + p_(k-1) d_k)), d = 1 - p
+    (Higham, Accuracy and Stability of Numerical Algorithms, 1.14); 0 of no
+    overlaps. Only + and * enter, so a grid rounds at each point as a float does."""
+    total = 0.0
+    for p in reversed(ps):
+        total = (1.0 - p) + p * total
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,11 +163,6 @@ class PairInputs:
     denominator: float
     sign: int
     traced: bool
-
-
-def normalization(spec: SuperpositionSpec) -> float:
-    """Normalization prefactor N = (2 + 2 cos(m pi) prod p_i)^(-1/2) of a non-null spec."""
-    return 1.0 / _sqrt(2.0 * spec.denominator)
 
 
 def reduced_pair_density(pair: PairInputs) -> np.ndarray:

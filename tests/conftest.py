@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,12 @@ def random_spec(rng, n_min=2, n_max=8, parity=None, extremes=True):
             return SuperpositionSpec(overlaps=tuple(ps), parity=chosen)
         except CatcorrError:
             continue
+
+
+def normalization(spec):
+    """N = (2 + 2 cos(m pi) prod p)^(-1/2) of a spec, or of each point of a grid
+    spec, expanded as the textbook writes it: the tests' own reference value."""
+    return 1.0 / np.sqrt(2.0 + 2.0 * math.prod(spec.overlaps) * spec.parity.sign)
 
 
 def pure_cut(spec, k):

@@ -382,6 +382,18 @@ def test_near_unit_odd_sweeps_print_the_high_precision_values(capsys, argv):
             assert abs(float(row[column]) - value) <= 5e-9 * abs(value) + 1e-15, (p, column)
 
 
+def test_near_unit_even_groups_report_the_high_precision_values(capsys):
+    # 50-digit values: discord 2.9999998333e-18, lambda2 5.9999996666e-18,
+    # concurrence 2.4494896747e-09; forming 1 - P by cancellation printed
+    # 2.99999984e-18, 5.99999968e-18 and 2.44948968e-09
+    code, out, err = run_cli(capsys, "report", "--n", "5", "--p", *["0.999999999"] * 5,
+                             "--parity", "even", "--pair", "1,2", "3,4,5")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert (rows[0]["discord"], rows[0]["lambda2"], rows[0]["concurrence"]) == (
+        "2.99999983e-18", "5.99999967e-18", "2.44948967e-09")
+
+
 def test_near_unit_pure_odd_pair_reports_exactly_half(capsys):
     # the odd two-mode split has discord 1/2 and concurrence 1 at every p < 1;
     # 1 - p^2 by cancellation once printed discord 0.500000001 here
@@ -477,6 +489,16 @@ def test_out_file_writing(tmp_path, capsys):
     assert text.endswith("\n")
 
 
+def test_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys):
+    target = tmp_path / "absent" / "x.csv"
+    for argv in (["report", "--p", "0.5", "0.6", "0.7", "--pair", "1", "2"],
+                 ["verify", "--samples", "2"]):
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: cannot write {target}: No such file or directory\n", argv
+    assert not target.parent.exists()
+
+
 def test_verify_passes_at_default_tolerance(capsys):
     code, out, _ = run_cli(capsys, "verify", "--samples", "25",
                            "--search-samples", "6", "--seed", "11")
@@ -522,7 +544,8 @@ def test_verify_rejects_sample_counts_below_one(capsys):
                            (["verify", "--samples", "10", "--search-samples", "0"], "at least 1"),
                            (["verify", "--samples", "2", "--tol", "nan"], "--tol"),
                            (["verify", "--samples", "2", "--tol", "-1"], "--tol"),
-                           (["verify", "--samples", "2", "--tol", "inf"], "--tol")):
+                           (["verify", "--samples", "2", "--tol", "inf"], "--tol"),
+                           (["verify", "--samples", "2", "--seed", "-1"], "--seed")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1 and fragment in err, argv
@@ -573,7 +596,7 @@ def _count_calls(monkeypatch, targets) -> Counter:
 # request, and once per sample in verify
 @pytest.mark.parametrize("argv, exact", [
     ("sweep --n 3 --parity even --pair 1 2 --steps 100",
-     {"pair": 1, "pair_k_spectrum": 1, "reduced_pair_density": 1, "omitted_product": 0}),
+     {"pair": 1, "pair_k_spectrum": 1, "reduced_pair_density": 1}),
     ("sweep --n 3 --parity even --pure --k 1 --steps 100",
      {"pair": 1, "pair_k_spectrum": 1, "reduced_pair_density": 1}),
     ("sweep --n 5 --parity odd --pair 1,3 5 --p-stop 0.99 --steps 100",
@@ -581,7 +604,7 @@ def _count_calls(monkeypatch, targets) -> Counter:
     ("report --n 4 --p 0.5 0.6 0.7 0.8 --pure --k 2 --rate 1 --time 0.5",
      {"pair": 1, "pair_k_spectrum": 3, "reduced_pair_density": 1, "apply_dephasing": 0}),
     ("evolve --n 4 --p 0.5 0.5 0.5 0.5 --pair 1 2 --rate 1 --t-max 1.5 --steps 100",
-     {"__post_init__": 3, "pair": 1, "pair_k_spectrum": 2, "omitted_product": 0}),
+     {"__post_init__": 3, "pair": 1, "pair_k_spectrum": 2}),
     # closed and Gram routes per sample (the Gram route checks its density);
     # each numeric route once over all samples, the search on the first 48:
     # 100 + 5 density checks
@@ -595,8 +618,7 @@ def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact):
         (correlations, "pair_k_spectrum"), (correlations, "k_spectrum_discord"),
         (states, "reduced_pair_density"), (states, "check_density"),
         (catcorr.dephasing, "apply_dephasing"), (catcorr.oracle, "discord_by_measurement_search"),
-        (SuperpositionSpec, "pair"), (SuperpositionSpec, "omitted_product"),
-        (DephasingParams, "__post_init__")])
+        (SuperpositionSpec, "pair"), (DephasingParams, "__post_init__")])
     code, _, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert {name: counts[name] for name in exact} == exact

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -688,32 +689,33 @@ _near_unit = st.lists(st.floats(min_value=3.0, max_value=14.0).map(lambda u: 1.0
     lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=6))
 
 
-def _assert_near_reference(ps, groups, first):
+def _assert_near_reference(ps, groups, first, parity=Parity.ODD):
     # each closed value lies within a few ulps times its condition number of a
     # 50-digit evaluation at the same double overlaps (8 ulps of 1 at most
     # over 5,500 random draws); 1 - P by cancellation once cost up to 1e-8
-    # relative here
+    # relative here, in either parity
     reference = pytest.importorskip("reference")
     # the reference measures the second group itself; the package reverses the pair
     measured = groups if first else groups[::-1]
-    closed = mixed_discord_closed(SuperpositionSpec(tuple(ps), Parity.ODD).pair(*measured))
-    exact = reference.closed_reference(ps, -1, *groups, first=first)
+    closed = mixed_discord_closed(SuperpositionSpec(tuple(ps), parity).pair(*measured))
+    exact = reference.closed_reference(ps, parity.sign, *groups, first=first)
     values = dict(zip(("lam1", "lam2", "lam3"), closed.k_eigenvalues),
                   discord=closed.discord, concurrence=closed.concurrence)
     for name, value in values.items():
-        kappa = reference.condition(name, ps, -1, *groups, first=first)
+        kappa = reference.condition(name, ps, parity.sign, *groups, first=first)
         bound = 16.0 * 2.0 ** -53 * (kappa + 1.0) * abs(float(exact[name]))
         assert abs(value - float(exact[name])) <= bound, (name, value, float(exact[name]), kappa)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_near_unit, st.booleans(), st.booleans(), st.data())
-def test_odd_closed_forms_near_unit_overlap_match_high_precision(ps, single, first, data):
+@given(_near_unit, st.booleans(), st.booleans(), st.sampled_from(Parity), st.data())
+def test_closed_forms_near_unit_overlap_match_high_precision(ps, single, first, parity, data):
     n = len(ps)
     order = data.draw(st.permutations(range(1, n + 1)))
     size_a = 1 if single else data.draw(st.integers(1, n - 1))
     size_b = 1 if single else data.draw(st.integers(1, n - size_a))
-    _assert_near_reference(ps, (tuple(order[:size_a]), tuple(order[size_a:size_a + size_b])), first)
+    groups = (tuple(order[:size_a]), tuple(order[size_a:size_a + size_b]))
+    _assert_near_reference(ps, groups, first, parity)
 
 
 def test_odd_z_eigenvalue_keeps_its_digits_where_its_terms_cancel():
@@ -725,17 +727,19 @@ def test_odd_z_eigenvalue_keeps_its_digits_where_its_terms_cancel():
 
 
 def test_unit_and_zero_overlaps_in_groups_give_clean_values():
-    # p = 1 members give +0.0, never -0.0 (-expm1(0.0) is -0.0), and p = 0
-    # members take log1p(-1) = -inf without a numpy warning, on grids too
+    # p = 1 and p = 0 members give +0.0, never -0.0, and no numpy warning
+    # (which pytest raises), in both parities and on grids too
     grid = np.array([0.0, 0.5, 1.0])
-    for overlaps in ((1.0, 1.0, 0.5, 0.3), (0.0, 0.0, 0.5, 0.3), (1.0, 0.0, 1.0, 0.3),
-                     (grid, grid, np.full(3, 0.5), np.full(3, 0.3))):
+    for overlaps, parity in itertools.product(
+            ((1.0, 1.0, 0.5, 0.3), (0.0, 0.0, 0.5, 0.3), (1.0, 0.0, 1.0, 0.3),
+             (grid, grid, np.full(3, 0.5), np.full(3, 0.3))), Parity):
         for groups in (((1, 2), (3,)), ((1, 2), (3, 4)), ((3,), (1, 2, 4)), ((1, 3), (2, 4))):
-            pair = SuperpositionSpec(overlaps, Parity.ODD).pair(*groups)
+            pair = SuperpositionSpec(overlaps, parity).pair(*groups)
             report = mixed_discord_closed(pair)
             rho = reduced_pair_density(pair)
             fields = [pair.d_a, pair.d_b, pair.d_q, report.discord, report.concurrence,
                       *report.k_eigenvalues, rho.real]
             for field in fields:
-                assert not np.any(np.signbit(field) & (np.asarray(field) == 0.0)), (overlaps, groups)
+                negative_zero = np.signbit(field) & (np.asarray(field) == 0.0)
+                assert not np.any(negative_zero), (overlaps, parity, groups)
             check_density(rho)

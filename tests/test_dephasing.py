@@ -13,7 +13,6 @@ from catcorr.correlations import (
 from catcorr.dephasing import (
     DephasingParams,
     apply_dephasing,
-    concurrence_trajectory,
     dephased_bloch,
     discord_trajectory,
     kraus_ops,
@@ -170,7 +169,7 @@ def test_concurrence_trajectory_matches_static_at_zero(rng):
         spec = random_spec(rng, extremes=False)
         i, j = random_pair(rng, spec.n)
         static = mixed_discord_closed(spec.pair(i, j)).concurrence
-        assert abs(concurrence_trajectory(spec.pair(i, j), 1.0, 0.0) - static) < 1e-14
+        assert abs(discord_trajectory(spec.pair(i, j), 1.0, 0.0).concurrence - static) < 1e-14
 
 
 def test_concurrence_trajectory_matches_kraus_route(rng):
@@ -181,7 +180,7 @@ def test_concurrence_trajectory_matches_kraus_route(rng):
         t = float(rng.uniform(0.0, 2.0))
         gamma = DephasingParams(rate=rate, time=t).gamma
         evolved = apply_dephasing(reduced_pair_density(spec.pair(i, j)), gamma)
-        assert abs(concurrence_trajectory(spec.pair(i, j), rate, t)
+        assert abs(discord_trajectory(spec.pair(i, j), rate, t).concurrence
                    - concurrence_mixed(evolved)) < 1e-12
 
 
@@ -219,9 +218,9 @@ def test_concurrence_sign_straddles_death_time(rng):
         t0 = sudden_death_time(spec.pair(i, j), 1.0)
         if t0 <= 0.0 or math.isinf(t0):
             continue
-        assert concurrence_trajectory(spec.pair(i, j), 1.0, t0 * 0.99) > 0.0
-        assert concurrence_trajectory(spec.pair(i, j), 1.0, t0 * 1.01) == 0.0
-        assert abs(concurrence_trajectory(spec.pair(i, j), 1.0, t0)) < 1e-12
+        assert discord_trajectory(spec.pair(i, j), 1.0, t0 * 0.99).concurrence > 0.0
+        assert discord_trajectory(spec.pair(i, j), 1.0, t0 * 1.01).concurrence == 0.0
+        assert abs(discord_trajectory(spec.pair(i, j), 1.0, t0).concurrence) < 1e-12
 
 
 def test_discord_trajectory_matches_numeric_kraus_route(rng):

@@ -15,8 +15,8 @@ from catcorr.oracle import (
     measurement_distance,
     pair_density_from_overlaps,
 )
-from catcorr.states import Parity, SuperpositionSpec, check_density, normalization, reduced_pair_density
-from conftest import random_density, random_pair, random_spec, swap_qubits
+from catcorr.states import Parity, SuperpositionSpec, check_density, reduced_pair_density
+from conftest import normalization, random_density, random_pair, random_spec, swap_qubits
 
 EYE = np.eye(2)
 PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
@@ -36,7 +36,7 @@ def _distance_by_projectors(rho, axis, first=True) -> float:
 
 def _gram_density_by_kron(spec, i, j) -> np.ndarray:
     """pair_density_from_overlaps written with np.kron, step for step."""
-    q = spec.omitted_product(i, j)
+    q = math.prod([p for m, p in enumerate(spec.overlaps, start=1) if m not in (i, j)], start=1.0)
     nsq = normalization(spec) ** 2
 
     def mode_basis(p):
@@ -106,6 +106,18 @@ def test_gram_density_is_bitwise_its_kron_construction(rng):
         i, j = random_pair(rng, spec.n)
         assert np.array_equal(pair_density_from_overlaps(spec, i, j),
                               _gram_density_by_kron(spec, i, j))
+
+
+def test_gram_route_checks_its_mode_indices():
+    spec = SuperpositionSpec(overlaps=(0.3, 0.5, 0.7, 0.9))
+    for i, j, message in ((1, 1, "pair indices must differ"),
+                          (0, 2, r"mode indices must lie in 1\.\.4, got \(0, 2\)"),
+                          (1, 5, r"mode indices must lie in 1\.\.4, got \(1, 5\)")):
+        with pytest.raises(DomainError, match=message):
+            pair_density_from_overlaps(spec, i, j)
+    # a valid pair in either order is a density
+    for i, j in ((1, 4), (4, 1)):
+        check_density(pair_density_from_overlaps(spec, i, j))
 
 
 def test_measurement_distance_zero_for_classical_state():

@@ -17,11 +17,10 @@ from catcorr.states import (
     bloch_compose,
     bloch_decompose,
     check_density,
-    normalization,
     partial_trace,
     reduced_pair_density,
 )
-from conftest import pure_cut, random_density, random_spec
+from conftest import normalization, pure_cut, random_density, random_pair, random_spec
 
 spec_strategy = st.builds(
     lambda ps, parity: (tuple(ps), parity),
@@ -64,7 +63,7 @@ def test_grid_spec_gives_each_point_its_own_state(rng):
             point = SuperpositionSpec(overlaps=tuple(float(p[k]) for p in grid), parity=parity)
             assert np.array_equal(rho[k], reduced_pair_density(point.pair(1, 3)))
             assert np.array_equal(split[k], reduced_pair_density(pure_cut(point, 2)))
-            assert normalization(point) == normalization(spec)[k]
+            assert point.pair(1, 3).denominator == spec.pair(1, 3).denominator[k]
 
 
 def test_grid_spec_refuses_points_as_a_spec_refuses_one():
@@ -77,22 +76,32 @@ def test_grid_spec_refuses_points_as_a_spec_refuses_one():
     assert null.value.point == 4
 
 
-def test_normalization_frozen_value(rng):
+def test_pair_denominator_frozen_value(rng):
+    # the denominator 1 + cos(m pi) P is 1 / (2 N^2)
     spec = SuperpositionSpec(overlaps=(0.5, 0.5), parity=Parity.EVEN)
-    assert abs(normalization(spec) - 0.6324555320336759) < 1e-16
+    assert spec.pair(1, 2).denominator == 1.25
     odd = SuperpositionSpec(overlaps=(0.5, 0.5), parity=Parity.ODD)
-    assert abs(normalization(odd) - 1.0 / math.sqrt(1.5)) < 1e-15
-    # N reads 2 * denominator; doubling is exact, so it keeps the bits of
-    # 1 / sqrt(2 + 2 P sign) on single states and grids of both parities
+    assert odd.pair(1, 2).denominator == 0.75
+    # even parity keeps the bits of 1 + prod p, whatever the selection, on
+    # single states and grids; odd parity's sum of nonnegative terms stays
+    # within rounding of 1 - prod p
     for parity in Parity:
         for _ in range(50):
             spec = random_spec(rng, parity=parity)
-            expanded = 2.0 + 2.0 * math.prod(spec.overlaps) * parity.sign
-            assert normalization(spec) == 1.0 / math.sqrt(expanded)
+            i, j = random_pair(rng, spec.n)
+            denominator = spec.pair(i, j).denominator
+            if parity is Parity.EVEN:
+                assert denominator == 1.0 + math.prod(spec.overlaps)
+            else:
+                assert abs(denominator - (1.0 - math.prod(spec.overlaps))) < 1e-15
         grid = tuple(rng.uniform(0.0, 0.999, 64) for _ in range(3))
         spec = SuperpositionSpec(overlaps=grid, parity=parity)
-        expanded = 2.0 + 2.0 * (grid[0] * grid[1] * grid[2]) * parity.sign
-        assert np.array_equal(normalization(spec), 1.0 / np.sqrt(expanded))
+        expanded = 1.0 + (grid[0] * grid[1] * grid[2]) * parity.sign
+        denominator = spec.pair(1, 3).denominator
+        if parity is Parity.EVEN:
+            assert np.array_equal(denominator, expanded)
+        else:
+            assert np.max(np.abs(denominator - expanded)) < 1e-15
 
 
 def test_near_null_superposition_rejected_at_construction():
@@ -116,18 +125,18 @@ def test_near_null_superposition_rejected_at_construction():
     assert first.value.point == expected[::-1].index(True)
 
 
-def test_omitted_product_example_and_validation():
+def test_traced_out_product_example_and_validation():
     spec = SuperpositionSpec(overlaps=(0.3, 0.5, 0.7, 0.9))
-    assert abs(spec.omitted_product(2, 3) - 0.27) < 1e-15
-    assert spec.omitted_product(1, 2) == 0.7 * 0.9
+    assert abs(spec.pair(2, 3).q - 0.27) < 1e-15
+    assert spec.pair(1, 2).q == 0.7 * 0.9
     two = SuperpositionSpec(overlaps=(0.4, 0.6))
-    assert two.omitted_product(1, 2) == 1.0
+    assert two.pair(1, 2).q == 1.0 and two.pair(1, 2).d_q == 0.0
     with pytest.raises(DomainError):
-        spec.omitted_product(1, 1)
+        spec.pair(1, 1)
     with pytest.raises(DomainError):
-        spec.omitted_product(0, 2)
+        spec.pair(0, 2)
     with pytest.raises(DomainError):
-        spec.omitted_product(1, 5)
+        spec.pair(1, 5)
 
 
 def test_pure_split_even_sector_and_norm():
