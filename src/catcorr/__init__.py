@@ -10,7 +10,6 @@ phase damping.
 from .correlations import (
     Branch,
     CorrelationReport,
-    DiscordWitness,
     branch_and_discord,
     concurrence_mixed,
     geometric_discord_numeric,
@@ -19,7 +18,6 @@ from .correlations import (
     pair_k_spectrum,
     werner_limit_discord,
     werner_limit_k_eigenvalues,
-    zero_discord_witness,
 )
 from .dephasing import (
     DephasingParams,
@@ -38,8 +36,6 @@ from .errors import (
 from .kernels import WEYL_HEISENBERG, Family, FamilyParams, overlap, su2, su11
 from .oracle import (
     discord_by_measurement_search,
-    fibonacci_sphere,
-    measurement_distance,
     pair_density_from_overlaps,
 )
 from .states import (
@@ -50,7 +46,6 @@ from .states import (
     bloch_compose,
     bloch_decompose,
     check_density,
-    partial_trace,
     reduced_pair_density,
 )
 
@@ -62,7 +57,6 @@ __all__ = [
     "CatcorrError",
     "CorrelationReport",
     "DephasingParams",
-    "DiscordWitness",
     "DivergentNormalizationError",
     "DomainError",
     "Family",
@@ -81,21 +75,17 @@ __all__ = [
     "concurrence_mixed",
     "discord_by_measurement_search",
     "discord_trajectory",
-    "fibonacci_sphere",
     "geometric_discord_numeric",
     "k_matrix",
     "kraus_ops",
-    "measurement_distance",
     "mixed_discord_closed",
     "pair_k_spectrum",
     "overlap",
     "pair_density_from_overlaps",
-    "partial_trace",
     "reduced_pair_density",
     "su11",
     "su2",
     "sudden_death_time",
     "werner_limit_discord",
     "werner_limit_k_eigenvalues",
-    "zero_discord_witness",
 ]

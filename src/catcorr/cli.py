@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -42,10 +43,10 @@ def _jnum(x: float) -> float:
     return float(f"{x:.9g}")
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(text: str, out_path, mode: str = "w") -> None:
     if out_path:
         try:
-            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+            with open(out_path, mode, encoding="utf-8", newline="") as handle:
                 handle.write(text)
         except OSError as exc:
             raise CatcorrError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
@@ -515,9 +516,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    created = args.out and not os.path.exists(args.out)
     try:
+        if args.out:
+            # appending nothing changes no text, and an unwritable path fails before the work
+            _emit("", args.out, "a")
         return args.func(args)
     except CatcorrError as exc:
+        if created and os.path.exists(args.out):
+            os.remove(args.out)  # exit 2 creates no --out file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

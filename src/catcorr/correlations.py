@@ -24,8 +24,6 @@ import numpy as np
 from .errors import DomainError
 from .states import PAULI_PRODUCTS, BlochForm, PairInputs, _bloch, _where, check_density
 
-_WITNESS_TOL = 1e-10
-
 
 class Branch(str, Enum):
     """Which analytic (or numeric) expression produced a discord value."""
@@ -188,20 +186,3 @@ def werner_limit_discord(n: int) -> float:
         raise DomainError("the limit needs at least two modes")
     return 2.0 / (n * n)
 
-
-class DiscordWitness(str, Enum):
-    """Rank verdict of the extended correlation matrix test."""
-
-    ZERO_DISCORD_POSSIBLE = "zero_discord_possible"
-    NON_ZERO_DISCORD = "non_zero_discord"
-
-
-def zero_discord_witness(bloch: BlochForm) -> DiscordWitness:
-    """Necessary rank condition for vanishing discord.
-
-    The Pauli table stacks (1, y^T) over (x, R); rank above two certifies
-    nonzero discord, rank at most two leaves zero discord possible.
-    """
-    if np.linalg.matrix_rank(bloch.t, tol=_WITNESS_TOL) > 2:
-        return DiscordWitness.NON_ZERO_DISCORD
-    return DiscordWitness.ZERO_DISCORD_POSSIBLE

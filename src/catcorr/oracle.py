@@ -42,73 +42,44 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 _COARSE_AXES = fibonacci_sphere(_COARSE_STEPS)
 
 
+def _halves(overlaps) -> tuple:
+    """(1 + P)/2 and (1 - P)/2, P = prod p: the weights of the even- and the
+    odd-weight entries of the product of the kets (c, s), c^2 = (1 + p)/2,
+    s^2 = (1 - p)/2. Only sums of nonnegative terms enter, so neither cancels."""
+    even, odd = 1.0, 0.0
+    for p in overlaps:
+        plus, minus = (1.0 + p) / 2.0, (1.0 - p) / 2.0
+        even, odd = even * plus + odd * minus, odd * plus + even * minus
+    return even, odd
+
+
 def pair_density_from_overlaps(spec: SuperpositionSpec, i: int, j: int) -> np.ndarray:
     """Reduced pair density rebuilt from branch Gram data alone.
 
-    Each mode's two branch states are embedded in a plane as (1, 0)
-    and (p, sqrt(1-p^2)); tracing the remaining modes leaves the
-    two-branch mixture with cross weight q cos(m pi). The result is
-    expressed in the orthonormalized sum/difference basis per mode,
-    matching the mapped-qubit convention used everywhere else. The
-    traced-out product and N^2 = 1 / (2 + 2 cos(m pi) prod p) are formed
-    here from the overlaps, by direct products.
+    A mode's branch kets w = (1, 0) and w' = (p, sqrt(1 - p^2)) have
+    |w +- w'|^2 = 2 (1 +- p), so in its normalized sum/difference basis, the
+    mapped-qubit convention used everywhere else, they read (c, s) and
+    (c, -s), c = sqrt((1 + p)/2), s = sqrt((1 - p)/2). The pair's product
+    kets u, v then have u + v = 2 e, e = (c_i c_j, 0, 0, s_i s_j), and
+    u - v = 2 o, o = (0, c_i s_j, s_i c_j, 0), so with the rest traced out
+    (cross weight q) the two-branch mixture
+    N^2 (u u^T + v v^T + sign q (u v^T + v u^T)), sign = cos(m pi), is
+    [(1 + sign q) e e^T + (1 - sign q) o o^T] / (1 + sign P).
     """
     if not (1 <= i <= spec.n and 1 <= j <= spec.n):
         raise DomainError(f"mode indices must lie in 1..{spec.n}, got ({i}, {j})")
     if i == j:
         raise DomainError("pair indices must differ")
-    q = math.prod((p for m, p in enumerate(spec.overlaps, start=1) if m not in (i, j)), start=1.0)
-    sign = spec.parity.sign
-    nsq = (1.0 / math.sqrt(2.0 * (1.0 + math.prod(spec.overlaps) * sign))) ** 2
-
-    def mode_basis(p: float) -> tuple:
-        ket = np.array([1.0, 0.0])
-        ketp = np.array([p, math.sqrt((1.0 - p) * (1.0 + p))])
-        plus = ket + ketp
-        plus = plus / np.linalg.norm(plus)
-        diff = ket - ketp
-        norm = np.linalg.norm(diff)
-        if norm < 1e-8:
-            minus = np.array([-plus[1], plus[0]])
-        else:
-            minus = diff / norm
-        return ket, ketp, plus, minus
-
-    k_i, kp_i, e0_i, e1_i = mode_basis(spec.overlaps[i - 1])
-    k_j, kp_j, e0_j, e1_j = mode_basis(spec.overlaps[j - 1])
-    # the Kronecker products as broadcast outer products, entry for entry
-    u = (k_i[:, None] * k_j).ravel()
-    v = (kp_i[:, None] * kp_j).ravel()
-    raw = nsq * (np.outer(u, u) + np.outer(v, v)
-                 + q * sign * (np.outer(v, u) + np.outer(u, v)))
-    # rows e_a (x) e_b in the order 00, 01, 10, 11
-    basis = (np.array([e0_i, e1_i])[:, None, :, None]
-             * np.array([e0_j, e1_j])[None, :, None, :]).reshape(4, 4)
-    rho = basis @ raw @ basis.T
-    # nsq is a shared factor whose 1 + cos(m pi) prod p cancels near unit
-    # products, so the trace is rescaled to 1, and refused beyond 1e-9 off it.
-    trace = rho.trace().real
-    if abs(trace - 1.0) > 1e-9:
-        raise DomainError(f"overlap-matrix density trace {trace} is structurally off unit")
-    return check_density(rho / trace)
-
-
-def measurement_distance(rho, axis) -> float:
-    """Squared distance from rho to its post-measurement state.
-
-    The measurement is the projective pair along the given Bloch axis
-    on the first qubit; the objective being minimized over axes
-    is Tr[(rho - chi)^2] with chi the dephased-in-basis state.
-    """
-    rho = check_density(rho)
-    axis = np.array(axis, dtype=float)
-    if axis.shape != (3,):
-        raise DomainError("measurement axis needs three components")
-    norm = math.sqrt(float(axis @ axis))
-    if abs(norm - 1.0) > 1e-12:
-        raise DomainError(f"measurement axis must be unit length, |e| = {norm}")
-    stack = _stack(rho)
-    return float(_distances(stack, _sandwiches(stack), axis[None])[0, 0])
+    p_i, p_j = spec.overlaps[i - 1], spec.overlaps[j - 1]
+    rest = [p for m, p in enumerate(spec.overlaps, start=1) if m not in (i, j)]
+    traced, total = _halves(rest), _halves(rest + [p_i, p_j])
+    # odd parity swaps the halves: (1 - q)/2 weighs e, (1 + q)/2 weighs o, over (1 - P)/2
+    (weight_e, weight_o), norm = traced[::spec.parity.sign], total[spec.parity.sign < 0]
+    c_i, s_i = math.sqrt((1.0 + p_i) / 2.0), math.sqrt((1.0 - p_i) / 2.0)
+    c_j, s_j = math.sqrt((1.0 + p_j) / 2.0), math.sqrt((1.0 - p_j) / 2.0)
+    e = np.array([c_i * c_j, 0.0, 0.0, s_i * s_j])
+    o = np.array([0.0, c_i * s_j, s_i * c_j, 0.0])
+    return check_density((weight_e * np.outer(e, e) + weight_o * np.outer(o, o)) / norm)
 
 
 def _stack(rho: np.ndarray) -> np.ndarray:

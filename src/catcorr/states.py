@@ -250,12 +250,3 @@ def bloch_compose(bloch: BlochForm) -> np.ndarray:
             rho = rho + bloch.t[(..., *ab)][..., None, None] * PAULI_PRODUCTS[ab]
     return rho / 4.0
 
-
-def partial_trace(rho, keep: int) -> np.ndarray:
-    """Single-qubit marginal of a two-qubit density (keep = 1 or 2)."""
-    t = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    if keep == 1:
-        return np.einsum("ajbj->ab", t)
-    if keep == 2:
-        return np.einsum("iaib->ab", t)
-    raise DomainError("keep must be 1 or 2")

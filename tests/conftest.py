@@ -68,3 +68,8 @@ def swap_qubits(rho):
     rho = np.asarray(rho)
     lead = rho.shape[:-2]
     return rho.reshape(lead + (2, 2, 2, 2)).swapaxes(-4, -3).swapaxes(-2, -1).reshape(lead + (4, 4))
+
+
+def marginal(rho, keep):
+    """The single-qubit marginal of a two-qubit density, qubit keep = 1 or 2."""
+    return np.einsum("ajbj->ab" if keep == 1 else "iaib->ab", np.reshape(rho, (2, 2, 2, 2)))

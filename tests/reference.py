@@ -53,3 +53,32 @@ def condition(name, overlaps, sign, a, b, first=True) -> float:
             shifted = closed_reference(moved, sign, a, b, first)[name]
             total += abs(shifted - base) / (h * abs(base))
         return float(total)
+
+
+def gram_density_reference(overlaps, sign, i, j) -> list:
+    """The 4x4 density of modes i, j built as the textbook builds it, at 50
+    digits: branch kets (1, 0) and (p, sqrt(1 - p^2)) per mode, the mixture
+    N^2 (u u^T + v v^T + sign q (u v^T + v u^T)) of the product kets
+    u, v, turned into each mode's normalized sum/difference basis (its
+    difference vector is (0, 1) at p = 1). Entries that vanish exactly come
+    out at the 1e-50 level."""
+    with mpmath.workdps(DPS):
+        ps = [mpmath.mpf(p) for p in overlaps]
+        q = mpmath.fprod(p for m, p in enumerate(ps, start=1) if m not in (i, j))
+        nsq = 1 / (2 * (1 + sign * mpmath.fprod(ps)))
+        kets, bases = [], []
+        for p in (ps[i - 1], ps[j - 1]):
+            w, w_prime = mpmath.matrix([1, 0]), mpmath.matrix([p, mpmath.sqrt(1 - p * p)])
+            plus, minus = w + w_prime, w - w_prime
+            minus = minus / mpmath.norm(minus) if p != 1 else mpmath.matrix([0, 1])
+            kets.append((w, w_prime))
+            bases.append((plus / mpmath.norm(plus), minus))
+        u = [kets[0][0][a] * kets[1][0][b] for a in range(2) for b in range(2)]
+        v = [kets[0][1][a] * kets[1][1][b] for a in range(2) for b in range(2)]
+        raw = mpmath.matrix([[nsq * (u[r] * u[c] + v[r] * v[c]
+                                     + sign * q * (u[r] * v[c] + v[r] * u[c]))
+                              for c in range(4)] for r in range(4)])
+        basis = mpmath.matrix([[x * y for x in bases[0][a] for y in bases[1][b]]
+                               for a in range(2) for b in range(2)])
+        rho = basis * raw * basis.T
+        return [[rho[r, c] for c in range(4)] for r in range(4)]

@@ -489,7 +489,12 @@ def test_out_file_writing(tmp_path, capsys):
     assert text.endswith("\n")
 
 
-def test_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys):
+def test_unwritable_out_path_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
+    # the path is checked before the command's work: verify never draws a sample
+    def unreached(*args):
+        raise AssertionError("verify ran before its --out path was checked")
+
+    monkeypatch.setattr(catcorr.cli, "_verify_gaps", unreached)
     target = tmp_path / "absent" / "x.csv"
     for argv in (["report", "--p", "0.5", "0.6", "0.7", "--pair", "1", "2"],
                  ["verify", "--samples", "2"]):
@@ -497,6 +502,26 @@ def test_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys):
         assert (code, out) == (2, ""), argv
         assert err == f"error: cannot write {target}: No such file or directory\n", argv
     assert not target.parent.exists()
+
+
+def test_failing_command_leaves_out_file_as_it_was(tmp_path, capsys):
+    # an exit 2 creates no --out file and leaves an existing one untouched;
+    # a success replaces all of an existing file's text
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_text("earlier text, longer than the report that replaces it\n" * 20)
+    before = kept.read_bytes()
+    for argv in (["report", "--p", "0.5", "1.5", "--pair", "1", "2"],
+                 ["sweep", "--n", "3", "--parity", "odd", "--p-start", "0.9", "--steps", "3"],
+                 ["evolve", "--n", "3", "--p", "0.5", "0.5", "0.5", "--rate", "1e-320",
+                  "--t-max", "1e300", "--steps", "3"]):
+        for target in (kept, absent):
+            code, out, err = run_cli(capsys, *argv, "--out", str(target))
+            assert (code, out) == (2, "") and err.startswith("error:"), argv
+    assert kept.read_bytes() == before and not absent.exists()
+    argv = ["report", "--p", "0.5", "0.6", "0.7", "--pair", "1", "2"]
+    _, expected, _ = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--out", str(kept)) == (0, "", "")
+    assert kept.read_text() == expected
 
 
 def test_verify_passes_at_default_tolerance(capsys):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from catcorr.correlations import (
     Branch,
-    DiscordWitness,
     branch_and_discord,
     concurrence_mixed,
     geometric_discord_numeric,
@@ -17,7 +16,6 @@ from catcorr.correlations import (
     pair_k_spectrum,
     werner_limit_discord,
     werner_limit_k_eigenvalues,
-    zero_discord_witness,
 )
 from catcorr.dephasing import discord_trajectory
 from catcorr.errors import InvalidDensityError
@@ -424,41 +422,10 @@ def test_concurrence_mixed_matches_high_precision_closed_form():
     assert worst < 1e-14
 
 
-# --- witness ---------------------------------------------------------------
-
-def test_zero_discord_witness_flags_correlated_state():
-    spec = SuperpositionSpec(overlaps=(0.5, 0.5, 0.5), parity=Parity.EVEN)
-    bloch = bloch_decompose(reduced_pair_density(spec.pair(1, 2)))
-    assert zero_discord_witness(bloch) is DiscordWitness.NON_ZERO_DISCORD
-    # R = diag(0.3, 0.3, 0) has rank 2; the local x = (0, 0, 0.2) lifts the
-    # full table (1, y^T; x, R) to rank 3
-    rho = (np.eye(4) + 0.2 * np.kron(SIGMA_Z, np.eye(2))
-           + 0.3 * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y))) / 4.0
-    assert zero_discord_witness(bloch_decompose(rho)) is DiscordWitness.NON_ZERO_DISCORD
-    assert geometric_discord_numeric(rho).discord > 0.0
-
-
-def test_zero_discord_witness_passes_product_and_classical_states():
-    ones = SuperpositionSpec(overlaps=(1.0, 1.0, 1.0), parity=Parity.EVEN)
-    bloch = bloch_decompose(reduced_pair_density(ones.pair(1, 2)))
-    assert zero_discord_witness(bloch) is DiscordWitness.ZERO_DISCORD_POSSIBLE
-    zeros = SuperpositionSpec(overlaps=(0.0, 0.0, 0.0), parity=Parity.EVEN)
-    bloch0 = bloch_decompose(reduced_pair_density(zeros.pair(1, 2)))
-    assert zero_discord_witness(bloch0) is DiscordWitness.ZERO_DISCORD_POSSIBLE
-    # and the discord of both is exactly zero
-    assert mixed_discord_closed(zeros.pair(1, 2)).discord == 0.0
-    assert mixed_discord_closed(ones.pair(1, 2)).discord == 0.0
-
-
-def test_witness_consistent_with_discord_on_random_specs(rng):
-    for _ in range(40):
-        spec = random_spec(rng, extremes=False)
-        i, j = random_pair(rng, spec.n)
-        report = mixed_discord_closed(spec.pair(i, j))
-        bloch = bloch_decompose(reduced_pair_density(spec.pair(i, j)))
-        witness = zero_discord_witness(bloch)
-        if witness is DiscordWitness.NON_ZERO_DISCORD:
-            assert report.discord > 0.0
+def test_closed_discord_of_all_zero_and_all_one_specs_is_exactly_zero():
+    for p in (0.0, 1.0):
+        spec = SuperpositionSpec(overlaps=(p, p, p), parity=Parity.EVEN)
+        assert mixed_discord_closed(spec.pair(1, 2)).discord == 0.0
 
 
 def test_geometric_discord_numeric_checks_density_once(monkeypatch):

@@ -17,10 +17,9 @@ from catcorr.states import (
     bloch_compose,
     bloch_decompose,
     check_density,
-    partial_trace,
     reduced_pair_density,
 )
-from conftest import normalization, pure_cut, random_density, random_pair, random_spec
+from conftest import marginal, normalization, pure_cut, random_density, random_pair, random_spec
 
 spec_strategy = st.builds(
     lambda ps, parity: (tuple(ps), parity),
@@ -147,7 +146,7 @@ def test_pure_split_even_sector_and_norm():
     assert abs(np.trace(rho).real - 1.0) < 1e-14
     # concurrence 2 |c00 c11| of this frozen case is 0.6
     assert abs(2.0 * abs(rho[0, 3]) - 0.6) < 1e-15
-    schmidt = np.linalg.eigvalsh(partial_trace(rho, 1))
+    schmidt = np.linalg.eigvalsh(marginal(rho, 1))
     assert abs(schmidt.sum() - 1.0) < 1e-15
     assert abs(schmidt[1] - 0.9) < 1e-15
 
@@ -304,18 +303,9 @@ def test_bloch_local_vectors_match_marginals(rng):
         i, j = 1, spec.n
         rho = reduced_pair_density(spec.pair(i, j))
         bloch = bloch_decompose(rho)
-        left = partial_trace(rho, 1)
-        right = partial_trace(rho, 2)
+        left = marginal(rho, 1)
+        right = marginal(rho, 2)
         assert abs(left[0, 0].real - 0.5 * (1.0 + bloch.x[2])) < 1e-13
         assert abs(right[0, 0].real - 0.5 * (1.0 + bloch.y[2])) < 1e-13
         assert abs(np.trace(left).real - 1.0) < 1e-13
 
-
-def test_partial_trace_of_product():
-    a = np.diag([0.7, 0.3]).astype(complex)
-    b = np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex)
-    rho = np.kron(a, b)
-    assert np.max(np.abs(partial_trace(rho, 1) - a)) < 1e-15
-    assert np.max(np.abs(partial_trace(rho, 2) - b)) < 1e-15
-    with pytest.raises(DomainError):
-        partial_trace(rho, 3)

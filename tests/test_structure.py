@@ -11,6 +11,26 @@ ALLOWED_PRIVATE_IMPORTS = {
     ("dephasing", "states"): {"_where"},
 }
 
+# the package's public names; a new export has to be added here on purpose
+PUBLIC_NAMES = {
+    "BlochForm", "Branch", "CatcorrError", "CorrelationReport", "DephasingParams",
+    "DivergentNormalizationError", "DomainError", "Family", "FamilyParams",
+    "InvalidDensityError", "PairInputs", "Parity", "SuperpositionSpec",
+    "UnsupportedOverlapError", "WEYL_HEISENBERG",
+    "apply_dephasing", "bloch_compose", "bloch_decompose", "branch_and_discord",
+    "check_density", "concurrence_mixed", "discord_by_measurement_search",
+    "discord_trajectory", "geometric_discord_numeric", "k_matrix", "kraus_ops",
+    "mixed_discord_closed", "overlap", "pair_density_from_overlaps", "pair_k_spectrum",
+    "reduced_pair_density", "su11", "su2", "sudden_death_time", "werner_limit_discord",
+    "werner_limit_k_eigenvalues",
+}
+
+
+def test_public_names_are_the_listed_ones():
+    assert len(catcorr.__all__) == len(set(catcorr.__all__))
+    assert set(catcorr.__all__) == PUBLIC_NAMES
+    assert all(hasattr(catcorr, name) for name in catcorr.__all__)
+
 
 def test_private_imports_between_modules_are_the_allowed_ones():
     found = {}
