@@ -30,7 +30,8 @@ from .dephasing import (
 from .errors import CatcorrError, DivergentNormalizationError, DomainError
 from .kernels import WEYL_HEISENBERG, FamilyParams, overlap, su2, su11
 from .oracle import discord_by_measurement_search, pair_density_from_overlaps
-from .states import Parity, SuperpositionSpec, _bloch, bloch_compose, reduced_pair_density
+from .states import (Parity, SuperpositionSpec, _bloch, bloch_compose, check_density,
+                     reduced_pair_density)
 
 
 def _fmt(x: float) -> str:
@@ -357,9 +358,10 @@ def _verify_gaps(samples, searched: int) -> np.ndarray:
     order; the search row holds the first `searched` samples only.
 
     A second-side sample measures the first mode of its reversed pair (j, i).
-    The closed routes and the Gram route run per sample; every numeric route
-    runs once over the stack of all samples. The search reads the pair
-    density, or the density dephased to time t when t > 1.5.
+    The closed routes and the Gram route run per sample; the Gram stack is
+    checked once, and every numeric route runs once, over all samples. The
+    search reads the pair density, or the density dephased to time t when
+    t > 1.5.
     """
     count = len(samples)
     rho = np.empty((count, 4, 4), dtype=complex)
@@ -375,7 +377,7 @@ def _verify_gaps(samples, searched: int) -> np.ndarray:
         traj_discord[k], traj_concurrence[k] = traj.discord, traj.concurrence
         gamma[k], gamma_t[k], times[k] = g, DephasingParams(rate=rate, time=t).gamma, t
     gaps = np.empty((len(_VERIFY_CHECKS), count))
-    gaps[0] = np.abs(gram - rho).reshape(count, 16).max(axis=1)
+    gaps[0] = np.abs(check_density(gram) - rho).reshape(count, 16).max(axis=1)
     # the first route that reads the stack as densities checks it
     discord = k_spectrum_discord(rho)
     gaps[1] = np.abs(closed - discord)

@@ -19,12 +19,6 @@ from .errors import DomainError
 from .states import BlochForm, PairInputs, _where, check_density
 
 
-def _each(fn, x):
-    # fn of a float, at each member of an array: a math-module expression
-    # keeps its own rounding and overflows without numpy's warnings
-    return np.array([fn(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else fn(x)
-
-
 @dataclass(frozen=True)
 class DephasingParams:
     """Rate and elapsed time of the phase damping channel.
@@ -38,20 +32,18 @@ class DephasingParams:
     def __post_init__(self):
         if not 0.0 < self.rate < math.inf:
             raise DomainError("dephasing rate must be positive and finite")
-        time = self.time
-        if not (np.all(time >= 0.0) if isinstance(time, np.ndarray) else time >= 0.0):
+        if not np.all(self.time >= 0.0):
             raise DomainError("evolution time must be nonnegative")
 
     @property
     def gamma(self) -> float | np.ndarray:
         """Damping probability 1 - exp(-rate * time)."""
-        return -_each(lambda t: math.expm1(-self.rate * t), self.time)
+        with np.errstate(over="ignore"):  # rate * time may overflow to inf
+            return -np.expm1(-self.rate * self.time)
 
 
 def _check_gamma(gamma) -> None:
-    inside = ((0.0 <= gamma) & (gamma <= 1.0)).all() if isinstance(gamma, np.ndarray) \
-        else 0.0 <= gamma <= 1.0
-    if not inside:
+    if not np.all((0.0 <= gamma) & (gamma <= 1.0)):
         raise DomainError("damping probability must lie in [0, 1]")
 
 
@@ -119,7 +111,8 @@ def discord_trajectory(pair: PairInputs, rate: float,
 
     time is one instant (a float) or an (m,) array of them; an array
     gives a report of (m,) arrays, each member bit-equal to the float
-    call at that time, since the exponentials are math's at each time.
+    call at that time: one numpy ufunc forms each exponential of a float
+    and of a fresh product array alike.
 
     Only the planar K eigenvalues decay (by e^(-2 rate t)); the branch
     choice is re-evaluated at the scaled spectrum, so a pair can cross
@@ -132,13 +125,15 @@ def discord_trajectory(pair: PairInputs, rate: float,
     """
     DephasingParams(rate=rate, time=time)
     lam1, lam2, lam3 = pair_k_spectrum(pair)
-    # rate * t first: -2.0 * rate can overflow to -inf, and -inf * 0 is NaN
-    scale = _each(lambda t: math.exp(-2.0 * (rate * t)), time)
+    # rate * t first: -2.0 * rate can overflow to -inf, and -inf * 0 is NaN;
+    # rate * t itself may overflow to inf, which a float does without a warning
+    with np.errstate(over="ignore"):
+        scale = np.exp(-2.0 * (rate * time))
+        decay = np.exp(-rate * time)
     lams = (lam1, lam2 * scale, lam3 * scale)
     branch, discord = branch_and_discord(*lams)
     prefactor = 0.5 * pair.s_a * pair.s_b / pair.denominator
-    decayed = _each(lambda t: math.exp(-rate * t), time) * (1.0 + pair.q) - pair.d_q
-    concurrence = prefactor * decayed
+    concurrence = prefactor * (decay * (1.0 + pair.q) - pair.d_q)
     return CorrelationReport(
         discord=discord,
         branch=branch,

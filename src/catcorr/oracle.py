@@ -64,7 +64,8 @@ def pair_density_from_overlaps(spec: SuperpositionSpec, i: int, j: int) -> np.nd
     u - v = 2 o, o = (0, c_i s_j, s_i c_j, 0), so with the rest traced out
     (cross weight q) the two-branch mixture
     N^2 (u u^T + v v^T + sign q (u v^T + v u^T)), sign = cos(m pi), is
-    [(1 + sign q) e e^T + (1 - sign q) o o^T] / (1 + sign P).
+    [(1 + sign q) e e^T + (1 - sign q) o o^T] / (1 + sign P). Nothing is
+    validated here: the routes that read the result as a density check it.
     """
     if not (1 <= i <= spec.n and 1 <= j <= spec.n):
         raise DomainError(f"mode indices must lie in 1..{spec.n}, got ({i}, {j})")
@@ -79,7 +80,8 @@ def pair_density_from_overlaps(spec: SuperpositionSpec, i: int, j: int) -> np.nd
     c_j, s_j = math.sqrt((1.0 + p_j) / 2.0), math.sqrt((1.0 - p_j) / 2.0)
     e = np.array([c_i * c_j, 0.0, 0.0, s_i * s_j])
     o = np.array([0.0, c_i * s_j, s_i * c_j, 0.0])
-    return check_density((weight_e * np.outer(e, e) + weight_o * np.outer(o, o)) / norm)
+    # divided as reals, then cast: numpy's complex division multiplies by a reciprocal
+    return ((weight_e * np.outer(e, e) + weight_o * np.outer(o, o)) / norm).astype(complex)
 
 
 def _stack(rho: np.ndarray) -> np.ndarray:

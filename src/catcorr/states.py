@@ -33,12 +33,8 @@ _TRACE_TOL = 1e-12
 _PSD_TOL = 1e-10
 
 
-# Elementwise helpers for a float or an array: math keeps single states free
-# of numpy call overhead, and each pair rounds the same way.
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
+# Branching helpers for a float or an array; arithmetic on either is numpy's
+# ufuncs, and these keep a float's result a plain value (a Branch, say)
 def _where(cond, a, b):
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
@@ -113,8 +109,8 @@ class SuperpositionSpec:
         d_a, d_b, d_q = _complement(ps_a), _complement(ps_b), _complement(rest)
         denominator = (1.0 + math.prod(self.overlaps) if self.parity is Parity.EVEN
                        else d_b + p_b * (d_a + p_a * d_q))
-        return PairInputs(p_a, p_b, q, d_a, d_b, d_q, _sqrt(d_a * (1.0 + p_a)),
-                          _sqrt(d_b * (1.0 + p_b)), denominator, self.parity.sign, bool(rest))
+        return PairInputs(p_a, p_b, q, d_a, d_b, d_q, np.sqrt(d_a * (1.0 + p_a)),
+                          np.sqrt(d_b * (1.0 + p_b)), denominator, self.parity.sign, bool(rest))
 
     def _members(self, a, b) -> tuple:
         """Overlaps of group a, of group b and of the traced-out modes."""
@@ -178,8 +174,8 @@ def reduced_pair_density(pair: PairInputs) -> np.ndarray:
     scale = 1.0 / pair.denominator  # 2 N^2
     outer, inner = (1.0 + pair.q, pair.d_q) if pair.sign > 0 else (pair.d_q, 1.0 + pair.q)
     outer, inner = scale * outer, scale * inner
-    a_i, b_i = _sqrt((1.0 + pair.p_a) / 2.0), _sqrt(pair.d_a / 2.0)
-    a_j, b_j = _sqrt((1.0 + pair.p_b) / 2.0), _sqrt(pair.d_b / 2.0)
+    a_i, b_i = np.sqrt((1.0 + pair.p_a) / 2.0), np.sqrt(pair.d_a / 2.0)
+    a_j, b_j = np.sqrt((1.0 + pair.p_b) / 2.0), np.sqrt(pair.d_b / 2.0)
     cross = a_i * a_j * b_i * b_j
     rho = np.zeros(np.shape(outer) + (4, 4), dtype=complex)
     rho[..., 0, 0] = outer * a_i * a_i * a_j * a_j

@@ -424,6 +424,17 @@ def test_evolve_matches_report_at_time_zero(capsys):
         _, dephased_out, _ = run_cli(capsys, "report", *spec, "--rate", rate, "--time", "0")
         _, dephased_rows = parse_csv(dephased_out)
         assert dephased_rows[0]["discord_t"] == dephased_rows[0]["discord"]
+    # at rate 1e308 and t = 3, rate * t itself overflows to inf: after t = 0
+    # the pair is fully damped, with no warning
+    code, evolve_out, err = run_cli(capsys, "evolve", *spec, "--rate", "1e308",
+                                    "--t-max", "3", "--steps", "5")
+    assert (code, err) == (0, "")
+    for row in parse_csv(evolve_out)[1][1:]:
+        assert (row["gamma"], row["discord"], row["concurrence"]) == ("1", "0", "0")
+    code, report_out, err = run_cli(capsys, "report", *spec, "--rate", "1e308", "--time", "3")
+    assert (code, err) == (0, "")
+    row = parse_csv(report_out)[1][0]
+    assert (row["gamma"], row["discord_t"], row["concurrence_t"]) == ("1", "0", "0")
 
 
 def test_evolve_column_contract_and_death_summary(capsys):
@@ -562,6 +573,22 @@ def test_verify_fails_a_nan_deviation(monkeypatch, capsys):
     assert lines[-1].startswith("verify: FAIL (4/5")
 
 
+def test_verify_checks_the_gram_densities_it_reads(monkeypatch, capsys):
+    # the Gram route does not check its own result; verify checks the stack
+    # it reads, so a bad member exits 2 rather than reading as a FAIL line
+    gram = catcorr.cli.pair_density_from_overlaps
+    calls = []
+
+    def bad_third(*args):
+        calls.append(args)
+        return np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex) if len(calls) == 3 else gram(*args)
+
+    monkeypatch.setattr(catcorr.cli, "pair_density_from_overlaps", bad_third)
+    code, out, err = run_cli(capsys, "verify", "--samples", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: density has eigenvalue -0.5 below -1e-10\n"
+
+
 def test_verify_rejects_sample_counts_below_one(capsys):
     # also a tolerance no deviation can be compared against; --tol 0 stays legal
     for argv, fragment in ((["verify", "--samples", "0"], "at least 1"),
@@ -630,12 +657,12 @@ def _count_calls(monkeypatch, targets) -> Counter:
      {"pair": 1, "pair_k_spectrum": 3, "reduced_pair_density": 1, "apply_dephasing": 0}),
     ("evolve --n 4 --p 0.5 0.5 0.5 0.5 --pair 1 2 --rate 1 --t-max 1.5 --steps 100",
      {"__post_init__": 3, "pair": 1, "pair_k_spectrum": 2}),
-    # closed and Gram routes per sample (the Gram route checks its density);
-    # each numeric route once over all samples, the search on the first 48:
-    # 100 + 5 density checks
+    # closed and Gram routes per sample; the Gram stack is checked once, and
+    # each numeric route runs once, over all samples, the search on the
+    # first 48: 1 + 5 density checks
     ("verify --samples 100",
      {"pair": 100, "reduced_pair_density": 100, "apply_dephasing": 2, "k_spectrum_discord": 1,
-      "discord_by_measurement_search": 1, "check_density": 105}),
+      "discord_by_measurement_search": 1, "check_density": 6}),
 ])
 def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact):
     correlations, states = catcorr.correlations, catcorr.states
