@@ -3,14 +3,14 @@
 Usage, from anywhere:
 
     python3 scripts/byte_audit.py PARENT CHANGE [--blocks N] [--seeds S ...]
-        [--workloads W ...]
 
 PARENT and CHANGE are source checkouts of catcorr (each with src/catcorr).
-The argv lists are the first N blocks of each workload's seeded stream in
+The argv lists are the first N blocks of every workload's seeded stream in
 this repository's perfbench/workloads.py, seeded as perfbench/run.py seeds
 its timed pass, plus the untimed probe of a workload that has one. Each
 checkout replays them through catcorr.cli.main in a child interpreter of
-its own, which writes no bytecode into it. Exit code, stdout and stderr
+its own, which imports catcorr as perfbench/run.py does and writes no
+bytecode into the checkout or perfbench/. Exit code, stdout and stderr
 are compared; each argv that differs is printed with its moved lines,
 then a count per workload. Exit 1 on any difference, 0 on none.
 """
@@ -30,14 +30,13 @@ sys.dont_write_bytecode = True  # neither perfbench/ nor a checkout gains a file
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _requests(workloads: list, seeds: list, blocks: int) -> list:
+def _requests(seeds: list, blocks: int) -> list:
     """(workload, argv) of every request to replay, in order."""
     sys.path.insert(0, str(PERFBENCH))
     from workloads import WORKLOADS
 
     requests = []
-    for name in workloads:
-        workload = WORKLOADS[name]
+    for name, workload in WORKLOADS.items():
         for seed in seeds:
             stream = workload.stream(random.Random(seed))
             for _ in range(blocks):
@@ -52,7 +51,7 @@ def _replay(checkout: Path, argvs: list) -> list:
     """[exit code, stdout, stderr] of each argv, run in a child interpreter
     that imports catcorr from checkout/src."""
     proc = subprocess.run(
-        [sys.executable, "-B", __file__, "--replay", str(checkout)],
+        [sys.executable, __file__, "--replay", str(checkout)],
         input=json.dumps(argvs), capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"error: replay in {checkout} failed:\n{proc.stderr}")
@@ -60,18 +59,17 @@ def _replay(checkout: Path, argvs: list) -> list:
 
 
 def _child(checkout: Path) -> None:
-    src = (checkout / "src").resolve()
-    sys.path.insert(0, str(src))
-    import catcorr.cli
+    sys.path.insert(0, str(PERFBENCH))
+    import run  # perfbench's runner, for its guarded import of catcorr.cli
 
-    if Path(catcorr.cli.__file__).resolve().parent != src / "catcorr":
-        raise SystemExit(f"error: catcorr imported from {catcorr.cli.__file__}, not {src}")
+    run.SRC = (checkout / "src").resolve()
+    cli, _ = run._load_cli()
     results = []
     for argv in json.load(sys.stdin):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = catcorr.cli.main(argv)
+                code = cli.main(argv)
             except Exception as exc:  # a crash is an outcome to compare, not an abort
                 code = f"{type(exc).__name__}: {exc}"
         results.append([code, out.getvalue(), err.getvalue()])
@@ -97,12 +95,11 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout compared against it")
     parser.add_argument("--blocks", type=int, default=3, help="stream blocks per seed")
     parser.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103, 104, 105])
-    parser.add_argument("--workloads", nargs="+", default=["sweep", "evolve", "verify"])
     args = parser.parse_args(argv)
-    requests = _requests(args.workloads, args.seeds, args.blocks)
+    requests = _requests(args.seeds, args.blocks)
     argvs = [request for _, request in requests]
     parent, change = _replay(args.parent, argvs), _replay(args.change, argvs)
-    counts = {name: [0, 0] for name in args.workloads}
+    counts = {name: [0, 0] for name, _ in requests}
     for (name, request), old, new in zip(requests, parent, change):
         counts[name][1] += 1
         if old != new:

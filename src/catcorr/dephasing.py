@@ -39,7 +39,7 @@ class DephasingParams:
     def gamma(self) -> float | np.ndarray:
         """Damping probability 1 - exp(-rate * time)."""
         with np.errstate(over="ignore"):  # rate * time may overflow to inf
-            return -np.expm1(-self.rate * self.time)
+            return -np.expm1(-self.rate * np.asarray(self.time, dtype=float))
 
 
 def _check_gamma(gamma) -> None:
@@ -126,10 +126,11 @@ def discord_trajectory(pair: PairInputs, rate: float,
     DephasingParams(rate=rate, time=time)
     lam1, lam2, lam3 = pair_k_spectrum(pair)
     # rate * t first: -2.0 * rate can overflow to -inf, and -inf * 0 is NaN;
-    # rate * t itself may overflow to inf, which a float does without a warning
+    # rate * t itself may overflow to inf, which a float does without a warning.
+    # Times are read as float64, so a float32 array rounds as the float call does
     with np.errstate(over="ignore"):
-        scale = np.exp(-2.0 * (rate * time))
-        decay = np.exp(-rate * time)
+        rate_time = rate * np.asarray(time, dtype=float)
+        scale, decay = np.exp(-2.0 * rate_time), np.exp(-rate_time)
     lams = (lam1, lam2 * scale, lam3 * scale)
     branch, discord = branch_and_discord(*lams)
     prefactor = 0.5 * pair.s_a * pair.s_b / pair.denominator

@@ -15,9 +15,11 @@ def test_byte_audit_of_a_checkout_against_itself_finds_no_difference():
     # with bytecode writing on, as it is by default
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "byte_audit.py"), str(ROOT),
-                           str(ROOT), "--blocks", "1", "--seeds", "101", "--workloads", "evolve"],
+                           str(ROOT), "--blocks", "1", "--seeds", "101"],
                           capture_output=True, text=True, env=env, timeout=300, check=False)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "evolve: 0 of 9 argvs differ\n"
+    assert proc.stdout == ("sweep: 0 of 13 argvs differ\n"
+                           "evolve: 0 of 9 argvs differ\n"
+                           "verify: 0 of 9 argvs differ\n")
     # the replay writes nothing, bytecode included, into the checkout it reads
     assert _files() == before

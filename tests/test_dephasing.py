@@ -293,7 +293,7 @@ def test_array_time_trajectory_equals_scalar_calls(rng):
                 times = np.linspace(0.0, float(rng.uniform(0.5, 5.0)), 41)
                 rate = float(rng.uniform(0.2, 2.0))
                 # strided and reversed views too: each ufunc sees a fresh product
-                for view in (times, times[::3], times[::-1]):
+                for view in (times, times[::3], times[::-1], times.astype(np.float32)):
                     _assert_grid_is_pointwise(spec, i, j, rate, view)
     # t = 0 and times past the sudden death at ln 3
     spec = SuperpositionSpec(overlaps=(0.5, 0.6, 0.7), parity=Parity.EVEN)
@@ -316,7 +316,8 @@ def test_array_time_trajectory_equals_scalar_calls(rng):
 def test_params_take_an_array_of_times():
     times = np.array([0.0, 0.25, 1.0, 7.5])
     grid = np.linspace(0.0, 7.5, 61)
-    for view in (times, times[::3], times[::-1], grid, grid[::3], grid[::-1]):
+    for view in (times, times[::3], times[::-1], grid, grid[::3], grid[::-1],
+                 grid.astype(np.float32)):
         gamma = DephasingParams(rate=0.8, time=view).gamma
         assert gamma.tolist() == [DephasingParams(rate=0.8, time=t).gamma for t in view.tolist()]
     for bad in (-0.1, math.nan):
