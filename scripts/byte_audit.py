@@ -8,6 +8,8 @@ PARENT and CHANGE are source checkouts of catcorr (each with src/catcorr).
 The argv lists are the first N blocks of every workload's seeded stream in
 this repository's perfbench/workloads.py, seeded as perfbench/run.py seeds
 its timed pass, plus the untimed probe of a workload that has one. Each
+evolve request is also replayed as two reports of its state and selection:
+one at --time equal to its --t-max, one without --rate/--time. Each
 checkout replays them through catcorr.cli.main in a child interpreter of
 its own, which imports catcorr as perfbench/run.py does and writes no
 bytecode into the checkout or perfbench/. Exit code, stdout and stderr
@@ -44,7 +46,19 @@ def _requests(seeds: list, blocks: int) -> list:
             if workload.probe:
                 requests += [(name, list(r.argv))
                              for r in workload.probe(random.Random(f"probe-{seed}"))]
-    return requests
+    return requests + [("report", report) for name, argv in requests if name == "evolve"
+                       for report in _reports(argv)]
+
+
+def _reports(evolve: list) -> list:
+    """The report argvs of an evolve request's state: at its --t-max, and undephased."""
+    def without(*flags):
+        return ["report"] + [arg for k, arg in enumerate(evolve[1:], start=1)
+                             if arg not in flags and evolve[k - 1] not in flags]
+
+    at_t_max = without("--steps")
+    at_t_max[at_t_max.index("--t-max")] = "--time"
+    return [at_t_max, without("--steps", "--rate", "--t-max")]
 
 
 def _replay(checkout: Path, argvs: list) -> list:

@@ -192,62 +192,45 @@ def _trajectory_cells(pair, params: DephasingParams) -> tuple:
             "infinite" if math.isinf(t0) else _jnum(t0))
 
 
+_REPORT_CELLS = ["discord", "discord_numeric", "branch", "concurrence",
+                 "lambda1", "lambda2", "lambda3"]
+_TRAJECTORY_CELLS = ["rate", "time", "gamma", "discord", "concurrence", "sudden_death_time"]
+
+
+def _named_cells(names, cells) -> dict:
+    """Cells by name, each float rounded to the printed precision, a branch as its value."""
+    return {name: _jnum(x) if isinstance(x, float) else str(x) for name, x in zip(names, cells)}
+
+
 def cmd_report(args) -> int:
     spec = _spec_from_args(args)
     groups = _selection_from_args(args, spec.n)
     pair = spec.pair(*_measured_first(args.side, groups))
-    discord, discord_numeric, branch, concurrence, lam1, lam2, lam3 = _closed_cells(pair)
-    mode, selection_repr, selection_json = _describe_selection(groups, spec.n)
-    payload = {
-        "spec": {
-            "n": spec.n,
-            "overlaps": [_jnum(p) for p in spec.overlaps],
-            "parity": spec.parity.value,
-        },
-        "selection": selection_json,
-        "measurement_side": args.side,
-        "discord": _jnum(discord),
-        "discord_numeric": _jnum(discord_numeric),
-        "branch": branch.value,
-        "concurrence": _jnum(concurrence),
-        "lambda1": _jnum(lam1),
-        "lambda2": _jnum(lam2),
-        "lambda3": _jnum(lam3),
-    }
-
+    closed = _named_cells(_REPORT_CELLS, _closed_cells(pair))
+    trajectory = {}
     if args.time is not None and args.rate is None:
         raise DomainError("--time needs --rate")
     if args.rate is not None:
         t = args.time if args.time is not None else 0.0
         if not math.isfinite(t):
             raise DomainError("report needs a finite --time")
-        gamma, discord_t, concurrence_t, t0 = _trajectory_cells(
-            pair, DephasingParams(rate=args.rate, time=t))
-        payload["trajectory"] = {
-            "rate": _jnum(args.rate),
-            "time": _jnum(t),
-            "gamma": _jnum(gamma),
-            "discord": _jnum(discord_t),
-            "concurrence": _jnum(concurrence_t),
-            "sudden_death_time": t0,
-        }
-
+        trajectory = _named_cells(_TRAJECTORY_CELLS, (
+            args.rate, t, *_trajectory_cells(pair, DephasingParams(rate=args.rate, time=t))))
+    mode, selection_repr, selection_json = _describe_selection(groups, spec.n)
     if args.format == "json":
+        payload = {"spec": {"n": spec.n, "overlaps": [_jnum(p) for p in spec.overlaps],
+                            "parity": spec.parity.value},
+                   "selection": selection_json, "measurement_side": args.side, **closed}
+        if trajectory:
+            payload["trajectory"] = trajectory
         _emit(_json_text(payload), args.out)
         return 0
-    header = ["n", "parity", "overlaps", "mode", "selection", "measurement_side",
-              "discord", "discord_numeric", "branch", "concurrence",
-              "lambda1", "lambda2", "lambda3"]
-    row = [str(spec.n), spec.parity.value,
-           " ".join(_fmt(p) for p in spec.overlaps), mode, selection_repr,
-           args.side] + [payload[key] for key in header[6:]]
-    if "trajectory" in payload:
-        block = payload["trajectory"]
-        header += ["rate", "time", "gamma", "discord_t", "concurrence_t",
-                   "sudden_death_time"]
-        row += [block[key] for key in ("rate", "time", "gamma", "discord",
-                                       "concurrence", "sudden_death_time")]
-    _emit_table(args, header, [tuple(row)])
+    # one flat row: a trajectory cell named as a closed one is suffixed _t
+    header = ["n", "parity", "overlaps", "mode", "selection", "measurement_side", *closed,
+              *(f"{name}_t" if name in closed else name for name in trajectory)]
+    row = (str(spec.n), spec.parity.value, " ".join(map(_fmt, spec.overlaps)), mode,
+           selection_repr, args.side, *closed.values(), *trajectory.values())
+    _emit_table(args, header, [row])
     return 0
 
 
@@ -286,22 +269,17 @@ def cmd_sweep(args) -> int:
     rows = []
     for first in range(0, grid.size, _SWEEP_BLOCK):
         block = grid[first:first + _SWEEP_BLOCK]
-        columns = _sweep_columns(block, args.n, parity, groups)
+        try:
+            spec = SuperpositionSpec(overlaps=(block,) * args.n, parity=parity)
+        except DivergentNormalizationError:
+            # point by point the earliest failure decides: a bad selection fails
+            # every point, so it raises first unless the first point is null
+            SuperpositionSpec(overlaps=(block[:1],) * args.n, parity=parity).pair(*groups)
+            raise
+        columns = [block, *_closed_cells(spec.pair(*groups))]
         rows.extend(zip(*(np.broadcast_to(column, block.shape).tolist() for column in columns)))
     _emit_table(args, _SWEEP_COLUMNS, rows)
     return 0
-
-
-def _sweep_columns(grid, n: int, parity: Parity, groups: tuple) -> list:
-    """The sweep's columns for a block of grid points, in one pass."""
-    try:
-        spec = SuperpositionSpec(overlaps=(grid,) * n, parity=parity)
-    except DivergentNormalizationError as null:
-        # point by point, a later stage failing before the first null state raised first
-        if null.point:
-            _sweep_columns(grid[:null.point], n, parity, groups)
-        raise
-    return [grid, *_closed_cells(spec.pair(*groups))]
 
 
 _EVOLVE_COLUMNS = ["t", "gamma", "discord", "concurrence"]

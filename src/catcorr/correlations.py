@@ -77,7 +77,7 @@ def geometric_discord_numeric(rho) -> CorrelationReport:
     rho = check_density(rho)
     discord, lams = _k_discord(rho)
     return CorrelationReport(
-        discord=discord if rho.ndim > 2 else float(discord),
+        discord=discord,
         branch=Branch.NUMERIC_K,
         k_eigenvalues=lams,
         concurrence=_concurrence(rho),
@@ -109,7 +109,7 @@ def _concurrence(rho: np.ndarray):
     s = np.linalg.svd(b.swapaxes(-1, -2) @ PAULI_PRODUCTS[2, 2] @ b, compute_uv=False)
     gap = s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3]
     # max(0.0, gap) at each member: np.maximum would keep -0.0 and NaN
-    return _where(gap > 0.0, gap, 0.0) if gap.ndim else max(0.0, float(gap))
+    return _where(gap > 0.0, gap, 0.0)
 
 
 def pair_k_spectrum(pair: PairInputs) -> tuple:

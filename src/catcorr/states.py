@@ -69,7 +69,6 @@ class SuperpositionSpec:
     Overlaps given as numpy arrays of one length m make a grid of m
     states, point k with overlaps p[k]; the closed forms and pair
     densities then return (m,) arrays and (m, 4, 4) stacks in one pass.
-    The null-state error names the first null point as `point`.
     """
 
     overlaps: tuple
@@ -85,12 +84,9 @@ class SuperpositionSpec:
             outside = _outside_unit(p)
             if outside is not None:
                 raise DomainError(f"overlaps must lie in [0, 1], got {outside}")
-        null = np.flatnonzero(2.0 * (1.0 + math.prod(ps) * self.parity.sign) <= _NULL_STATE_TOL)
-        if null.size:
-            error = DivergentNormalizationError(
+        if np.any(2.0 * (1.0 + math.prod(ps) * self.parity.sign) <= _NULL_STATE_TOL):
+            raise DivergentNormalizationError(
                 "odd parity with unit overlap product gives a null state")
-            error.point = int(null[0])
-            raise error
 
     @property
     def n(self) -> int:
@@ -197,9 +193,11 @@ def check_density(rho) -> np.ndarray:
         raise InvalidDensityError(f"expected a 4x4 matrix, got shape {m.shape}")
     stack = m.reshape(-1, 4, 4)
     adjoint = stack.conj().transpose(0, 2, 1)
-    skew = np.abs(stack - adjoint).reshape(-1, 16).max(axis=1) > _HERM_TOL
-    trace = stack.diagonal(0, 1, 2).sum(axis=-1)
-    bad = skew | (abs(trace.real - 1.0) > _TRACE_TOL) | (abs(trace.imag) > _TRACE_TOL)
+    # a non-finite entry makes its member's skew NaN or inf, which is not within tolerance
+    with np.errstate(invalid="ignore"):
+        skew = ~(np.abs(stack - adjoint).reshape(-1, 16).max(axis=1) <= _HERM_TOL)
+        trace = stack.diagonal(0, 1, 2).sum(axis=-1)
+        bad = skew | (abs(trace.real - 1.0) > _TRACE_TOL) | (abs(trace.imag) > _TRACE_TOL)
     stop = bad.argmax() if bad.any() else len(stack)
     lowest = np.linalg.eigvalsh(0.5 * (stack[:stop] + adjoint[:stop]))[:, 0]
     negative = lowest < -_PSD_TOL
@@ -207,8 +205,10 @@ def check_density(rho) -> np.ndarray:
         raise InvalidDensityError(
             f"density has eigenvalue {float(lowest[negative.argmax()])} below -{_PSD_TOL}")
     if stop < len(stack):
-        raise InvalidDensityError("density is not Hermitian within tolerance" if skew[stop]
-                                  else f"density trace is {complex(trace[stop])}, expected 1")
+        raise InvalidDensityError(
+            "density has a non-finite entry" if not np.isfinite(stack[stop]).all()
+            else "density is not Hermitian within tolerance" if skew[stop]
+            else f"density trace is {complex(trace[stop])}, expected 1")
     return m
 
 

@@ -20,6 +20,7 @@ def test_byte_audit_of_a_checkout_against_itself_finds_no_difference():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == ("sweep: 0 of 13 argvs differ\n"
                            "evolve: 0 of 9 argvs differ\n"
-                           "verify: 0 of 9 argvs differ\n")
+                           "verify: 0 of 9 argvs differ\n"
+                           "report: 0 of 18 argvs differ\n")
     # the replay writes nothing, bytecode included, into the checkout it reads
     assert _files() == before

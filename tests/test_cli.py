@@ -356,6 +356,22 @@ def test_sweep_error_exits_are_those_of_the_first_failing_point(capsys, argv, me
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("report --n 3 --family wh --z 0.3 --j 1 --pair 1 2",
+     "the wh family takes no --j or --bargmann label"),
+    ("report --n 3 --family su2 --z 0.3 --pair 1 2", "--family su2 needs --j"),
+    ("report --n 3 --family su11 --z 0.3 --pair 1 2", "--family su11 needs --bargmann"),
+    ("report --n 3 --family wh --pair 1 2", "--family needs --z"),
+    ("report --family wh --z 0.3 --pair 1 2", "--family mode needs an explicit --n"),
+    ("report --n 3 --pair 1 2", "overlaps required: give --p or --family with --z"),
+    ("report --n 3 --p 0.5 0.5 0.5 --pure", "--pure needs --k"),
+    ("sweep --n 3 --family wh --z-start 0", "family sweeps need --z-start and --z-stop"),
+    ("evolve --p 0.5 0.5 --rate 1 --t-max 1 --steps 1", "a time grid needs at least 2 steps"),
+])
+def test_missing_and_conflicting_flags_exit_2(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
 # odd grids whose last points lie within 1e-8 of unit overlap, where 1 - P
 # formed by cancellation once broke the pair density's trace by ~1e-9
 @pytest.mark.parametrize("argv", [
@@ -674,6 +690,14 @@ def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact):
     code, _, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert {name: counts[name] for name in exact} == exact
+
+
+def test_a_failing_sweep_runs_no_closed_route(monkeypatch, capsys):
+    # the null state at p = 1 fails the grid; its first point checks the selection
+    counts = _count_calls(monkeypatch, [(catcorr.correlations, "pair_k_spectrum")])
+    assert run_cli(capsys, *"sweep --n 3 --parity odd --pair 1 2 --steps 5".split()) == (
+        2, "", "error: odd parity with unit overlap product gives a null state\n")
+    assert counts["pair_k_spectrum"] == 0
 
 
 def test_group_pairs_through_unit_and_zero_overlaps_print_clean_cells(capsys):

@@ -17,8 +17,8 @@ from catcorr.correlations import (
     werner_limit_discord,
     werner_limit_k_eigenvalues,
 )
-from catcorr.dephasing import discord_trajectory
-from catcorr.errors import InvalidDensityError
+from catcorr.dephasing import apply_dephasing, discord_trajectory
+from catcorr.errors import DomainError, InvalidDensityError
 from catcorr.oracle import discord_by_measurement_search
 from catcorr.states import (
     SIGMA_X,
@@ -241,6 +241,8 @@ def test_werner_limit_values():
     assert abs(werner_limit_discord(5) - 0.08) < 1e-15
     with pytest.raises(Exception):
         werner_limit_discord(1)
+    with pytest.raises(DomainError, match="the limit needs at least two modes"):
+        werner_limit_k_eigenvalues(1)
     lam1, lam2, lam3 = werner_limit_k_eigenvalues(4)
     assert lam2 == lam3 == 0.25
     assert abs(lam1 - 0.25) < 1e-15
@@ -394,6 +396,23 @@ def test_numeric_routes_reject_invalid_densities():
         for route in (concurrence_mixed, geometric_discord_numeric, k_spectrum_discord):
             with pytest.raises(InvalidDensityError):
                 route(bad)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("at", [(0, 0), (3, 3), (0, 1), (1, 2)])
+def test_every_route_refuses_a_non_finite_entry(entry, at):
+    # on or off the diagonal, alone or as member 3 of a stack whose member 4
+    # fails later checks: InvalidDensityError, and no numpy warning or LinAlgError
+    good = reduced_pair_density(SuperpositionSpec(overlaps=(0.5, 0.6, 0.7)).pair(1, 2))
+    alone = good.copy()
+    alone[at] = entry
+    stack = np.array([good, good, good, alone, np.diag([0.6, 0.5, -0.05, -0.05])])
+    routes = (check_density, geometric_discord_numeric, concurrence_mixed,
+              discord_by_measurement_search, lambda rho: apply_dephasing(rho, 0.3))
+    for rho in (alone, stack):
+        for route in routes:
+            with pytest.raises(InvalidDensityError, match="^density has a non-finite entry$"):
+                route(rho)
 
 
 def test_mixed_concurrence_closed_matches_wootters(rng):
