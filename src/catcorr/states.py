@@ -84,7 +84,7 @@ class SuperpositionSpec:
             outside = _outside_unit(p)
             if outside is not None:
                 raise DomainError(f"overlaps must lie in [0, 1], got {outside}")
-        if np.any(2.0 * (1.0 + math.prod(ps) * self.parity.sign) <= _NULL_STATE_TOL):
+        if np.count_nonzero(2.0 * (1.0 + math.prod(ps) * self.parity.sign) <= _NULL_STATE_TOL):
             raise DivergentNormalizationError(
                 "odd parity with unit overlap product gives a null state")
 
