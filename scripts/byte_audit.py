@@ -9,7 +9,10 @@ The argv lists are the first N blocks of every workload's seeded stream in
 this repository's perfbench/workloads.py, seeded as perfbench/run.py seeds
 its timed pass, plus the untimed probe of a workload that has one. Each
 evolve request is also replayed as two reports of its state and selection:
-one at --time equal to its --t-max, one without --rate/--time. Each
+one at --time equal to its --t-max, one without --rate/--time. Each verify
+request is also replayed with --search-samples equal to its --samples and
+--tol 0, so the measurement search runs on every sample drawn and every
+check prints the sample at its largest deviation. Each
 checkout replays them through catcorr.cli.main in a child interpreter of
 its own, which imports catcorr as perfbench/run.py does and writes no
 bytecode into the checkout or perfbench/. Exit code, stdout and stderr
@@ -21,6 +24,7 @@ import argparse
 import contextlib
 import difflib
 import io
+import itertools
 import json
 import random
 import subprocess
@@ -32,22 +36,30 @@ sys.dont_write_bytecode = True  # neither perfbench/ nor a checkout gains a file
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _requests(seeds: list, blocks: int) -> list:
-    """(workload, argv) of every request to replay, in order."""
+def _streams(seeds: list, blocks: int) -> list:
+    """(workload, argv) of the first `blocks` blocks of each workload's seeded
+    stream, seeded as perfbench/run.py seeds its timed pass."""
     sys.path.insert(0, str(PERFBENCH))
     from workloads import WORKLOADS
 
-    requests = []
-    for name, workload in WORKLOADS.items():
-        for seed in seeds:
-            stream = workload.stream(random.Random(seed))
-            for _ in range(blocks):
-                requests += [(name, list(r.argv)) for r in next(stream)]
-            if workload.probe:
-                requests += [(name, list(r.argv))
-                             for r in workload.probe(random.Random(f"probe-{seed}"))]
-    return requests + [("report", report) for name, argv in requests if name == "evolve"
-                       for report in _reports(argv)]
+    return [(name, list(r.argv)) for name, workload in WORKLOADS.items() for seed in seeds
+            for block in itertools.islice(workload.stream(random.Random(seed)), blocks)
+            for r in block]
+
+
+def _requests(seeds: list, blocks: int) -> list:
+    """(kind, argv) of every request to replay, in order: the streams, the
+    probes, then the reports of each evolve and each verify widened."""
+    requests = _streams(seeds, blocks)
+    from workloads import WORKLOADS
+
+    requests += [
+        (name, list(r.argv)) for name, workload in WORKLOADS.items() if workload.probe
+        for seed in seeds for r in workload.probe(random.Random(f"probe-{seed}"))]
+    return (requests
+            + [("report", report) for name, argv in requests if name == "evolve"
+               for report in _reports(argv)]
+            + [("verify", _widened(argv)) for name, argv in requests if name == "verify"])
 
 
 def _reports(evolve: list) -> list:
@@ -59,6 +71,12 @@ def _reports(evolve: list) -> list:
     at_t_max = without("--steps")
     at_t_max[at_t_max.index("--t-max")] = "--time"
     return [at_t_max, without("--steps", "--rate", "--t-max")]
+
+
+def _widened(verify: list) -> list:
+    """A verify argv that searches every sample it draws and, at --tol 0,
+    prints each check's worst: line."""
+    return verify + ["--search-samples", verify[verify.index("--samples") + 1], "--tol", "0"]
 
 
 def _replay(checkout: Path, argvs: list) -> list:

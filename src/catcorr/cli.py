@@ -30,8 +30,8 @@ from .dephasing import (
 from .errors import CatcorrError, DivergentNormalizationError, DomainError
 from .kernels import WEYL_HEISENBERG, FamilyParams, overlap, su2, su11
 from .oracle import discord_by_measurement_search, pair_density_from_overlaps
-from .states import (Parity, SuperpositionSpec, _bloch, bloch_compose, check_density,
-                     reduced_pair_density)
+from .states import (PairInputs, Parity, SuperpositionSpec, _bloch, bloch_compose,
+                     check_density, reduced_pair_density)
 
 
 def _fmt(x: float) -> str:
@@ -331,29 +331,55 @@ _VERIFY_CHECKS = ("gram_vs_closed", "closed_vs_numeric", "kraus_vs_bloch_scaling
                   "trajectory_consistency", "search_vs_spectrum")
 
 
+def _stacked(pairs: list) -> PairInputs:
+    """The closed-route inputs of one parity's samples as one PairInputs of
+    (S,) arrays; traced, which enters no discord, says whether any traces out."""
+    *numbers, signs, traced = zip(*(vars(pair).values() for pair in pairs))
+    return PairInputs(*map(np.array, numbers), signs[0], any(traced))
+
+
+def _gram_stack(selections: list, parity: Parity) -> np.ndarray:
+    """pair_density_from_overlaps(spec, a, b) of each (spec, a, b) of one
+    parity, in one call: modes 1, 2 of the overlaps (p_a, p_b, the rest in
+    mode order), padded by unit overlaps, which leave its sums over the rest exact."""
+    overlaps = [[spec.overlaps[a - 1], spec.overlaps[b - 1]]
+                + [p for m, p in enumerate(spec.overlaps, start=1) if m not in (a, b)]
+                for spec, a, b in selections]
+    width = max(map(len, overlaps))
+    padded = np.array([ps + [1.0] * (width - len(ps)) for ps in overlaps])
+    return pair_density_from_overlaps(SuperpositionSpec(tuple(padded.T), parity), 1, 2)
+
+
 def _verify_gaps(samples, searched: int) -> np.ndarray:
     """The deviations of every sample, one row per check in _VERIFY_CHECKS
     order; the search row holds the first `searched` samples only.
 
     A second-side sample measures the first mode of its reversed pair (j, i).
-    The closed routes and the Gram route run per sample; the Gram stack is
-    checked once, and every numeric route runs once, over all samples. The
-    search reads the pair density, or the density dephased to time t when
-    t > 1.5.
+    Each sample's selection is formed on its own; the closed routes and the
+    Gram route then run once per parity, over the stack of its samples. The
+    Gram stack is checked once, and every numeric route runs once, over all
+    samples. The search reads the pair density, or the density dephased to
+    time t when t > 1.5.
     """
     count = len(samples)
     rho = np.empty((count, 4, 4), dtype=complex)
     gram = np.empty_like(rho)
-    closed, traj_discord, traj_concurrence, gamma, gamma_t, times = np.empty((6, count))
-    for k, (spec, i, j, side, rate, t, g) in enumerate(samples):
-        a, b = _measured_first(side, (i, j))
-        pair = spec.pair(a, b)
-        rho[k] = reduced_pair_density(pair)
-        gram[k] = pair_density_from_overlaps(spec, a, b)
-        closed[k] = mixed_discord_closed(pair).discord
+    closed, traj_discord, traj_concurrence, gamma_t = np.empty((4, count))
+    rates, times, gamma = map(np.array, list(zip(*samples))[4:])
+    for parity in Parity:
+        members = [k for k, sample in enumerate(samples) if sample[0].parity is parity]
+        if not members:
+            continue
+        selections = [(spec, *_measured_first(side, (i, j)))
+                      for spec, i, j, side, *_ in (samples[k] for k in members)]
+        pair = _stacked([spec.pair(a, b) for spec, a, b in selections])
+        rate, t = rates[members], times[members]
+        rho[members] = reduced_pair_density(pair)
+        gram[members] = _gram_stack(selections, parity)
+        closed[members] = mixed_discord_closed(pair).discord
         traj = discord_trajectory(pair, rate, t)
-        traj_discord[k], traj_concurrence[k] = traj.discord, traj.concurrence
-        gamma[k], gamma_t[k], times[k] = g, DephasingParams(rate=rate, time=t).gamma, t
+        traj_discord[members], traj_concurrence[members] = traj.discord, traj.concurrence
+        gamma_t[members] = DephasingParams(rate=rate, time=t).gamma
     gaps = np.empty((len(_VERIFY_CHECKS), count))
     gaps[0] = np.abs(check_density(gram) - rho).reshape(count, 16).max(axis=1)
     # the first route that reads the stack as densities checks it

@@ -23,14 +23,15 @@ from .states import BlochForm, PairInputs, _where, check_density
 class DephasingParams:
     """Rate and elapsed time of the phase damping channel.
 
-    time is a float or an (m,) array of times; gamma then is one too.
+    rate and time are floats or arrays that broadcast together, an (m,)
+    array of times for one rate, say; gamma then is an array too.
     """
 
-    rate: float
+    rate: float | np.ndarray
     time: float | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.rate < math.inf:
+        if np.count_nonzero(np.logical_not((0.0 < self.rate) & (self.rate < math.inf))):
             raise DomainError("dephasing rate must be positive and finite")
         if not np.all(self.time >= 0.0):
             raise DomainError("evolution time must be nonnegative")
@@ -105,13 +106,14 @@ def sudden_death_time(pair: PairInputs, rate: float) -> float:
     return t0
 
 
-def discord_trajectory(pair: PairInputs, rate: float,
+def discord_trajectory(pair: PairInputs, rate: float | np.ndarray,
                        time: float | np.ndarray) -> CorrelationReport:
     """Closed-form discord (group a measured) and concurrence of the dephased pair.
 
-    time is one instant (a float) or an (m,) array of them; an array
+    time is one instant (a float) or an (m,) array of them, and rate one
+    value or an (m,) array too, as are a stacked pair's fields; an array
     gives a report of (m,) arrays, each member bit-equal to the float
-    call at that time: one numpy ufunc forms each exponential of a float
+    call at that point: one numpy ufunc forms each exponential of a float
     and of a fresh product array alike.
 
     Only the planar K eigenvalues decay (by e^(-2 rate t)); the branch

@@ -4,7 +4,9 @@ Nothing in this module reuses the closed-form expressions elsewhere in
 the package. The pair density is reconstructed from the Gram matrix of
 the two branch vectors, and discord is recovered by brute-force
 minimization of the Hilbert-Schmidt distance to the post-measurement
-state over projective measurement axes. Agreement between these
+state over projective measurement axes: a screened scan of a Fibonacci
+grid, whose screen provably keeps the grid's exact argmin, seeds a
+compass search. Agreement between these
 routes and the analytic ones is the package's correctness argument,
 so this file imports nothing from correlations or dephasing. The
 measurement acts on the first qubit of a density, as in every route.
@@ -20,12 +22,16 @@ from .states import PAULI_PRODUCTS, SuperpositionSpec, check_density
 _COARSE_STEPS = 512
 _REFINEMENT_TOL = 1e-8
 _COMPASS_MOVES = 64
-# densities searched in lockstep, and per coarse-scan pass within them: the
-# tables and compass state of a block and the (pass, 512, 32) scan
-# temporaries set the search's peak memory, which then does not grow with
-# the number of densities; scan passes of two stay in cache, larger ones are slower
+# densities searched in lockstep: the tables, scan and compass state of a
+# block set the search's peak memory, which then does not grow with the
+# number of densities
 _SEARCH_BLOCK = 64
-_SCAN_BLOCK = 2
+# How far above its minimum the coarse screen keeps an axis. A density that
+# has passed check_density has entries of at most about 1, and a Fibonacci
+# axis has |e|^2 = 1 within a few ulp, so the screen and _distances are each
+# within about 1e-15 of the objective: 1e-12 keeps the exact argmin with a
+# margin of about 1000x.
+_SCREEN_TOL = 1e-12
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -40,6 +46,8 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 
 
 _COARSE_AXES = fibonacci_sphere(_COARSE_STEPS)
+# e_a e_b of each coarse axis, at 3a + b
+_COARSE_COEFFICIENTS = (_COARSE_AXES[:, :, None] * _COARSE_AXES[:, None, :]).reshape(-1, 9)
 
 
 def _halves(overlaps) -> tuple:
@@ -64,8 +72,10 @@ def pair_density_from_overlaps(spec: SuperpositionSpec, i: int, j: int) -> np.nd
     u - v = 2 o, o = (0, c_i s_j, s_i c_j, 0), so with the rest traced out
     (cross weight q) the two-branch mixture
     N^2 (u u^T + v v^T + sign q (u v^T + v u^T)), sign = cos(m pi), is
-    [(1 + sign q) e e^T + (1 - sign q) o o^T] / (1 + sign P). Nothing is
-    validated here: the routes that read the result as a density check it.
+    [(1 + sign q) e e^T + (1 - sign q) o o^T] / (1 + sign P). A grid spec
+    gives an (m, 4, 4) stack, each member bitwise the one-state call at its
+    overlaps. Nothing is validated here: the routes that read the result as
+    a density check it.
     """
     if not (1 <= i <= spec.n and 1 <= j <= spec.n):
         raise DomainError(f"mode indices must lie in 1..{spec.n}, got ({i}, {j})")
@@ -76,12 +86,15 @@ def pair_density_from_overlaps(spec: SuperpositionSpec, i: int, j: int) -> np.nd
     traced, total = _halves(rest), _halves(rest + [p_i, p_j])
     # odd parity swaps the halves: (1 - q)/2 weighs e, (1 + q)/2 weighs o, over (1 - P)/2
     (weight_e, weight_o), norm = traced[::spec.parity.sign], total[spec.parity.sign < 0]
-    c_i, s_i = math.sqrt((1.0 + p_i) / 2.0), math.sqrt((1.0 - p_i) / 2.0)
-    c_j, s_j = math.sqrt((1.0 + p_j) / 2.0), math.sqrt((1.0 - p_j) / 2.0)
-    e = np.array([c_i * c_j, 0.0, 0.0, s_i * s_j])
-    o = np.array([0.0, c_i * s_j, s_i * c_j, 0.0])
+    c_i, s_i = np.sqrt((1.0 + p_i) / 2.0), np.sqrt((1.0 - p_i) / 2.0)
+    c_j, s_j = np.sqrt((1.0 + p_j) / 2.0), np.sqrt((1.0 - p_j) / 2.0)
+    e, o = np.zeros((2,) + np.shape(c_i) + (4,))
+    e[..., 0], e[..., 3] = c_i * c_j, s_i * s_j
+    o[..., 1], o[..., 2] = c_i * s_j, s_i * c_j
+    weight_e, weight_o, norm = (np.asarray(v)[..., None, None] for v in (weight_e, weight_o, norm))
     # divided as reals, then cast: numpy's complex division multiplies by a reciprocal
-    return ((weight_e * np.outer(e, e) + weight_o * np.outer(o, o)) / norm).astype(complex)
+    return ((weight_e * (e[..., :, None] * e[..., None, :])
+             + weight_o * (o[..., :, None] * o[..., None, :])) / norm).astype(complex)
 
 
 def _stack(rho: np.ndarray) -> np.ndarray:
@@ -133,12 +146,13 @@ def _spherical(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Unit vectors at polar angles theta and azimuths phi, (..., 3), from
     math's sin and cos at each angle."""
     thetas, phis = theta.ravel().tolist(), phi.ravel().tolist()
+    count = len(thetas)
+    sin_theta = np.fromiter(map(math.sin, thetas), float, count)
     axes = np.empty(theta.shape + (3,))
     flat = axes.reshape(-1, 3)
-    flat[:, 0] = [math.cos(v) for v in phis]
-    flat[:, 1] = [math.sin(v) for v in phis]
-    flat[:, :2] *= np.array([math.sin(v) for v in thetas])[:, None]
-    flat[:, 2] = [math.cos(v) for v in thetas]
+    flat[:, 0] = np.fromiter(map(math.cos, phis), float, count) * sin_theta
+    flat[:, 1] = np.fromiter(map(math.sin, phis), float, count) * sin_theta
+    flat[:, 2] = np.fromiter(map(math.cos, thetas), float, count)
     return axes
 
 
@@ -167,17 +181,44 @@ def discord_by_measurement_search(rho):
     return float(best[0]) if rho.ndim == 2 else best.reshape(rho.shape[:-2])
 
 
+def _coarse_seeds(stack: np.ndarray, tables: np.ndarray) -> tuple:
+    """The argmin and min of each density's objective over the coarse axes,
+    ties to the lowest axis, as the full scan gives them: (m,) seeds and values.
+
+    For a unit axis S^2 = 1, so Tr[(rho - chi)^2] = (Tr rho^2 - Tr[rho S rho S])/2
+    = (Tr rho^2 - sum_ab e_a e_b g_ab)/2, g_ab = Re Tr[rho T_ab]: one (512, 9)
+    product per density screens the grid. _distances then runs only at the
+    axes within _SCREEN_TOL of the screen's minimum, in axis order, padded
+    to at least two with further axes, which cannot win: one row would go
+    through BLAS gemv, which rounds differently from the rows of a gemm, so
+    each kept axis's value is bitwise the full scan's. An isotropic density
+    (I/4, a Werner state) keeps every axis.
+    """
+    count = len(stack)
+    # Re Tr[A B] is the dot product of A's interleaved entries with those of B^T's conjugate
+    entries = stack.reshape(count, 16).view(np.float64)
+    adjoint = np.ascontiguousarray(stack.conj().swapaxes(-1, -2)).reshape(count, 16).view(np.float64)
+    purity = (entries * adjoint).sum(axis=1)
+    g = (tables @ adjoint[:, :, None])[..., 0]
+    screen = 0.5 * (purity[:, None] - g @ _COARSE_COEFFICIENTS.T)
+    keep = screen <= screen.min(axis=1, keepdims=True) + _SCREEN_TOL
+    # the kept axes, then the others, each in axis order; the first `width` of them, sorted
+    width = max(2, int(np.count_nonzero(keep, axis=1).max()))
+    picked = np.sort(np.argsort(~keep, axis=1, kind="stable")[:, :width], axis=1)
+    values = _distances(stack, tables, _COARSE_AXES[picked])
+    rows, column = np.arange(count), values.argmin(axis=1)
+    return picked[rows, column], values[rows, column]
+
+
 def _lockstep_search(stack: np.ndarray) -> np.ndarray:
-    """discord_by_measurement_search of each density of an (m, 4, 4) stack."""
+    """discord_by_measurement_search of each density of an (m, 4, 4) stack.
+
+    Only the densities still searching form and evaluate their compass
+    neighbors; a finished one reads inf, which moves nothing.
+    """
     tables = _sandwiches(stack)
     count = len(stack)
-    best = np.empty(count)
-    seed = np.empty(count, dtype=np.intp)
-    for first in range(0, count, _SCAN_BLOCK):
-        block = slice(first, first + _SCAN_BLOCK)
-        values = _distances(stack[block], tables[block], _COARSE_AXES)
-        seed[block] = values.argmin(axis=1)
-        best[block] = values.min(axis=1)
+    seed, best = _coarse_seeds(stack, tables)
     x, y, z = _COARSE_AXES[seed].T.tolist()
     theta = np.array([math.acos(max(-1.0, min(1.0, v))) for v in z])
     phi = np.array([math.atan2(b, a) for a, b in zip(x, y)])
@@ -186,10 +227,13 @@ def _lockstep_search(stack: np.ndarray) -> np.ndarray:
     moves = np.zeros(count, dtype=np.intp)
     searching = np.ones(count, dtype=bool)
     rows = np.arange(count)
+    values = np.empty((count, 4))
     while searching.any():
+        live = np.flatnonzero(searching)
         thetas = np.stack([theta + step, theta - step, theta, theta], axis=1)
         phis = np.stack([phi, phi, phi + step, phi - step], axis=1)
-        values = _distances(stack, tables, _spherical(thetas, phis))
+        values.fill(math.inf)
+        values[live] = _distances(stack[live], tables[live], _spherical(thetas[live], phis[live]))
         pick = values.argmin(axis=1)
         low = values[rows, pick]
         # a neighbor no better than the best ends the level (a NaN one does not)

@@ -199,7 +199,9 @@ def check_density(rho) -> np.ndarray:
         trace = stack.diagonal(0, 1, 2).sum(axis=-1)
         bad = skew | (abs(trace.real - 1.0) > _TRACE_TOL) | (abs(trace.imag) > _TRACE_TOL)
     stop = bad.argmax() if bad.any() else len(stack)
-    lowest = np.linalg.eigvalsh(0.5 * (stack[:stop] + adjoint[:stop]))[:, 0]
+    # halved before the sum, which then cannot overflow; halving is exact but
+    # for subnormal entries, whose last bit no PSD tolerance can see
+    lowest = np.linalg.eigvalsh(0.5 * stack[:stop] + 0.5 * adjoint[:stop])[:, 0]
     negative = lowest < -_PSD_TOL
     if negative.any():
         raise InvalidDensityError(

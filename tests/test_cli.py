@@ -12,6 +12,7 @@ import catcorr.cli
 from catcorr.cli import main
 from catcorr.correlations import geometric_discord_numeric, mixed_discord_closed
 from catcorr.dephasing import DephasingParams
+from catcorr.errors import CatcorrError
 from catcorr.kernels import WEYL_HEISENBERG, overlap, su2, su11
 from catcorr.states import Parity, SuperpositionSpec, reduced_pair_density
 from reference import closed_reference
@@ -571,17 +572,18 @@ def test_verify_fails_a_nan_deviation(monkeypatch, capsys):
     # a NaN gap is the worst of its check, the first NaN sample its worst
     # sample, and no bound passes it
     closed = catcorr.cli.discord_trajectory
-    calls = []
+    samples = catcorr.cli._random_verify_samples(np.random.default_rng(20260817), 5)
+    nan_times = [samples[2][5], samples[4][5]]
 
-    def nan_discord(*args):
-        calls.append(args)
-        report = closed(*args)
-        return dataclasses.replace(report, discord=math.nan) if len(calls) in (3, 5) else report
+    def nan_discord(pair, rate, time):
+        # a stacked call: NaN at the members that are samples 2 and 4
+        report = closed(pair, rate, time)
+        return dataclasses.replace(
+            report, discord=np.where(np.isin(time, nan_times), math.nan, report.discord))
 
     monkeypatch.setattr(catcorr.cli, "discord_trajectory", nan_discord)
     code, out, _ = run_cli(capsys, "verify", "--samples", "5")
     assert code == 1
-    samples = catcorr.cli._random_verify_samples(np.random.default_rng(20260817), 5)
     lines = out.splitlines()
     assert lines[3] == "trajectory_consistency   samples=5 max_deviation=nan FAIL"
     assert lines[4] == "    worst: " + catcorr.cli._describe_sample(samples[2])
@@ -596,13 +598,65 @@ def test_verify_checks_the_gram_densities_it_reads(monkeypatch, capsys):
     calls = []
 
     def bad_third(*args):
+        # the first stack's third member
         calls.append(args)
-        return np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex) if len(calls) == 3 else gram(*args)
+        stack = gram(*args)
+        if len(calls) == 1:
+            stack[2] = np.diag([1.5, -0.5, 0.0, 0.0])
+        return stack
 
     monkeypatch.setattr(catcorr.cli, "pair_density_from_overlaps", bad_third)
     code, out, err = run_cli(capsys, "verify", "--samples", "5")
     assert (code, out) == (2, "")
     assert err == "error: density has eigenvalue -0.5 below -1e-10\n"
+
+
+def _verify_selections(rng, count: int, parity: Parity) -> list:
+    """(spec, a, b, rate, t) of random samples of one parity, n = 2..6, either
+    side measured, overlaps down to 1 - 1e-12."""
+    selections = []
+    while len(selections) < count:
+        n = int(rng.integers(2, 7))
+        ps = rng.uniform(0.0, 1.0, size=n)
+        near = rng.uniform(size=n) < 0.3
+        ps[near] = 1.0 - rng.choice([1e-12, 1e-9, 1e-6], size=near.sum())
+        try:
+            spec = SuperpositionSpec(overlaps=tuple(ps.tolist()), parity=parity)
+        except CatcorrError:
+            continue
+        a, b = (int(x) + 1 for x in rng.choice(n, size=2, replace=False))
+        selections.append((spec, a, b, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.0, 3.0))))
+    return selections
+
+
+def test_verify_gram_stack_is_bitwise_each_sample(rng):
+    # reordered to (p_a, p_b, rest) and padded by unit overlaps, each member is
+    # the one-sample Gram density, bit for bit
+    for parity in Parity:
+        selections = _verify_selections(rng, 60, parity)
+        stack = catcorr.cli._gram_stack([s[:3] for s in selections], parity)
+        for member, (spec, a, b, *_) in zip(stack, selections):
+            assert np.array_equal(member, catcorr.cli.pair_density_from_overlaps(spec, a, b))
+
+
+def test_verify_closed_stack_is_bitwise_each_sample(rng):
+    # the stacked density, closed discord, trajectory and gamma of one
+    # parity's samples, each member bitwise its one-sample value
+    for parity in Parity:
+        selections = _verify_selections(rng, 60, parity)
+        pairs = [spec.pair(a, b) for spec, a, b, *_ in selections]
+        rate, t = (np.array([s[k] for s in selections]) for k in (3, 4))
+        pair = catcorr.cli._stacked(pairs)
+        rho = reduced_pair_density(pair)
+        discord = mixed_discord_closed(pair).discord
+        traj = catcorr.cli.discord_trajectory(pair, rate, t)
+        gamma = DephasingParams(rate=rate, time=t).gamma
+        for k, one in enumerate(pairs):
+            assert np.array_equal(rho[k], reduced_pair_density(one))
+            assert discord[k] == mixed_discord_closed(one).discord
+            alone = catcorr.cli.discord_trajectory(one, float(rate[k]), float(t[k]))
+            assert (traj.discord[k], traj.concurrence[k]) == (alone.discord, alone.concurrence)
+            assert gamma[k] == DephasingParams(rate=float(rate[k]), time=float(t[k])).gamma
 
 
 def test_verify_rejects_sample_counts_below_one(capsys):
@@ -661,7 +715,8 @@ def _count_calls(monkeypatch, targets) -> Counter:
 # a sweep evaluates its whole grid in one pass, and evolve its whole time grid
 # (its trajectory pass, its gamma column and sudden_death_time's t = 0 call),
 # so their counts are per request; a selection's inputs are formed once per
-# request, and once per sample in verify
+# request, and once per sample in verify, whose closed routes then run once
+# per parity
 @pytest.mark.parametrize("argv, exact", [
     ("sweep --n 3 --parity even --pair 1 2 --steps 100",
      {"pair": 1, "pair_k_spectrum": 1, "reduced_pair_density": 1}),
@@ -673,11 +728,14 @@ def _count_calls(monkeypatch, targets) -> Counter:
      {"pair": 1, "pair_k_spectrum": 3, "reduced_pair_density": 1, "apply_dephasing": 0}),
     ("evolve --n 4 --p 0.5 0.5 0.5 0.5 --pair 1 2 --rate 1 --t-max 1.5 --steps 100",
      {"__post_init__": 3, "pair": 1, "pair_k_spectrum": 2}),
-    # closed and Gram routes per sample; the Gram stack is checked once, and
-    # each numeric route runs once, over all samples, the search on the
-    # first 48: 1 + 5 density checks
+    # closed and Gram routes once per parity (the closed discord and the
+    # trajectory each form the K spectrum; the trajectory and the gamma column
+    # each check the rate); the Gram stack is checked once, and each numeric
+    # route runs once, over all samples, the search on the first 48: 1 + 5
+    # density checks
     ("verify --samples 100",
-     {"pair": 100, "reduced_pair_density": 100, "apply_dephasing": 2, "k_spectrum_discord": 1,
+     {"pair": 100, "reduced_pair_density": 2, "pair_k_spectrum": 4, "__post_init__": 4,
+      "pair_density_from_overlaps": 2, "apply_dephasing": 2, "k_spectrum_discord": 1,
       "discord_by_measurement_search": 1, "check_density": 6}),
 ])
 def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact):
@@ -686,7 +744,8 @@ def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact):
         (correlations, "pair_k_spectrum"), (correlations, "k_spectrum_discord"),
         (states, "reduced_pair_density"), (states, "check_density"),
         (catcorr.dephasing, "apply_dephasing"), (catcorr.oracle, "discord_by_measurement_search"),
-        (SuperpositionSpec, "pair"), (DephasingParams, "__post_init__")])
+        (catcorr.oracle, "pair_density_from_overlaps"), (SuperpositionSpec, "pair"),
+        (DephasingParams, "__post_init__")])
     code, _, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert {name: counts[name] for name in exact} == exact

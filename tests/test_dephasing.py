@@ -327,6 +327,23 @@ def test_params_take_an_array_of_times():
         discord_trajectory(SuperpositionSpec(overlaps=(0.5, 0.5)).pair(1, 2), -1.0, times)
 
 
+def test_params_take_an_array_of_rates():
+    # each member bitwise the float call, and a bad member refused as a bad float is
+    rates, times = np.array([0.3, 1.0, 2.5]), np.array([0.0, 0.7, 4.0])
+    gamma = DephasingParams(rate=rates, time=times).gamma
+    assert gamma.tolist() == [DephasingParams(rate=r, time=t).gamma
+                              for r, t in zip(rates.tolist(), times.tolist())]
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError) as alone:
+            DephasingParams(rate=bad, time=1.0)
+        with pytest.raises(DomainError) as stacked:
+            DephasingParams(rate=np.array([1.0, bad, 2.0]), time=times)
+        assert str(stacked.value) == str(alone.value) == "dephasing rate must be positive and finite"
+        pairs = SuperpositionSpec(overlaps=(np.full(3, 0.5), np.full(3, 0.6))).pair(1, 2)
+        with pytest.raises(DomainError, match="dephasing rate"):
+            discord_trajectory(pairs, np.array([1.0, 2.0, bad]), times)
+
+
 def test_pure_split_dephasing_closed_laws(rng):
     # concurrence of the dephased split decays as exp(-rate t) and the
     # numeric discord tracks half the squared decayed concurrence; the

@@ -8,6 +8,8 @@ from catcorr.correlations import geometric_discord_numeric
 from catcorr.dephasing import apply_dephasing
 from catcorr.errors import DomainError, InvalidDensityError
 from catcorr.oracle import (
+    _COARSE_AXES,
+    _coarse_seeds,
     _distances,
     _sandwiches,
     discord_by_measurement_search,
@@ -310,11 +312,63 @@ def test_lockstep_search_follows_the_one_density_loop(monkeypatch, rng, cap):
     # default cap rarely does
     monkeypatch.setattr(catcorr.oracle, "_COMPASS_MOVES", cap)
     monkeypatch.setattr(catcorr.oracle, "_SEARCH_BLOCK", 5)
-    monkeypatch.setattr(catcorr.oracle, "_SCAN_BLOCK", 3)
     rhos = np.array(_search_inputs(rng)[:13])
     for stack in (rhos, swap_qubits(rhos)):
         expected = [_search_by_loop(rho, cap) for rho in stack]
         assert discord_by_measurement_search(stack).tolist() == expected
+
+
+def _classical_quantum(axis, rng) -> np.ndarray:
+    """sum_+- w_+- P_+- (x) sigma_+-, P_+- = (1 +- axis.sigma)/2: zero discord,
+    reached at that axis."""
+    direction = sum(c * s for c, s in zip(axis, PAULIS))
+    halves = [0.5 * (EYE + direction), 0.5 * (EYE - direction)]
+    states = [random_density(rng, dim=2) for _ in halves]
+    return 0.6 * np.kron(halves[0], states[0]) + 0.4 * np.kron(halves[1], states[1])
+
+
+def test_screened_scan_is_bitwise_the_full_scan(rng):
+    # the screen keeps the exact argmin, and the values it reads are the full
+    # scan's own bits: the seed and its value, ties to the lowest axis, in
+    # stacks of one, two and more than a search block
+    singlet = np.zeros((4, 4), dtype=complex)
+    singlet[1, 1] = singlet[2, 2] = 0.5
+    singlet[1, 2] = singlet[2, 1] = -0.5
+    ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+    ket /= np.linalg.norm(ket)
+    isotropic = [np.eye(4, dtype=complex) / 4.0] + [
+        w * singlet + (1.0 - w) * np.eye(4) / 4.0 for w in (0.1, 0.5, 0.9)]
+    zero_at = [_classical_quantum(_COARSE_AXES[k], rng) for k in (0, 37, 300, 511)]
+    extra = np.array(isotropic + zero_at + [np.outer(ket, ket.conj())])
+    inputs = np.concatenate([_search_inputs(rng), _search_inputs(rng), extra])
+    assert len(inputs) > 65
+    for stack in (inputs, swap_qubits(inputs)):
+        values = _distances(stack, _sandwiches(stack), _COARSE_AXES)
+        expected = values.argmin(axis=1), values.min(axis=1)
+        for size in (1, 2, 65):
+            for first in range(0, len(stack), size):
+                part = stack[first:first + size]
+                seeds, best = _coarse_seeds(part, _sandwiches(part))
+                assert seeds.tolist() == expected[0][first:first + size].tolist()
+                assert best.tolist() == expected[1][first:first + size].tolist()
+    # every axis ties on I/4, and a classical-quantum state is zero at its axis
+    seeds, best = _coarse_seeds(extra, _sandwiches(extra))
+    assert seeds[0] == 0
+    assert seeds[4:8].tolist() == [0, 37, 300, 511] and np.all(np.abs(best[4:8]) < 1e-15)
+
+
+def test_gram_route_of_a_grid_spec_is_bitwise_each_point(rng):
+    for parity in Parity:
+        for n in range(2, 7):
+            ps = rng.uniform(0.0, 1.0, size=(n, 9))
+            ps[:, :3] = 1.0 - rng.choice([1e-12, 1e-9, 1e-6], size=(n, 3))
+            grid = SuperpositionSpec(overlaps=tuple(ps), parity=parity)
+            for i, j in ((1, n), (n, 1)):
+                stack = pair_density_from_overlaps(grid, i, j)
+                singles = [pair_density_from_overlaps(SuperpositionSpec(tuple(col), parity), i, j)
+                           for col in ps.T.tolist()]
+                assert stack.shape == (9, 4, 4)
+                assert all(np.array_equal(a, b) for a, b in zip(stack, singles))
 
 
 def test_search_stack_rejects_its_first_bad_member():

@@ -1,14 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catcorr.correlations import geometric_discord_numeric
 from catcorr.errors import (
     DivergentNormalizationError,
     DomainError,
     InvalidDensityError,
 )
+from catcorr.oracle import discord_by_measurement_search
 from catcorr.states import (
     _NULL_STATE_TOL,
     PAULIS,
@@ -254,6 +257,18 @@ def test_check_density_of_a_stack_raises_for_its_first_bad_member(rng):
         with pytest.raises(InvalidDensityError) as stacked:
             check_density(members.reshape(2, 3, 4, 4))
         assert str(stacked.value) == str(alone.value), bad
+
+
+def test_check_density_refuses_an_entry_near_the_float_limit():
+    # a finite entry whose sum with its mirror would overflow: each route that
+    # checks its density refuses it as not positive, without a numpy warning
+    rho = reduced_pair_density(SuperpositionSpec((0.5, 0.6, 0.7)).pair(1, 2))
+    rho[0, 1] = rho[1, 0] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (check_density, geometric_discord_numeric, discord_by_measurement_search):
+            with pytest.raises(InvalidDensityError, match="eigenvalue"):
+                route(rho)
 
 
 def test_bloch_roundtrip_on_random_densities(rng):
