@@ -213,8 +213,8 @@ def _coarse_seeds(stack: np.ndarray, tables: np.ndarray) -> tuple:
 def _lockstep_search(stack: np.ndarray) -> np.ndarray:
     """discord_by_measurement_search of each density of an (m, 4, 4) stack.
 
-    Only the densities still searching form and evaluate their compass
-    neighbors; a finished one reads inf, which moves nothing.
+    A density that stops searching leaves the lockstep arrays, so each pass
+    forms and evaluates the compass neighbors of the searching ones only.
     """
     tables = _sandwiches(stack)
     count = len(stack)
@@ -225,27 +225,30 @@ def _lockstep_search(stack: np.ndarray) -> np.ndarray:
     step = np.full(count, 2.0 * math.sqrt(math.pi / _COARSE_STEPS))
     level_start = best.copy()
     moves = np.zeros(count, dtype=np.intp)
-    searching = np.ones(count, dtype=bool)
-    rows = np.arange(count)
-    values = np.empty((count, 4))
-    while searching.any():
-        live = np.flatnonzero(searching)
-        thetas = np.stack([theta + step, theta - step, theta, theta], axis=1)
-        phis = np.stack([phi, phi, phi + step, phi - step], axis=1)
-        values.fill(math.inf)
-        values[live] = _distances(stack[live], tables[live], _spherical(thetas[live], phis[live]))
+    found = np.empty(count)
+    live = np.arange(count)  # the stack row of each density still searching
+    while live.size:
+        thetas = np.array([theta + step, theta - step, theta, theta]).T
+        phis = np.array([phi, phi, phi + step, phi - step]).T
+        values = _distances(stack, tables, _spherical(thetas, phis))
+        rows = np.arange(live.size)
         pick = values.argmin(axis=1)
         low = values[rows, pick]
         # a neighbor no better than the best ends the level (a NaN one does not)
-        moved = searching & ~(low >= best)
+        moved = ~(low >= best)
         best = np.where(moved, low, best)
         theta = np.where(moved, thetas[rows, pick], theta)
         phi = np.where(moved, phis[rows, pick], phi)
         moves += moved
-        ended = searching & (~moved | (moves == _COMPASS_MOVES))
+        ended = ~moved | (moves == _COMPASS_MOVES)
         converged = (step < 1e-4) & (level_start - best < _REFINEMENT_TOL)
         step = np.where(ended, 0.5 * step, step)
         moves[ended] = 0
         level_start = np.where(ended, best, level_start)
-        searching &= ~(ended & (converged | (step < 1e-8)))
-    return best
+        done = ended & (converged | (step < 1e-8))
+        if done.any():
+            found[live[done]] = best[done]
+            kept = ~done
+            live, stack, tables, theta, phi, step, best, level_start, moves = (
+                a[kept] for a in (live, stack, tables, theta, phi, step, best, level_start, moves))
+    return found
