@@ -36,13 +36,17 @@ sys.dont_write_bytecode = True  # neither perfbench/ nor a checkout gains a file
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _streams(seeds: list, blocks: int) -> list:
-    """(workload, argv) of the first `blocks` blocks of each workload's seeded
-    stream, seeded as perfbench/run.py seeds its timed pass."""
+def _workloads() -> dict:
     sys.path.insert(0, str(PERFBENCH))
     from workloads import WORKLOADS
 
-    return [(name, list(r.argv)) for name, workload in WORKLOADS.items() for seed in seeds
+    return WORKLOADS
+
+
+def _streams(seeds: list, blocks: int) -> list:
+    """(workload, argv) of the first `blocks` blocks of each workload's seeded
+    stream, seeded as perfbench/run.py seeds its timed pass."""
+    return [(name, list(r.argv)) for name, workload in _workloads().items() for seed in seeds
             for block in itertools.islice(workload.stream(random.Random(seed)), blocks)
             for r in block]
 
@@ -50,11 +54,8 @@ def _streams(seeds: list, blocks: int) -> list:
 def _requests(seeds: list, blocks: int) -> list:
     """(kind, argv) of every request to replay, in order: the streams, the
     probes, then the reports of each evolve and each verify widened."""
-    requests = _streams(seeds, blocks)
-    from workloads import WORKLOADS
-
-    requests += [
-        (name, list(r.argv)) for name, workload in WORKLOADS.items() if workload.probe
+    requests = _streams(seeds, blocks) + [
+        (name, list(r.argv)) for name, workload in _workloads().items() if workload.probe
         for seed in seeds for r in workload.probe(random.Random(f"probe-{seed}"))]
     return (requests
             + [("report", report) for name, argv in requests if name == "evolve"
