@@ -191,8 +191,10 @@ def _coarse_seeds(stack: np.ndarray, tables: np.ndarray) -> tuple:
     axes within _SCREEN_TOL of the screen's minimum, in axis order, padded
     to at least two with further axes, which cannot win: one row would go
     through BLAS gemv, which rounds differently from the rows of a gemm, so
-    each kept axis's value is bitwise the full scan's. An isotropic density
-    (I/4, a Werner state) keeps every axis.
+    each kept axis's value is bitwise the full scan's. A typical density
+    keeps one or two axes; one that keeps more, such as an isotropic one
+    (I/4, a Werner state) that keeps them all, is evaluated alone, so the
+    rest of its block still evaluates two axes each.
     """
     count = len(stack)
     # Re Tr[A B] is the dot product of A's interleaved entries with those of B^T's conjugate
@@ -202,12 +204,18 @@ def _coarse_seeds(stack: np.ndarray, tables: np.ndarray) -> tuple:
     g = (tables @ adjoint[:, :, None])[..., 0]
     screen = 0.5 * (purity[:, None] - g @ _COARSE_COEFFICIENTS.T)
     keep = screen <= screen.min(axis=1, keepdims=True) + _SCREEN_TOL
-    # the kept axes, then the others, each in axis order; the first `width` of them, sorted
-    width = max(2, int(np.count_nonzero(keep, axis=1).max()))
-    picked = np.sort(np.argsort(~keep, axis=1, kind="stable")[:, :width], axis=1)
-    values = _distances(stack, tables, _COARSE_AXES[picked])
-    rows, column = np.arange(count), values.argmin(axis=1)
-    return picked[rows, column], values[rows, column]
+    kept = np.count_nonzero(keep, axis=1)
+    # the kept axes, then the others, each in axis order
+    ranked = np.argsort(~keep, axis=1, kind="stable")
+    seeds, best = np.empty(count, dtype=np.intp), np.empty(count)
+    # the densities that keep one or two axes in one pass, any other one alone
+    groups = [(np.flatnonzero(kept <= 2), 2)] + [([k], kept[k]) for k in np.flatnonzero(kept > 2)]
+    for members, width in groups:
+        picked = np.sort(ranked[members, :width], axis=1)
+        values = _distances(stack[members], tables[members], _COARSE_AXES[picked])
+        rows, column = np.arange(len(members)), values.argmin(axis=1)
+        seeds[members], best[members] = picked[rows, column], values[rows, column]
+    return seeds, best
 
 
 def _lockstep_search(stack: np.ndarray) -> np.ndarray:
