@@ -12,7 +12,8 @@ perfbench/run.py does, with BLAS pinned to one thread and no bytecode
 written into a checkout. The driver sends each request to one child and
 then to the other, never to both at once, and alternates which goes first.
 Each child times its cli.main(argv) with perf_counter, output discarded,
-after a few untimed warm-up requests of the workload.
+after a few untimed warm-up requests of the workload; a request that
+raises is timed as any other and named on stderr.
 
 Output is one JSON object per workload: the geometric mean of the
 per-request time ratios CHANGE/PARENT ("ratio"), its 95% percentile
@@ -101,14 +102,17 @@ def _child(checkout: Path) -> None:
     run.SRC = (checkout / "src").resolve()
     cli, _ = run._load_cli()
     for line in sys.stdin:
-        sink = io.StringIO()
+        argv, sink, crash = json.loads(line), io.StringIO(), None
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             start = time.perf_counter()
             try:
-                cli.main(json.loads(line))
-            except Exception:  # noqa: BLE001 - a crash is timed as any other outcome
-                pass
+                cli.main(argv)
+            except Exception as exc:  # a crash is timed as any other outcome, and reported
+                crash = f"{type(exc).__name__}: {exc}"
             elapsed = time.perf_counter() - start
+        if crash:
+            print(f"warning: catcorr {' '.join(argv)} crashed in {checkout}: {crash}",
+                  file=sys.stderr)
         print(json.dumps(elapsed), flush=True)
 
 

@@ -6,10 +6,10 @@ the two branch vectors, and discord is recovered by brute-force
 minimization of the Hilbert-Schmidt distance to the post-measurement
 state over projective measurement axes: a screened scan of a Fibonacci
 grid, whose screen provably keeps the grid's exact argmin, seeds a
-compass search. Agreement between these
-routes and the analytic ones is the package's correctness argument,
-so this file imports nothing from correlations or dephasing. The
-measurement acts on the first qubit of a density, as in every route.
+compass search. Agreement between these routes and the analytic ones is
+the package's correctness argument, so this file imports nothing from
+correlations or dephasing. The measurement acts on the first qubit of a
+density, as in every route.
 """
 
 import math
