@@ -16,19 +16,22 @@ after a few untimed warm-up requests of the workload; a request that
 raises is timed as any other and named on stderr.
 
 Output is one JSON object per workload: the geometric mean of the
-per-request time ratios CHANGE/PARENT ("ratio"), its 95% percentile
-bootstrap interval (2,000 resamples of the requests, fixed seed), the
-number of requests, the seeds, the wall seconds of the paired pass and the
-argv count per subcommand. A last object gives setup_s, the same
-statistics over alternated fresh-interpreter imports of catcorr.cli from
-each checkout, with bytecode cached outside the checkouts.
+per-request time ratios CHANGE/PARENT ("ratio") and the ratio of the total
+times ("time_ratio"), each with its 95% percentile bootstrap interval
+("interval", "time_interval"; 2,000 resamples of the requests, fixed seed),
+the number of requests, the seeds, the wall seconds of the paired pass and
+the argv count per subcommand. The geometric mean weighs every request
+alike; the total-time ratio weighs each by its time, as perfbench's
+items_per_s does when request sizes differ. A last object gives setup_s,
+the same statistics over alternated fresh-interpreter imports of
+catcorr.cli from each checkout, with bytecode cached outside the checkouts.
 
 Limits:
 - Pairing cancels drift that is slower than one request. It does not
   cancel contention from other processes within one request.
 - The two children differ in memory layout. A checkout timed against
-  itself (an A/A run) bounds that effect; on a 2-core shared host it was
-  about 1%.
+  itself (an A/A run) bounds that effect; on a 2-core shared host its
+  intervals lay within about 2.5% of 1 on 270 requests per workload.
 - Peak memory is perfbench's to measure: two paired children cannot.
 - A request's time is cli.main's in-process time; interpreter start-up
   shows only in setup_s.
@@ -66,14 +69,21 @@ def _runner():
 
 
 def paired_ratio(parent: list, change: list, resamples: int = RESAMPLES, seed: int = 0) -> dict:
-    """Geometric mean of the ratios change[k] / parent[k], with a 95%
-    percentile bootstrap interval over the pairs."""
+    """Geometric mean of the ratios change[k] / parent[k] and the ratio
+    sum(change) / sum(parent), each with a 95% percentile bootstrap interval
+    over the pairs (one resample of the pairs serves both)."""
     logs = [math.log(new / old) for old, new in zip(parent, change, strict=True)]
     rng = random.Random(seed)
-    means = [statistics.fmean(rng.choices(logs, k=len(logs))) for _ in range(resamples)]
-    cuts = statistics.quantiles(means, n=40)
+    means, totals = [], []
+    for _ in range(resamples):
+        picks = rng.choices(range(len(logs)), k=len(logs))
+        means.append(statistics.fmean(logs[k] for k in picks))
+        totals.append(math.fsum(change[k] for k in picks) / math.fsum(parent[k] for k in picks))
+    cuts, time_cuts = statistics.quantiles(means, n=40), statistics.quantiles(totals, n=40)
     return {"ratio": math.exp(statistics.fmean(logs)),
-            "interval": [math.exp(cuts[0]), math.exp(cuts[-1])]}
+            "interval": [math.exp(cuts[0]), math.exp(cuts[-1])],
+            "time_ratio": math.fsum(change) / math.fsum(parent),
+            "time_interval": [time_cuts[0], time_cuts[-1]]}
 
 
 class _Child:

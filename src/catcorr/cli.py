@@ -59,15 +59,34 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _json_numbers(column) -> list:
+    """json.dumps's text of each _jnum cell of a float column.
+
+    For a normal double x the shortest repr of y = float("%.9g" % x) has the
+    printed digits: another decimal of at most 9 significant digits within half
+    an ulp of y would differ from them by under 1e-15 relative, not 1e-9. So a
+    cell is its printed text, with ".0" after an integral one, unless the
+    column prints a nan or inf ("n"), an exponent of 9 or more ("e+"), where %g
+    and repr choose notation differently, or a subnormal ("e-3"), where 9
+    digits do not pin the double; such a column goes through float and the
+    C encoder's repr.
+    """
+    texts = list(map("%.9g".__mod__, column))
+    joined = " ".join(texts)
+    if "n" in joined or "e+" in joined or "e-3" in joined:
+        return json.dumps(list(map(float, texts)))[1:-1].split(", ")
+    return [text if "." in text or "e" in text else text + ".0" for text in texts]
+
+
 def _emit_table(args, columns, rows, summary=None) -> None:
     """Write a list of rows, tuples of float and str cells (a column's kind is
     read from the first row), as CSV or JSON {"columns", "rows"}, one `%` call
     per row; summary, a (key, value) pair, is a JSON key or a "# key=value" line."""
     kinds = ["%.9g" if isinstance(val, float) else "%s" for val in rows[0]]
     if args.format == "json":
-        # json.dumps(indent=2, sort_keys=True) of _jnum cells; the C encoder writes the cells
-        cells = [json.dumps(list(map(float, map(kind.__mod__, column))))[1:-1].split(", ")
-                 if kind == "%.9g" else list(map(encode_basestring_ascii, column))
+        # json.dumps(indent=2, sort_keys=True) of _jnum cells
+        cells = [_json_numbers(column) if kind == "%.9g"
+                 else list(map(encode_basestring_ascii, column))
                  for kind, column in zip(kinds, zip(*rows))]
         keys = sorted(dict(zip(columns, range(len(columns)))).items())  # as in a dict of a row
         template = "\n    {%s\n    }" % ",".join(

@@ -25,12 +25,29 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 # PAULI_PRODUCTS[a, b] = sigma_a (x) sigma_b, shape (4, 4, 4, 4)
 PAULI_PRODUCTS = np.einsum("aij,bkl->abikjl", PAULIS, PAULIS).reshape(4, 4, 4, 4)
+# Column i of each product has one entry, +-1 or +-i, in row _ROWS[ab, i], so
+# Re Tr[rho P_ab] sums four terms Re(rho[i, row] P_ab[row, i]), each a signed
+# Re or Im part of rho: _GATHER[i, ab] indexes rho's 32 interleaved floats and
+# _SIGNS[i, ab] is the sign (Re(z c) = Re z Re c - Im z Im c)
+_ROWS = abs(PAULI_PRODUCTS.reshape(16, 4, 4)).argmax(axis=1)
+_ENTRIES = PAULI_PRODUCTS.reshape(16, 4, 4).sum(axis=1)
+_GATHER = (2 * (4 * np.arange(4) + _ROWS) + (_ENTRIES.real == 0)).T
+_SIGNS = (_ENTRIES.real - _ENTRIES.imag).T
 
 # threshold on 2 * denominator below which the superposition counts as null
 _NULL_STATE_TOL = 1e-14
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _PSD_TOL = 1e-10
+# check_density screens with a Cholesky factorization of H + (_PSD_TOL / 2) I,
+# H the Hermitian part. One that succeeds is exact for H + (_PSD_TOL / 2) I + E
+# with ||E||_2 <~ c n^2 u ||H||_2 (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 10; n = 4, u = 2^-53). A trace-1 Hermitian H of large norm has
+# an eigenvalue far below zero and cannot factor, so success bounds ||H||_2 by
+# about 1 and means lambda_min(H) > -_PSD_TOL / 2 - 1e-14, which eigvalsh, itself
+# within about 1e-15, reads above -_PSD_TOL. So the screen passes only what
+# eigvalsh passes; where it fails, eigvalsh decides and words the error.
+_PSD_SHIFT = (_PSD_TOL / 2) * np.eye(4)
 
 
 # Branching helpers for a float or an array; arithmetic on either is numpy's
@@ -201,11 +218,16 @@ def check_density(rho) -> np.ndarray:
     stop = bad.argmax() if bad.any() else len(stack)
     # halved before the sum, which then cannot overflow; halving is exact but
     # for subnormal entries, whose last bit no PSD tolerance can see
-    lowest = np.linalg.eigvalsh(0.5 * stack[:stop] + 0.5 * adjoint[:stop])[:, 0]
-    negative = lowest < -_PSD_TOL
-    if negative.any():
-        raise InvalidDensityError(
-            f"density has eigenvalue {float(lowest[negative.argmax()])} below -{_PSD_TOL}")
+    hermitian = 0.5 * stack[:stop] + 0.5 * adjoint[:stop]
+    try:
+        np.linalg.cholesky(hermitian + _PSD_SHIFT)  # the screen stated at _PSD_SHIFT
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(hermitian)[:, 0]
+        negative = lowest < -_PSD_TOL
+        if negative.any():
+            raise InvalidDensityError(
+                f"density has eigenvalue {float(lowest[negative.argmax()])} below -{_PSD_TOL}"
+            ) from None
     if stop < len(stack):
         raise InvalidDensityError(
             "density has a non-finite entry" if not np.isfinite(stack[stop]).all()
@@ -228,8 +250,13 @@ class BlochForm:
 
 def _bloch(rho: np.ndarray) -> BlochForm:
     """Pauli table of a density, or (..., 4, 4) stack, that check_density has passed."""
-    # diagonal of rho @ (sigma_a (x) sigma_b) summed in row order, rounding as np.trace does
-    t = np.einsum("...ij,abji->...abi", rho, PAULI_PRODUCTS).sum(axis=-1).real
+    lead = rho.shape[:-2]
+    terms = np.ascontiguousarray(rho, dtype=complex).reshape(lead + (16,)).view(float)[
+        ..., _GATHER] * _SIGNS
+    # each trace's four terms summed pairwise, a rounding order stated here; it is
+    # also the order numpy reduces a length-4 complex axis in, as np.trace does
+    t = ((terms[..., 0, :] + terms[..., 1, :]) + (terms[..., 2, :] + terms[..., 3, :])).reshape(
+        lead + (4, 4))
     t[..., 0, 0] = 1.0
     return BlochForm(t)
 

@@ -16,8 +16,11 @@ import ab_time  # noqa: E402
 def test_paired_ratio_statistics_on_synthetic_times():
     # a constant ratio has no spread; the geometric mean of the ratios is exact
     parent = [0.001 * (1 + k % 7) for k in range(50)]
-    assert ab_time.paired_ratio(parent, [0.6 * t for t in parent]) == pytest.approx(
-        {"ratio": 0.6, "interval": [0.6, 0.6]}, rel=1e-12)
+    constant = ab_time.paired_ratio(parent, [0.6 * t for t in parent])
+    assert set(constant) == {"ratio", "interval", "time_ratio", "time_interval"}
+    for value in (constant["ratio"], *constant["interval"], constant["time_ratio"],
+                  *constant["time_interval"]):
+        assert value == pytest.approx(0.6, rel=1e-12)
     # ratios 2^x for x symmetric about 0: their geometric mean is 1
     ratios = [2.0 ** (x / 8) for x in range(-8, 9)] * 2
     ones = [1.0] * len(ratios)
@@ -37,6 +40,20 @@ def test_paired_ratio_statistics_on_synthetic_times():
         ab_time.paired_ratio([1.0, 2.0], [1.0])
 
 
+def test_total_time_ratio_weighs_requests_by_their_time():
+    # small requests halve and large ones hold: per request the geometric mean
+    # is 2^-1/2, while the total time falls only by the small requests' share
+    parent = [0.001] * 20 + [0.1] * 20
+    change = [0.0005] * 20 + [0.1] * 20
+    found = ab_time.paired_ratio(parent, change)
+    assert found["ratio"] == pytest.approx(2.0 ** -0.5, rel=1e-12)
+    assert found["time_ratio"] == pytest.approx(2.01 / 2.02, rel=1e-12)
+    low, high = found["time_interval"]
+    assert found["interval"][1] < low <= found["time_ratio"] <= high
+    # the interval of the total-time ratio is a resample statistic like the other
+    assert 0.99 < low < high < 1.0
+
+
 def _files() -> set:
     return {path for folder in ("perfbench", "src") for path in (ROOT / folder).rglob("*")}
 
@@ -54,12 +71,14 @@ def test_ab_time_of_a_checkout_against_itself_prints_one_row_per_workload():
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [row["workload"] for row in rows] == ["sweep", "evolve", "verify", "setup"]
     for row in rows[:3]:
-        assert set(row) == {"workload", "ratio", "interval", "requests", "seeds", "wall_s", "argvs"}
+        assert set(row) == {"workload", "ratio", "interval", "time_ratio", "time_interval",
+                            "requests", "seeds", "wall_s", "argvs"}
         assert row["requests"] == 9 and row["seeds"] == [101]
         assert row["argvs"] == {row["workload"]: 9}
-    assert set(rows[3]) == {"workload", "ratio", "interval", "requests", "parent_median_s",
-                            "change_median_s"}
+    assert set(rows[3]) == {"workload", "ratio", "interval", "time_ratio", "time_interval",
+                            "requests", "parent_median_s", "change_median_s"}
     for row in rows:
-        low, high = row["interval"]
-        assert all(math.isfinite(v) and v > 0 for v in (low, row["ratio"], high))
-        assert low <= row["ratio"] <= high
+        for ratio, (low, high) in ((row["ratio"], row["interval"]),
+                                   (row["time_ratio"], row["time_interval"])):
+            assert all(math.isfinite(v) and v > 0 for v in (low, ratio, high))
+            assert low <= ratio <= high

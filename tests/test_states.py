@@ -13,7 +13,11 @@ from catcorr.errors import (
 )
 from catcorr.oracle import discord_by_measurement_search
 from catcorr.states import (
+    _HERM_TOL,
     _NULL_STATE_TOL,
+    _PSD_TOL,
+    _TRACE_TOL,
+    PAULI_PRODUCTS,
     PAULIS,
     Parity,
     SuperpositionSpec,
@@ -269,6 +273,108 @@ def test_check_density_refuses_an_entry_near_the_float_limit():
         for route in (check_density, geometric_discord_numeric, discord_by_measurement_search):
             with pytest.raises(InvalidDensityError, match="eigenvalue"):
                 route(rho)
+
+
+def _eigvalsh_only_check(rho):
+    """check_density as it was before its Cholesky screen: eigvalsh alone
+    decides the PSD test of every member before the first bad one."""
+    m = np.asarray(rho, dtype=complex)
+    stack = m.reshape(-1, 4, 4)
+    adjoint = stack.conj().transpose(0, 2, 1)
+    with np.errstate(invalid="ignore"):
+        skew = ~(np.abs(stack - adjoint).reshape(-1, 16).max(axis=1) <= _HERM_TOL)
+        trace = stack.diagonal(0, 1, 2).sum(axis=-1)
+        bad = skew | (abs(trace.real - 1.0) > _TRACE_TOL) | (abs(trace.imag) > _TRACE_TOL)
+    stop = bad.argmax() if bad.any() else len(stack)
+    lowest = np.linalg.eigvalsh(0.5 * stack[:stop] + 0.5 * adjoint[:stop])[:, 0]
+    negative = lowest < -_PSD_TOL
+    if negative.any():
+        raise InvalidDensityError(
+            f"density has eigenvalue {float(lowest[negative.argmax()])} below -{_PSD_TOL}")
+    if stop < len(stack):
+        raise InvalidDensityError(
+            "density has a non-finite entry" if not np.isfinite(stack[stop]).all()
+            else "density is not Hermitian within tolerance" if skew[stop]
+            else f"density trace is {complex(trace[stop])}, expected 1")
+    return m
+
+
+def _outcome(check, rho):
+    """None if check passes rho, else its InvalidDensityError's message."""
+    try:
+        check(rho)
+    except InvalidDensityError as exc:
+        return str(exc)
+    return None
+
+
+def _densities_near_the_psd_limit(rng, count):
+    """U diag(lam) U^dagger, Haar U, with the least eigenvalue at -2e-10, -1e-10,
+    -0.5e-10, 0 or -1e-16 times 1 +- 10^-U(1, 9), and one in three members of
+    rank at most two: a second eigenvalue 0."""
+    lowest = rng.choice([-2e-10, -1e-10, -0.5e-10, 0.0, -1e-16], size=count) * (
+        1.0 + rng.choice([-1.0, 1.0], size=count) * 10.0 ** -rng.uniform(1, 9, size=count))
+    rest = rng.dirichlet(np.ones(3), size=count)
+    rest[::3, 0] = 0.0
+    rest /= rest.sum(axis=1, keepdims=True)
+    lam = np.column_stack([lowest, rest * (1.0 - lowest)[:, None]])
+    g = rng.normal(size=(count, 4, 4)) + 1j * rng.normal(size=(count, 4, 4))
+    q, r = np.linalg.qr(g)
+    u = q * (np.diagonal(r, axis1=1, axis2=2) / abs(np.diagonal(r, axis1=1, axis2=2)))[:, None]
+    return (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
+
+
+def test_psd_screen_decides_as_eigvalsh_alone():
+    members = _densities_near_the_psd_limit(np.random.default_rng(20231019), 3000)
+    outcomes = [_outcome(_eigvalsh_only_check, rho) for rho in members]
+    assert [_outcome(check_density, rho) for rho in members] == outcomes
+    rejected = [k for k, found in enumerate(outcomes) if found is not None]
+    passed = [k for k, found in enumerate(outcomes) if found is None]
+    assert len(rejected) > 300 and len(passed) > 300
+    # consecutive members as (2, 3, 4, 4) stacks, and each rejected member first,
+    # in the middle and last of five that pass
+    for first in range(0, len(members), 6):
+        stack = members[first:first + 6].reshape(2, 3, 4, 4)
+        assert _outcome(check_density, stack) == _outcome(_eigvalsh_only_check, stack)
+    good = members[passed[:5]]
+    for k in rejected[:100]:
+        for at in (0, 2, 5):
+            stack = np.insert(good, at, members[k], axis=0)
+            assert _outcome(check_density, stack) == outcomes[k]
+            assert _outcome(check_density, stack.reshape(2, 3, 4, 4)) == outcomes[k]
+
+
+def _einsum_table(rho):
+    """The Pauli table as np.einsum once formed it: the diagonal of
+    rho @ (sigma_a (x) sigma_b), summed over the length-4 axis."""
+    t = np.einsum("...ij,abji->...abi", rho, PAULI_PRODUCTS).sum(axis=-1).real
+    t[..., 0, 0] = 1.0
+    return t
+
+
+def _x_shaped_grid_densities():
+    """Pair densities of grid specs, n = 2..6 and both parities, at overlaps
+    from 0 up to 1 - 1e-12; their X shape gives exact zeros in the table."""
+    grid = np.concatenate([np.linspace(0.0, 1.0, 101)[:-1], 1.0 - np.logspace(-1, -12, 45)])
+    for n in range(2, 7):
+        for parity in Parity:
+            spec = SuperpositionSpec((grid,) * n, parity)
+            yield reduced_pair_density(spec.pair(1, 2))
+            if n > 2:
+                yield reduced_pair_density(spec.pair((1, 3), 2))
+
+
+def test_bloch_table_is_bitwise_the_einsum(rng):
+    g = rng.normal(size=(5000, 4, 4)) + 1j * rng.normal(size=(5000, 4, 4))
+    rho = g @ g.conj().transpose(0, 2, 1)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    stacks = [rho, rho[:6].reshape(2, 3, 4, 4), *_x_shaped_grid_densities()]
+    for stack in stacks:
+        table, reference = bloch_decompose(stack).t, _einsum_table(stack)
+        assert table.shape == stack.shape[:-2] + (4, 4)
+        # a -0.0 prints as -0, so the sign of each zero must match too
+        assert np.array_equal(table, reference)
+        assert np.array_equal(np.signbit(table), np.signbit(reference))
 
 
 def test_bloch_roundtrip_on_random_densities(rng):

@@ -44,7 +44,15 @@ def written_table(fmt, columns, rows, summary=None) -> str:
 
 EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 123456789.0, 1e16, -1e16, 9.999999995e8, 999999999.0,
                1e-5, 9.9999999e-5, 1e-4, 1.23456789e-5, 5e-324, -5e-324, 1.7976931348623157e308,
-               0.1, 1 / 3, 2.0 ** 53 + 2, float("nan"), float("inf"), float("-inf")]
+               0.1, 1 / 3, 2.0 ** 53 + 2, float("nan"), float("inf"), float("-inf"),
+               # integral cells, which JSON writes with ".0"
+               2.0, -3.0, 1e8,
+               # exponents 9 to 15: repr writes them in full, %g does not
+               1234567890.0, 1e15, 9.99999999e15,
+               # exponents -30 to -39 and subnormals, where 9 digits may not pin the double
+               1.5e-35, 2.2250738585072014e-308, 1e-310,
+               # rounds up to the next power of ten, which %g writes in full
+               9.9999999995e-5]
 EDGE_STRINGS = ["mixed_plus", "infinite", "", "a,b", "%s", "100%", 'say "hi"', "tab\tnew\nline",
                 "caf\u00e9", "\u2603", "\U0001f600", "back\\slash", "\x00"]
 
@@ -56,8 +64,19 @@ EDGE_STRINGS = ["mixed_plus", "infinite", "", "a,b", "%s", "100%", 'say "hi"', "
 def test_fixed_edge_cells_match_the_reference(fmt, summary):
     columns = ["x", "label", "y", "100%", "x"]
     rows = [(x, s, -x, x * 3.0, x / 7.0)
-            for x, s in zip(EDGE_FLOATS, EDGE_STRINGS * 2)]
+            for x, s in zip(EDGE_FLOATS, EDGE_STRINGS * 3, strict=False)]
+    assert len(rows) == len(EDGE_FLOATS)
     assert written_table(fmt, columns, rows, summary) == reference_table(fmt, columns, rows, summary)
+
+
+@pytest.mark.parametrize("x", EDGE_FLOATS)
+def test_each_edge_float_in_columns_of_its_own_matches_the_reference(x):
+    # JSON picks a float column's writer from all of its cells, and the table
+    # above puts a nan in every column; here x alone decides each column's writer
+    columns = ["x", "y"]
+    rows = [(x, -x), (0.5, x / 7.0), (x * 3.0, 2.0)]
+    for fmt in ("csv", "json"):
+        assert written_table(fmt, columns, rows) == reference_table(fmt, columns, rows)
 
 
 def test_one_row_of_mixed_kinds_matches_the_reference():
