@@ -729,12 +729,12 @@ def _count_calls(monkeypatch, targets) -> Counter:
     ("evolve --n 4 --p 0.5 0.5 0.5 0.5 --pair 1 2 --rate 1 --t-max 1.5 --steps 100",
      {"__post_init__": 3, "pair": 1, "pair_k_spectrum": 2}),
     # closed and Gram routes once per parity (the closed discord and the
-    # trajectory each form the K spectrum; the trajectory and the gamma column
-    # each check the rate); the Gram stack is checked once, and each numeric
-    # route runs once, over all samples, the search on the first 48: 1 + 5
-    # density checks
+    # trajectory each form the K spectrum; the trajectory checks the rate),
+    # the time-t damping once over all samples; the Gram stack is checked
+    # once, and each numeric route runs once, over all samples, the search on
+    # the first 48: 1 + 5 density checks
     ("verify --samples 100",
-     {"pair": 100, "reduced_pair_density": 2, "pair_k_spectrum": 4, "__post_init__": 4,
+     {"pair": 100, "reduced_pair_density": 2, "pair_k_spectrum": 4, "__post_init__": 3,
       "pair_density_from_overlaps": 2, "apply_dephasing": 2, "k_spectrum_discord": 1,
       "discord_by_measurement_search": 1, "check_density": 6}),
 ])
