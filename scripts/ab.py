@@ -24,7 +24,10 @@ to its --samples and --tol 0, so the measurement search runs on every sample
 drawn and every check prints the sample at its largest deviation.
 
 Output: each argv whose exit code, stdout or stderr differs, with its moved
-lines, then a count per kind of argv. Then one JSON object per workload: the
+lines, then a count per kind of argv, then for each kind with moved lines
+their tally by first word, for example `verify moved lines:
+search_vs_spectrum -900 +900, worst: -415 +415`: a deliberate one-line move
+shows there that nothing else moved. Then one JSON object per workload: the
 geometric mean of the per-request time ratios CHANGE/PARENT ("ratio") and
 the ratio of the total times ("time_ratio"), each with its 95% percentile
 bootstrap interval ("interval", "time_interval"; 2,000 resamples of the
@@ -207,16 +210,43 @@ def _setup_times(checkouts: list) -> tuple:
 
 
 def _moved(parent: list, change: list) -> list:
-    """The lines of each stream that differ, '-' for the parent's, '+' for the change's."""
+    """(stream, sign, line) of each line that differs, sign '-' for the
+    parent's and '+' for the change's."""
     lines = []
     for label, old, new in zip(("exit", "stdout", "stderr"), parent, change):
         if old == new:
             continue
         old, new = ([str(old)], [str(new)]) if label == "exit" else (old.splitlines(),
                                                                      new.splitlines())
-        lines += [f"  {label} {line}" for line in difflib.unified_diff(old, new, lineterm="", n=0)
+        lines += [(label, line[0], line[1:])
+                  for line in difflib.unified_diff(old, new, lineterm="", n=0)
                   if not line.startswith(("---", "+++", "@@"))]
     return lines
+
+
+def _report(requests: list, outcomes: list) -> bool:
+    """Print each argv whose bytes moved with its moved lines, a count of such
+    argvs per kind, then per kind with moved lines its tally: the moved lines
+    counted by their first word ("exit" for an exit code), parent's and
+    change's apart, in order of first appearance. True when any argv moved."""
+    counts = {name: [0, 0] for name, _ in requests}
+    tallies = {}
+    for (name, request), (old, new) in zip(requests, outcomes, strict=True):
+        counts[name][1] += 1
+        if old[1] != new[1]:
+            counts[name][0] += 1
+            moved = _moved(old[1], new[1])
+            print(f"catcorr {' '.join(request)}")
+            print("\n".join(f"  {label} {sign}{line}" for label, sign, line in moved))
+            for label, sign, line in moved:
+                word = "exit" if label == "exit" else next(iter(line.split()), "")
+                tallies.setdefault(name, {}).setdefault(word, collections.Counter())[sign] += 1
+    for name, (differ, total) in counts.items():
+        print(f"{name}: {differ} of {total} argvs differ")
+    for name, words in tallies.items():
+        print(f"{name} moved lines: " + ", ".join(f"{word} -{signs['-']} +{signs['+']}"
+                                                  for word, signs in words.items()))
+    return any(differ for differ, _ in counts.values())
 
 
 def main(argv=None) -> int:
@@ -248,21 +278,13 @@ def main(argv=None) -> int:
         for child in children:
             child.close()
     setup = _setup_times([args.parent, args.change])
-    counts = {name: [0, 0] for name, _ in requests}
-    for (name, request), (old, new) in zip(requests, outcomes, strict=True):
-        counts[name][1] += 1
-        if old[1] != new[1]:
-            counts[name][0] += 1
-            print(f"catcorr {' '.join(request)}")
-            print("\n".join(_moved(old[1], new[1])))
-    for name, (differ, total) in counts.items():
-        print(f"{name}: {differ} of {total} argvs differ")
+    moved = _report(requests, outcomes)
     for row in rows:
         print(json.dumps(row))
     print(json.dumps({"workload": "setup", **paired_ratio(*setup), "requests": len(setup[0]),
                       "parent_median_s": statistics.median(setup[0]),
                       "change_median_s": statistics.median(setup[1])}))
-    return 1 if any(differ for differ, _ in counts.values()) else 0
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -324,17 +324,17 @@ def _random_verify_samples(rng, count: int) -> list:
     samples = []
     while len(samples) < count:
         n = int(rng.integers(2, 7))
-        ps = rng.uniform(0.0, 1.0, size=n)
-        parity = Parity.EVEN if rng.uniform() < 0.5 else Parity.ODD
+        ps = rng.random(n)
+        parity = Parity.EVEN if rng.random() < 0.5 else Parity.ODD
         try:
             spec = SuperpositionSpec(overlaps=tuple(ps), parity=parity)
         except CatcorrError:
             continue
         i, j = sorted(int(x) + 1 for x in rng.choice(n, size=2, replace=False))
-        side = "first" if rng.uniform() < 0.5 else "second"
-        rate = float(rng.uniform(0.2, 2.0))
-        t = float(rng.uniform(0.0, 3.0))
-        gamma = float(rng.uniform(0.0, 1.0))
+        side = "first" if rng.random() < 0.5 else "second"
+        rate = 0.2 + 1.8 * rng.random()
+        t = 3.0 * rng.random()
+        gamma = rng.random()
         samples.append((spec, i, j, side, rate, t, gamma))
     return samples
 

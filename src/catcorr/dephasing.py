@@ -124,6 +124,14 @@ def discord_trajectory(pair: PairInputs, rate: float | np.ndarray,
     with the usual s_a s_b / denominator prefactor; both parities reduce
     to this same form because flipping the branch sign swaps the two
     spin-flip eigenvalue candidates.
+
+    The channel acts on the pair's two qubits. For a mode group that is
+    the group's logical qubit, whose basis is the group's sum/difference
+    pair (its total parity), not each member mode: dephasing every member
+    mode in its own basis is a different model, which moves weight out of
+    the group's qubit (9.5% of it for group {1, 2} of overlaps (0.5, 0.6,
+    0.7, 0.8), even, with modes 1 to 3 dephased at rate 1 to t = 0.7 and
+    mode 4 traced out). For single-mode pairs the two models agree.
     """
     DephasingParams(rate=rate, time=time)
     lam1, lam2, lam3 = pair_k_spectrum(pair)

@@ -66,6 +66,37 @@ def test_ab_replays_each_verify_searching_every_sample():
         assert wide == stream + ["--search-samples", samples, "--tol", "0"]
 
 
+def test_ab_tallies_moved_lines_by_first_word(capsys):
+    # synthetic outcome pairs, no children: per kind, the moved lines of each
+    # side counted by their first word, an exit code's under "exit"
+    def outcome(code, out, err=""):
+        return [0.001, [code, out, err]]
+
+    requests = [("verify", ["verify", "--samples", "2"]), ("verify", ["verify", "--tol", "0"]),
+                ("sweep", ["sweep"]), ("report", ["report"])]
+    outcomes = [
+        (outcome(0, "gram PASS\nsearch_vs_spectrum 1e-10 PASS\nverify: PASS\n"),
+         outcome(0, "gram PASS\nsearch_vs_spectrum 1e-15 PASS\nverify: PASS\n")),
+        (outcome(1, "search_vs_spectrum 1e-10 FAIL\n    worst: n=2\nverify: FAIL\n"),
+         outcome(1, "search_vs_spectrum 1e-15 FAIL\n    worst: n=3\nverify: FAIL\n")),
+        (outcome(0, "p,d\n"), outcome(0, "p,d\n")),
+        (outcome(0, "x\n"), outcome(2, "", "error: bad\n")),
+    ]
+    assert ab._report(requests, outcomes) is True
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-5:] == ["verify: 2 of 2 argvs differ",
+                          "sweep: 0 of 1 argvs differ",
+                          "report: 1 of 1 argvs differ",
+                          "verify moved lines: search_vs_spectrum -2 +2, worst: -1 +1",
+                          "report moved lines: exit -1 +1, x -1 +0, error: -0 +1"]
+    assert lines[:3] == ["catcorr verify --samples 2",
+                         "  stdout -search_vs_spectrum 1e-10 PASS",
+                         "  stdout +search_vs_spectrum 1e-15 PASS"]
+    # no moved byte: the counts alone, and no tally
+    assert ab._report(requests[2:3], outcomes[2:3]) is False
+    assert capsys.readouterr().out == "sweep: 0 of 1 argvs differ\n"
+
+
 def _files() -> set:
     return {path for folder in ("perfbench", "src") for path in (ROOT / folder).rglob("*")}
 
@@ -121,6 +152,8 @@ def test_ab_reports_each_argv_whose_bytes_moved(tmp_path):
                       "evolve: 0 of 9 argvs differ",
                       "verify: 18 of 18 argvs differ",
                       "report: 0 of 18 argvs differ"]
+    # the tally shows that the summary line alone moved
+    assert lines[lines.index(counts[-1]) + 1] == "verify moved lines: verify: -18 +18"
     # each moved argv is named, then its parent line and its changed line
     moved = lines[:lines.index(counts[0])]
     assert len(moved) == 18 * 3

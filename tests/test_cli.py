@@ -568,6 +568,43 @@ def test_verify_fails_honestly_at_machine_tolerance(capsys):
     assert "worst:" in out
 
 
+def _uniform_verify_samples(rng, count: int) -> list:
+    """verify's draw as it read through Generator.uniform, literally: the
+    reference that the random() form must equal bit for bit."""
+    samples = []
+    while len(samples) < count:
+        n = int(rng.integers(2, 7))
+        ps = rng.uniform(0.0, 1.0, size=n)
+        parity = Parity.EVEN if rng.uniform() < 0.5 else Parity.ODD
+        try:
+            spec = SuperpositionSpec(overlaps=tuple(ps), parity=parity)
+        except CatcorrError:
+            continue
+        i, j = sorted(int(x) + 1 for x in rng.choice(n, size=2, replace=False))
+        side = "first" if rng.uniform() < 0.5 else "second"
+        rate = float(rng.uniform(0.2, 2.0))
+        t = float(rng.uniform(0.0, 3.0))
+        gamma = float(rng.uniform(0.0, 1.0))
+        samples.append((spec, i, j, side, rate, t, gamma))
+    return samples
+
+
+def test_verify_draw_is_bitwise_the_uniform_draw():
+    # uniform(lo, hi) is lo + (hi - lo) * random() in numpy's Generator, so the
+    # cheaper calls give the same values, of the same types, and leave the
+    # generator in the same state
+    def fields(sample):
+        spec, *rest = sample
+        return [(type(v), v) for v in (*spec.overlaps, spec.parity, *rest)]
+
+    for seed in range(100):
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = catcorr.cli._random_verify_samples(rngs[0], 60)
+        expected = _uniform_verify_samples(rngs[1], 60)
+        assert [fields(s) for s in drawn] == [fields(s) for s in expected]
+        assert rngs[0].random() == rngs[1].random()
+
+
 def test_verify_fails_a_nan_deviation(monkeypatch, capsys):
     # a NaN gap is the worst of its check, the first NaN sample its worst
     # sample, and no bound passes it

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import catcorr.oracle
 from catcorr.correlations import geometric_discord_numeric
@@ -222,8 +223,7 @@ def test_search_is_deterministic():
 
 
 def test_search_zero_discord_state():
-    # a classical-quantum state has a measurement that leaves it alone;
-    # the refinement schedule bottoms out around its gain tolerance
+    # a classical-quantum state has a measurement that leaves it alone
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     assert discord_by_measurement_search(rho) < 1e-9
 
@@ -252,7 +252,7 @@ def _search_inputs(rng) -> list:
 
 
 def test_search_on_a_stack_is_bitwise_each_single_search(rng):
-    # the lockstep search follows each member's own compass path, so a
+    # the lockstep search follows each member's own search path, so a
     # stack gives exactly the one-density calls, on either qubit
     inputs = np.array(_search_inputs(rng))
     for stack in (inputs, swap_qubits(inputs)):
@@ -271,51 +271,140 @@ def test_search_on_a_stack_is_bitwise_each_single_search(rng):
         assert np.max(np.abs(found - spectrum)) < 1e-6
 
 
+def _near_pole(tilt, azimuth) -> np.ndarray:
+    """(1 (x) 1 + 0.85 sigma_e (x) sigma_z + 0.1 sigma_x (x) sigma_x)/4, e at
+    `tilt` degrees from z and `azimuth` degrees round it: the optimal axis
+    lies close to the z pole."""
+    t, a = math.radians(tilt), math.radians(azimuth)
+    e = (math.sin(t) * math.cos(a), math.sin(t) * math.sin(a), math.cos(t))
+    sigma_e = sum(c * s for c, s in zip(e, PAULIS))
+    return (np.eye(4) + 0.85 * np.kron(sigma_e, PAULIS[2])
+            + 0.1 * np.kron(PAULIS[0], PAULIS[0])) / 4.0
+
+
+def _rotation(rng) -> np.ndarray:
+    """A Haar-random rotation of R^3."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diagonal(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+def _flat_valley(rng, ratio, count) -> np.ndarray:
+    """(1 (x) 1 + sum T_ab sigma_a (x) sigma_b)/4 with T = R1 diag(t1, t2, t3) R2
+    for Haar rotations R1, R2, t1 ~ U(0.3, 0.6), t3 ~ U(0.05, 0.3) and t2
+    such that K = T T^T has (l1 - l2)/(l1 - l3) = ratio, so the objective is
+    nearly flat along a great circle; PSD draws only."""
+    rhos = []
+    while len(rhos) < count:
+        t1, t3 = rng.uniform(0.3, 0.6), rng.uniform(0.05, 0.3)
+        t2 = math.sqrt(t1 * t1 - ratio * (t1 * t1 - t3 * t3))
+        t = _rotation(rng) @ np.diag([t1, t2, t3]) @ _rotation(rng)
+        rho = (np.eye(4) + sum(t[a, b] * np.kron(PAULIS[a], PAULIS[b])
+                               for a in range(3) for b in range(3))) / 4.0
+        if np.linalg.eigvalsh(rho).min() >= 0.0:
+            rhos.append(rho.astype(complex))
+    return np.array(rhos)
+
+
 def _search_by_loop(rho, cap) -> float:
-    """The compass search one density and one move at a time, on the same
-    objective: the reference for the lockstep search's schedule."""
+    """The tangent-plane grid search one density and one grid point at a
+    time, in Python floats, on the same frames and quotient: the reference
+    for the lockstep search's walk, shrink, turn and stop rules."""
+    oracle = catcorr.oracle
     stack = rho[None]
     tables = _sandwiches(stack)
-    sphere = fibonacci_sphere(512)
-    values = _distances(stack, tables, sphere)[0]
-    best_idx = int(np.argmin(values))
-    best = float(values[best_idx])
-    x, y, z = sphere[best_idx]
-    theta, phi = math.acos(max(-1.0, min(1.0, z))), math.atan2(y, x)
-    step = 2.0 * math.sqrt(math.pi / 512)
-    moves = 0
-    while step >= 1e-8:
-        level_start = best
-        while moves < cap:
-            neighbors = [(theta + step, phi), (theta - step, phi),
-                         (theta, phi + step), (theta, phi - step)]
-            axes = np.array([(math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t))
-                             for t, p in neighbors])
-            vals = _distances(stack, tables, axes)[0]
-            idx = int(np.argmin(vals))
-            if vals[idx] >= best:
-                break
-            best = float(vals[idx])
-            theta, phi = neighbors[idx]
-            moves += 1
-        if step < 1e-4 and level_start - best < 1e-8:
+    g = oracle._screen_terms(stack, tables)[1].reshape(1, 3, 3)
+    frame = oracle._COARSE_FRAMES[_coarse_seeds(stack, tables)[0]]
+    reach = oracle._GRID_REACH
+    offsets = [(i, j) for i in range(-reach, reach + 1) for j in range(-reach, reach + 1)]
+    a = b = da = db = 0.0
+    p00, p01, p02, p11, p12, p22 = oracle._plane_terms(frame, g)[:, 0].tolist()
+    level, step = p00, oracle._GRID_START
+    for _ in range(cap):
+        grid = [((a + da) + step * i, (b + db) + step * j) for i, j in offsets]
+        values = [((p01 + x * p11 + y * p12) * x + (p02 + y * p22) * y + p00)
+                  / (1.0 + x * x + y * y) for x, y in grid]
+        pick = max(range(len(values)), key=values.__getitem__)  # the first maximum
+        moved = values[pick] - level > oracle._GRID_GAIN
+        walking = da != 0.0 or db != 0.0
+        walked = moved and (max(map(abs, offsets[pick])) == reach or walking)
+        da, db = (2.0 * (grid[pick][0] - a), 2.0 * (grid[pick][1] - b)) if walked else (0.0, 0.0)
+        if moved:
+            (a, b), level = grid[pick], values[pick]
+        if not (walked or (walking and not moved)):
+            step /= oracle._GRID_SHRINK
+        if walked and a * a + b * b > 1.0:
+            s, u, v = frame[0]
+            w = s + a * u + b * v
+            frame = oracle._frames(w[None] / math.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2]))
+            p00, p01, p02, p11, p12, p22 = oracle._plane_terms(frame, g)[:, 0].tolist()
+            level, a, b, da, db = p00, 0.0, 0.0, 0.0, 0.0
+        if step < oracle._GRID_STOP:
             break
-        step *= 0.5
-        moves = 0
-    return best
+    s, u, v = frame[0]
+    w = s + a * u + b * v
+    axis = w / math.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+    return float(_distances(stack, tables, axis[None, None])[0, 0])
 
 
-@pytest.mark.parametrize("cap", [64, 2, 1])
+@pytest.mark.parametrize("cap", [400, 20, 4])
 def test_lockstep_search_follows_the_one_density_loop(monkeypatch, rng, cap):
-    # same seed grid, step schedule, move cap and tolerance as the loop, in
-    # blocks of any size; a lowered cap makes levels end on it, which the
-    # default cap rarely does
-    monkeypatch.setattr(catcorr.oracle, "_COMPASS_MOVES", cap)
+    # same frames, grid, walk, shrink and turn rules and stop as the loop,
+    # in blocks of any size; flat-valley densities walk, the flattest turn
+    # their planes, and a lowered pass cap makes searches end on it, which
+    # the default cap does not
+    monkeypatch.setattr(catcorr.oracle, "_GRID_PASSES", cap)
     monkeypatch.setattr(catcorr.oracle, "_SEARCH_BLOCK", 5)
-    rhos = np.array(_search_inputs(rng)[:13])
+    frames, turned = catcorr.oracle._frames, []
+    monkeypatch.setattr(catcorr.oracle, "_frames", lambda axes: turned.append(len(axes)) or frames(axes))
+    rhos = np.array(_search_inputs(rng)[:9] + [_near_pole(0.21, 240.0)]
+                    + list(_flat_valley(rng, 1e-3, 3))
+                    + list(_flat_valley(np.random.default_rng(2), 1e-5, 4)))
+    turns = 0
     for stack in (rhos, swap_qubits(rhos)):
         expected = [_search_by_loop(rho, cap) for rho in stack]
+        turned.clear()
         assert discord_by_measurement_search(stack).tolist() == expected
+        turns += sum(turned)
+    assert turns or cap < 400
+
+
+def _assert_near_spectrum(rhos, above):
+    """The search within `above` over the K route, and at most 1e-14 under it:
+    it minimizes over axes, so the route's minimum bounds it from below."""
+    gap = discord_by_measurement_search(rhos) - geometric_discord_numeric(rhos).discord
+    assert np.max(gap) <= above and np.min(gap) >= -1e-14, (np.max(gap), np.min(gap))
+
+
+def test_search_finds_an_optimum_near_the_pole():
+    # the optimal axis lies 0.21 degrees off z, where a step in azimuth
+    # turns an axis by step * sin(0.21 degrees) only
+    rho = _near_pole(0.21, 240.0)
+    assert geometric_discord_numeric(rho).discord == pytest.approx(0.002499991486, abs=1e-12)
+    _assert_near_spectrum(rho[None], 1e-12)
+    # 100 tilts from 0.01 to 1 degree at 12 azimuths
+    _assert_near_spectrum(np.array([_near_pole(tilt, azimuth)
+                                    for tilt in np.linspace(0.01, 1.0, 100)
+                                    for azimuth in range(0, 360, 30)]), 1e-12)
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.01, 0.003, 0.001, 1e-4, 1e-5])
+def test_search_walks_flat_valleys(ratio):
+    # the optimum can lie far along the valley from the seed, and each step
+    # toward it gains little
+    _assert_near_spectrum(_flat_valley(np.random.default_rng(11), ratio, 100), 1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 4]), st.data())
+def test_search_meets_the_spectrum_on_general_densities(rank, data):
+    # B B^dagger / Tr for a 4 x rank complex B: pure, rank 2 and full rank
+    parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=8 * rank, max_size=8 * rank))
+    factor = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(4, rank)
+    rho = factor @ factor.conj().T
+    assume(np.trace(rho).real > 1e-3)
+    rho /= np.trace(rho).real
+    _assert_near_spectrum(0.5 * (rho + rho.conj().T)[None], 1e-9)
 
 
 def _classical_quantum(axis, rng) -> np.ndarray:
