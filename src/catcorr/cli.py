@@ -30,8 +30,8 @@ from .dephasing import (
 from .errors import CatcorrError, DivergentNormalizationError, DomainError
 from .kernels import WEYL_HEISENBERG, FamilyParams, overlap, su2, su11
 from .oracle import discord_by_measurement_search, pair_density_from_overlaps
-from .states import (PairInputs, Parity, SuperpositionSpec, _bloch, bloch_compose,
-                     check_density, reduced_pair_density)
+from .states import (Parity, SuperpositionSpec, _bloch, bloch_compose, check_density,
+                     reduced_pair_density)
 
 
 def _fmt(x: float) -> str:
@@ -320,22 +320,93 @@ def cmd_evolve(args) -> int:
     return 0
 
 
+class _RawDraw:
+    """numpy Generator's integers, random and choice draws, read from the raw
+    64-bit words of its PCG64 bit generator in batches.
+
+    A double is a word's top 53 bits times 2^-53. A 32-bit draw is the low
+    half of a word, and buffers the high half for the next 32-bit draw, as
+    PCG64 does; a double leaves that buffer alone. bounded(r) is
+    Generator.integers(0, r + 1) for 0 <= r < 2^32 - 1: Lemire's multiply
+    and shift with rejection (arXiv 1805.10941). NEP 19 keeps the raw streams
+    stable; the Generator methods' streams it does not freeze. close() leaves
+    the bit generator where the Generator calls leave it.
+    """
+
+    def __init__(self, rng, batch: int):
+        self._bits, self._batch = rng.bit_generator, batch
+        state = self._bits.state
+        self._has_half, self._half = state["has_uint32"], state["uinteger"]
+        self._words, self._used = [], 0
+
+    def _take(self, count: int) -> list:
+        while self._used + count > len(self._words):
+            self._words += self._bits.random_raw(self._batch).tolist()
+        self._used += count
+        return self._words[self._used - count:self._used]
+
+    def random(self, count: int) -> list:
+        """count doubles, as Generator.random(count) draws them."""
+        return [(word >> 11) * 2.0 ** -53 for word in self._take(count)]
+
+    def _uint32(self) -> int:
+        if self._has_half:
+            self._has_half = 0
+            return self._half
+        word, = self._take(1)
+        self._has_half, self._half = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def bounded(self, r: int) -> int:
+        if r == 0:
+            return 0
+        m = self._uint32() * (r + 1)
+        if m & 0xFFFFFFFF < r + 1:
+            threshold = (0xFFFFFFFF - r) % (r + 1)
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * (r + 1)
+        return m >> 32
+
+    def two_of(self, n: int) -> tuple:
+        """Generator.choice(n, 2, replace=False), sorted: Floyd's algorithm,
+        then the draw that shuffles its two picks."""
+        x = self.bounded(n - 2)
+        y = self.bounded(n - 1)
+        y = n - 1 if y == x else y
+        self.bounded(1)
+        return (x, y) if x < y else (y, x)
+
+    def close(self) -> None:
+        self._bits.advance(self._used - len(self._words))
+        state = self._bits.state
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        self._bits.state = state
+
+
+# raw words of the first batch per verify sample; a sample takes about 10.5
+_VERIFY_WORDS = 12
+
+
 def _random_verify_samples(rng, count: int) -> list:
+    """count verify samples, as the Generator calls integers(2, 7), random(n),
+    random(), choice(n, 2, replace=False) and random() four times draw them,
+    read from raw words by _RawDraw; a spec that raises is skipped before its
+    pair is drawn."""
+    draw = _RawDraw(rng, _VERIFY_WORDS * count)
     samples = []
     while len(samples) < count:
-        n = int(rng.integers(2, 7))
-        ps = rng.random(n)
-        parity = Parity.EVEN if rng.random() < 0.5 else Parity.ODD
+        n = 2 + draw.bounded(4)
+        *ps, u = draw.random(n + 1)
+        parity = Parity.EVEN if u < 0.5 else Parity.ODD
         try:
             spec = SuperpositionSpec(overlaps=tuple(ps), parity=parity)
         except CatcorrError:
             continue
-        i, j = sorted(int(x) + 1 for x in rng.choice(n, size=2, replace=False))
-        side = "first" if rng.random() < 0.5 else "second"
-        rate = 0.2 + 1.8 * rng.random()
-        t = 3.0 * rng.random()
-        gamma = rng.random()
-        samples.append((spec, i, j, side, rate, t, gamma))
+        i, j = (m + 1 for m in draw.two_of(n))
+        u, rate, t, gamma = draw.random(4)
+        side = "first" if u < 0.5 else "second"
+        samples.append((spec, i, j, side, 0.2 + 1.8 * rate, 3.0 * t, gamma))
+    draw.close()
     return samples
 
 
@@ -350,23 +421,15 @@ _VERIFY_CHECKS = ("gram_vs_closed", "closed_vs_numeric", "kraus_vs_bloch_scaling
                   "trajectory_consistency", "search_vs_spectrum")
 
 
-def _stacked(pairs: list) -> PairInputs:
-    """The closed-route inputs of one parity's samples as one PairInputs of
-    (S,) arrays; traced, which enters no discord, says whether any traces out."""
-    *numbers, signs, traced = zip(*(vars(pair).values() for pair in pairs))
-    return PairInputs(*map(np.array, numbers), signs[0], any(traced))
-
-
-def _gram_stack(selections: list, parity: Parity) -> np.ndarray:
-    """pair_density_from_overlaps(spec, a, b) of each (spec, a, b) of one
-    parity, in one call: modes 1, 2 of the overlaps (p_a, p_b, the rest in
-    mode order), padded by unit overlaps, which leave its sums over the rest exact."""
-    overlaps = [[spec.overlaps[a - 1], spec.overlaps[b - 1]]
-                + [p for m, p in enumerate(spec.overlaps, start=1) if m not in (a, b)]
-                for spec, a, b in selections]
-    width = max(map(len, overlaps))
-    padded = np.array([ps + [1.0] * (width - len(ps)) for ps in overlaps])
-    return pair_density_from_overlaps(SuperpositionSpec(tuple(padded.T), parity), 1, 2)
+def _selection_grid(selections: list, parity: Parity) -> tuple:
+    """One parity's (spec, a, b) selections as a grid spec, each spec's
+    overlaps in mode order padded by unit overlaps, and (S,) arrays of a and
+    b: the grid's pair and Gram density at (a, b) are each selection's own,
+    bit for bit (see SuperpositionSpec.pair)."""
+    width = max(spec.n for spec, _, _ in selections)
+    overlaps = np.array([spec.overlaps + (1.0,) * (width - spec.n) for spec, _, _ in selections])
+    a, b = np.array([ab for _, *ab in selections]).T
+    return SuperpositionSpec(tuple(overlaps.T), parity), a, b
 
 
 def _verify_gaps(samples, searched: int) -> np.ndarray:
@@ -374,9 +437,10 @@ def _verify_gaps(samples, searched: int) -> np.ndarray:
     order; the search row holds the first `searched` samples only.
 
     A second-side sample measures the first mode of its reversed pair (j, i).
-    Each sample's selection is formed on its own; the closed routes and the
-    Gram route then run once per parity, over the stack of its samples. The
-    Gram stack is checked once, and every numeric route runs once, over all
+    The samples of one parity are one grid spec (_selection_grid), whose
+    pair inputs and Gram densities at each sample's modes are formed in one
+    call each; the closed routes then run once per parity too. The Gram
+    stack is checked once, and every numeric route runs once, over all
     samples. The search reads the pair density, or the density dephased to
     time t when t > 1.5.
     """
@@ -392,9 +456,10 @@ def _verify_gaps(samples, searched: int) -> np.ndarray:
             continue
         selections = [(spec, *_measured_first(side, (i, j)))
                       for spec, i, j, side, *_ in (samples[k] for k in members)]
-        pair = _stacked([spec.pair(a, b) for spec, a, b in selections])
+        grid, a, b = _selection_grid(selections, parity)
+        pair = grid.pair(a, b)
         rho[members] = reduced_pair_density(pair)
-        gram[members] = _gram_stack(selections, parity)
+        gram[members] = pair_density_from_overlaps(grid, a, b)
         closed[members] = mixed_discord_closed(pair).discord
         traj = discord_trajectory(pair, rates[members], times[members])
         traj_discord[members], traj_concurrence[members] = traj.discord, traj.concurrence

@@ -62,16 +62,21 @@ def kraus_ops(gamma) -> tuple:
 
 def apply_dephasing(rho, gamma) -> np.ndarray:
     """Apply the channel independently to both qubits of a pair state; an
-    (S,) array of gammas dephases each member of an (S, 4, 4) stack by its own."""
+    (S,) array of gammas dephases each member of an (S, 4, 4) stack by its own.
+
+    The Kraus sum over K = left (x) right: each K is diagonal, so
+    K rho K^dagger has entries d_i rho_ij conj(d_j), d the diagonal of K,
+    the products K @ rho @ K^dagger forms; every other term it adds is an
+    exact zero.
+    """
     rho = check_density(rho)
     e0, e1 = kraus_ops(gamma)
     out = np.zeros_like(rho)
     for left in (e0, e1):
         for right in (e0, e1):
-            # left (x) right as a broadcast outer product, entry for entry
-            op = (left[..., :, None, :, None] * right[..., None, :, None, :]).reshape(
-                left.shape[:-2] + (4, 4))
-            out = out + op @ rho @ op.conj().swapaxes(-1, -2)
+            d = (left.diagonal(0, -2, -1)[..., :, None] * right.diagonal(0, -2, -1)[..., None, :]
+                 ).reshape(left.shape[:-2] + (4,))
+            out = out + d[..., :, None] * rho * d.conj()[..., None, :]
     return out
 
 

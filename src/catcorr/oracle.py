@@ -70,6 +70,27 @@ _GRID_A, _GRID_B = (ab.ravel() for ab in np.meshgrid(
 _GRID_EDGE = np.maximum(np.abs(_GRID_A), np.abs(_GRID_B)) == _GRID_REACH
 
 
+def _sandwich_table() -> tuple:
+    """Where _sandwiches reads each float of T_ab, and its sign: (9, 32) each.
+
+    (O_a rho O_b)_ij = O_a[i, r] rho_rc O_b[c, j] at the one (r, c) where
+    both are nonzero, a phase of +-1 or +-i times rho_rc, so T_ab's real and
+    imaginary parts there are each a signed real or imaginary part of rho_rc.
+    """
+    ops = PAULI_PRODUCTS[1:, 0]
+    terms = np.einsum("air,bcj->abijrc", ops, ops).reshape(9, 16, 16)
+    source = abs(terms).argmax(axis=-1)
+    phase = np.take_along_axis(terms, source[..., None], -1)[..., 0]
+    # the real part is +-Re rho_rc for a real phase and -+Im rho_rc for an
+    # imaginary one, the imaginary part +-Im rho_rc or +-Re rho_rc
+    reads_imaginary = np.stack([phase.real == 0, phase.real != 0], axis=-1)
+    signs = np.stack([phase.real - phase.imag, phase.real + phase.imag], axis=-1)
+    return (2 * source[..., None] + reads_imaginary).reshape(9, 32), signs.reshape(9, 32)
+
+
+_SANDWICH_GATHER, _SANDWICH_SIGNS = _sandwich_table()
+
+
 def _halves(overlaps) -> tuple:
     """(1 + P)/2 and (1 - P)/2, P = prod p: the weights of the even- and the
     odd-weight entries of the product of the kets (c, s), c^2 = (1 + p)/2,
@@ -81,7 +102,7 @@ def _halves(overlaps) -> tuple:
     return even, odd
 
 
-def pair_density_from_overlaps(spec: SuperpositionSpec, i: int, j: int) -> np.ndarray:
+def pair_density_from_overlaps(spec: SuperpositionSpec, i, j) -> np.ndarray:
     """Reduced pair density rebuilt from branch Gram data alone.
 
     A mode's branch kets w = (1, 0) and w' = (p, sqrt(1 - p^2)) have
@@ -94,15 +115,20 @@ def pair_density_from_overlaps(spec: SuperpositionSpec, i: int, j: int) -> np.nd
     N^2 (u u^T + v v^T + sign q (u v^T + v u^T)), sign = cos(m pi), is
     [(1 + sign q) e e^T + (1 - sign q) o o^T] / (1 + sign P). A grid spec
     gives an (m, 4, 4) stack, each member bitwise the one-state call at its
-    overlaps. Nothing is validated here: the routes that read the result as
-    a density check it.
+    overlaps; i and j may then be (m,) integer arrays, a pair of modes per
+    point. Nothing is validated here: the routes that read the result as a
+    density check it.
     """
-    if not (1 <= i <= spec.n and 1 <= j <= spec.n):
+    if not np.all((1 <= i) & (i <= spec.n) & (1 <= j) & (j <= spec.n)):
         raise DomainError(f"mode indices must lie in 1..{spec.n}, got ({i}, {j})")
-    if i == j:
+    if np.any(i == j):
         raise DomainError("pair indices must differ")
-    p_i, p_j = spec.overlaps[i - 1], spec.overlaps[j - 1]
-    rest = [p for m, p in enumerate(spec.overlaps, start=1) if m not in (i, j)]
+    # the rest reads i and j as unit overlaps, which leave each _halves step exact
+    p_i = p_j = 1.0
+    rest = []
+    for m, p in enumerate(spec.overlaps, start=1):
+        p_i, p_j = np.where(m == i, p, p_i), np.where(m == j, p, p_j)
+        rest.append(np.where((m == i) | (m == j), 1.0, p))
     traced, total = _halves(rest), _halves(rest + [p_i, p_j])
     # odd parity swaps the halves: (1 - q)/2 weighs e, (1 + q)/2 weighs o, over (1 - P)/2
     (weight_e, weight_o), norm = traced[::spec.parity.sign], total[spec.parity.sign < 0]
@@ -124,16 +150,18 @@ def _stack(rho: np.ndarray) -> np.ndarray:
 
 
 def _sandwiches(rho: np.ndarray) -> np.ndarray:
-    """T_ab = O_a rho O_b for a, b = x, y, z, O_a = sigma_a (x) 1, as (m, 9, 32)
-    real tables.
+    """T_ab = O_a rho O_b for a, b = x, y, z, O_a = sigma_a (x) 1, of an (m, 4, 4)
+    stack, as (m, 9, 32) C-contiguous real tables.
 
     Each O_a has one entry of 1, -1, i or -i per row, so every T_ab is
-    rho's entries moved and sign-flipped, exactly. Row 3a + b holds T_ab's
-    16 entries, real and imaginary parts interleaved.
+    rho's entries moved and sign-flipped, exactly: a gather of rho's
+    interleaved floats. Row 3a + b holds T_ab's 16 entries, real and
+    imaginary parts interleaved. 0.0 is added, where the matrix products'
+    sums start, so a -0 reads +0 as in theirs. The tables must be contiguous:
+    a strided one would make tables @ x round differently.
     """
-    ops = PAULI_PRODUCTS[1:, 0]
-    products = ops[:, None] @ rho[:, None, None] @ ops
-    return products.reshape(len(rho), 9, 16).view(np.float64)
+    entries = rho.reshape(len(rho), 16).view(np.float64)
+    return np.take(entries, _SANDWICH_GATHER, axis=1) * _SANDWICH_SIGNS + 0.0
 
 
 def _distances(rho: np.ndarray, tables: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -209,7 +237,8 @@ def _screen_terms(stack: np.ndarray, tables: np.ndarray) -> tuple:
 
 def _coarse_seeds(stack: np.ndarray, tables: np.ndarray) -> tuple:
     """The argmin and min of each density's objective over the coarse axes,
-    ties to the lowest axis, as the full scan gives them: (m,) seeds and values.
+    ties to the lowest axis, as the full scan gives them, and the screen's g
+    (see _screen_terms): (m,) seeds and values and (m, 9) g.
 
     For a unit axis S^2 = 1, so Tr[(rho - chi)^2] = (Tr rho^2 - Tr[rho S rho S])/2
     = (Tr rho^2 - sum_ab e_a e_b g_ab)/2, g_ab = Re Tr[rho T_ab]: one (512, 9)
@@ -227,17 +256,21 @@ def _coarse_seeds(stack: np.ndarray, tables: np.ndarray) -> tuple:
     screen = 0.5 * (purity[:, None] - g @ _COARSE_COEFFICIENTS.T)
     keep = screen <= screen.min(axis=1, keepdims=True) + _SCREEN_TOL
     kept = np.count_nonzero(keep, axis=1)
-    # the kept axes, then the others, each in axis order
-    ranked = np.argsort(~keep, axis=1, kind="stable")
+    # a density that keeps more than two axes is evaluated alone, at those axes
+    wide = [([k], np.flatnonzero(keep[k])[None]) for k in np.flatnonzero(kept > 2)]
+    # the others together, at their first kept axis and their second, or else
+    # at the first axis they do not keep: axis 0, or 1 when they keep axis 0
+    first = keep.argmax(axis=1)
+    keep[np.arange(count), first] = False
+    second = np.where(kept > 1, keep.argmax(axis=1), first == 0)
+    narrow = np.flatnonzero(kept <= 2)
+    pairs = np.sort(np.stack([first, second], axis=1)[narrow], axis=1)
     seeds, best = np.empty(count, dtype=np.intp), np.empty(count)
-    # the densities that keep one or two axes in one pass, any other one alone
-    groups = [(np.flatnonzero(kept <= 2), 2)] + [([k], kept[k]) for k in np.flatnonzero(kept > 2)]
-    for members, width in groups:
-        picked = np.sort(ranked[members, :width], axis=1)
+    for members, picked in [(narrow, pairs), *wide]:
         values = _distances(stack[members], tables[members], _COARSE_AXES[picked])
         rows, column = np.arange(len(members)), values.argmin(axis=1)
         seeds[members], best[members] = picked[rows, column], values[rows, column]
-    return seeds, best
+    return seeds, best, g
 
 
 def _frames(axes: np.ndarray) -> np.ndarray:
@@ -302,8 +335,9 @@ def _lockstep_search(stack: np.ndarray) -> np.ndarray:
     """
     tables = _sandwiches(stack)
     count = len(stack)
-    frames = _COARSE_FRAMES[_coarse_seeds(stack, tables)[0]]
-    g = _screen_terms(stack, tables)[1].reshape(count, 3, 3)
+    seeds, _, g = _coarse_seeds(stack, tables)
+    frames = _COARSE_FRAMES[seeds]
+    g = g.reshape(count, 3, 3)
     terms = _plane_terms(frames, g)
     # the centre (a, b), the next grid's offset (da, db), the quotient at the centre
     a, b, da, db = np.zeros((4, count))

@@ -33,6 +33,18 @@ _ROWS = abs(PAULI_PRODUCTS.reshape(16, 4, 4)).argmax(axis=1)
 _ENTRIES = PAULI_PRODUCTS.reshape(16, 4, 4).sum(axis=1)
 _GATHER = (2 * (4 * np.arange(4) + _ROWS) + (_ENTRIES.real == 0)).T
 _SIGNS = (_ENTRIES.real - _ENTRIES.imag).T
+# bloch_compose's rounding order after the identity: for a = 1, 2, 3 the
+# products (a, 0), (0, a), (a, 1), (a, 2), (a, 3), at 4a + b. Each entry of a
+# density has four nonzero terms among these, three on the diagonal (the
+# identity is the fourth): column e of _COMPOSE_T lists them in that order,
+# then a zero term on the diagonal, and _COMPOSE_P holds their product entries
+_COMPOSE_ORDER = np.array([k for a in range(1, 4)
+                           for k in (4 * a, a, 4 * a + 1, 4 * a + 2, 4 * a + 3)])
+_COMPOSE_T = _COMPOSE_ORDER[np.argsort(PAULI_PRODUCTS.reshape(16, 16)[_COMPOSE_ORDER] == 0,
+                                       axis=0, kind="stable")[:4]]
+_COMPOSE_P = PAULI_PRODUCTS.reshape(16, 16)[_COMPOSE_T, np.arange(16)]
+# each member's entries (i, j) with i <= j: |a_ij - conj(a_ji)| is the same at (j, i)
+_UPPER = (slice(None), *np.triu_indices(4))
 
 # threshold on 2 * denominator below which the superposition counts as null
 _NULL_STATE_TOL = 1e-14
@@ -54,6 +66,10 @@ _PSD_SHIFT = (_PSD_TOL / 2) * np.eye(4)
 # ufuncs, and these keep a float's result a plain value (a Branch, say)
 def _where(cond, a, b):
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _any(cond) -> bool:
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
 
 
 def _outside_unit(p):
@@ -112,10 +128,11 @@ class SuperpositionSpec:
     def pair(self, a, b) -> "PairInputs":
         """The closed-route inputs of mode groups a and b, the rest traced out.
 
-        A group is a 1-based mode index or a tuple of them. Each complement
-        1 - P comes from _complement, which does not cancel near unit
-        overlap. The denominator 1 + cos(m pi) P is 1 + P for even parity
-        and d_b + p_b (d_a + p_a d_q), a sum of nonnegative terms, for odd.
+        A group is a 1-based mode index or a tuple of them; on a grid spec it
+        may also be an (m,) integer array of indices, one mode per point.
+        Each complement 1 - P comes from _complement, which does not cancel
+        near unit overlap. The denominator 1 + cos(m pi) P is 1 + P for even
+        parity and d_b + p_b (d_a + p_a d_q), a sum of nonnegative terms, for odd.
         """
         ps_a, ps_b, rest = self._members(a, b)
         p_a, p_b, q = math.prod(ps_a), math.prod(ps_b), math.prod(rest, start=1.0)
@@ -123,20 +140,34 @@ class SuperpositionSpec:
         denominator = (1.0 + math.prod(self.overlaps) if self.parity is Parity.EVEN
                        else d_b + p_b * (d_a + p_a * d_q))
         return PairInputs(p_a, p_b, q, d_a, d_b, d_q, np.sqrt(d_a * (1.0 + p_a)),
-                          np.sqrt(d_b * (1.0 + p_b)), denominator, self.parity.sign, bool(rest))
+                          np.sqrt(d_b * (1.0 + p_b)), denominator, self.parity.sign,
+                          len(ps_a) + len(ps_b) < self.n)
 
     def _members(self, a, b) -> tuple:
-        """Overlaps of group a, of group b and of the traced-out modes."""
+        """Overlaps of group a and of group b, and every mode's overlap in mode
+        order with a unit one in place of each kept mode. A unit factor leaves
+        each product (1.0 x = x) and complement ((1 - 1) + 1 t = t) over the
+        rest exact, so one list serves a selection of any modes at each point."""
         group_a, group_b = (tuple(g) if isinstance(g, (tuple, list)) else (g,) for g in (a, b))
         kept = group_a + group_b
         if not (group_a and group_b):
             raise DomainError("a mode group needs at least one mode")
-        if not all(1 <= m <= self.n for m in kept):
+        if any(_any((m < 1) | (m > self.n)) for m in kept):
             raise DomainError(f"mode indices must lie in 1..{self.n}, got ({a}, {b})")
-        if len(set(kept)) < len(kept):
+        # how many of the kept modes each mode is, at each point
+        hits = [sum([m == mode for m in kept]) for mode in range(1, self.n + 1)]
+        if any(_any(h > 1) for h in hits):
             raise DomainError("pair indices must differ")
-        return ([self.overlaps[m - 1] for m in group_a], [self.overlaps[m - 1] for m in group_b],
-                [p for idx, p in enumerate(self.overlaps, start=1) if idx not in kept])
+        return ([self._overlap(m) for m in group_a], [self._overlap(m) for m in group_b],
+                [_where(h > 0, 1.0, p) for h, p in zip(hits, self.overlaps)])
+
+    def _overlap(self, mode):
+        """The overlap of a 1-based mode, or at each point of a grid that of its
+        entry of an (m,) array of modes."""
+        picked = 1.0
+        for index, p in enumerate(self.overlaps, start=1):
+            picked = _where(mode == index, p, picked)
+        return picked
 
 
 def _complement(ps: list):
@@ -212,7 +243,7 @@ def check_density(rho) -> np.ndarray:
     adjoint = stack.conj().transpose(0, 2, 1)
     # a non-finite entry makes its member's skew NaN or inf, which is not within tolerance
     with np.errstate(invalid="ignore"):
-        skew = ~(np.abs(stack - adjoint).reshape(-1, 16).max(axis=1) <= _HERM_TOL)
+        skew = ~(np.abs(stack[_UPPER] - adjoint[_UPPER]).max(axis=1) <= _HERM_TOL)
         trace = stack.diagonal(0, 1, 2).sum(axis=-1)
         bad = skew | (abs(trace.real - 1.0) > _TRACE_TOL) | (abs(trace.imag) > _TRACE_TOL)
     stop = bad.argmax() if bad.any() else len(stack)
@@ -267,11 +298,13 @@ def bloch_decompose(rho) -> BlochForm:
 
 
 def bloch_compose(bloch: BlochForm) -> np.ndarray:
-    """Rebuild the density, or (..., 4, 4) stack, from its Pauli table, term
-    by term in a fixed rounding order."""
-    rho = PAULI_PRODUCTS[0, 0]
-    for a in range(1, 4):
-        for ab in ((a, 0), (0, a), (a, 1), (a, 2), (a, 3)):
-            rho = rho + bloch.t[(..., *ab)][..., None, None] * PAULI_PRODUCTS[ab]
-    return rho / 4.0
-
+    """Rebuild the density, or (..., 4, 4) stack, from its Pauli table: each
+    entry is the identity's plus t_ab sigma_a (x) sigma_b over the other 15
+    products, summed in a fixed rounding order. Only each entry's nonzero
+    terms enter; the zeros the full sum adds do not move a finite entry."""
+    lead = bloch.t.shape[:-2]
+    terms = np.take(bloch.t.reshape(lead + (16,)), _COMPOSE_T, axis=-1) * _COMPOSE_P
+    rho = PAULI_PRODUCTS[0, 0].reshape(16) + terms[..., 0, :]
+    for k in range(1, 4):
+        rho = rho + terms[..., k, :]
+    return (rho / 4.0).reshape(lead + (4, 4))

@@ -12,7 +12,7 @@ import catcorr.cli
 from catcorr.cli import main
 from catcorr.correlations import geometric_discord_numeric, mixed_discord_closed
 from catcorr.dephasing import DephasingParams
-from catcorr.errors import CatcorrError
+from catcorr.errors import CatcorrError, DivergentNormalizationError
 from catcorr.kernels import WEYL_HEISENBERG, overlap, su2, su11
 from catcorr.states import Parity, SuperpositionSpec, reduced_pair_density
 from reference import closed_reference
@@ -568,16 +568,16 @@ def test_verify_fails_honestly_at_machine_tolerance(capsys):
     assert "worst:" in out
 
 
-def _uniform_verify_samples(rng, count: int) -> list:
+def _uniform_verify_samples(rng, count: int, make_spec=SuperpositionSpec) -> list:
     """verify's draw as it read through Generator.uniform, literally: the
-    reference that the random() form must equal bit for bit."""
+    reference that the raw-word draw must equal bit for bit."""
     samples = []
     while len(samples) < count:
         n = int(rng.integers(2, 7))
         ps = rng.uniform(0.0, 1.0, size=n)
         parity = Parity.EVEN if rng.uniform() < 0.5 else Parity.ODD
         try:
-            spec = SuperpositionSpec(overlaps=tuple(ps), parity=parity)
+            spec = make_spec(overlaps=tuple(ps), parity=parity)
         except CatcorrError:
             continue
         i, j = sorted(int(x) + 1 for x in rng.choice(n, size=2, replace=False))
@@ -605,6 +605,60 @@ def test_verify_draw_is_bitwise_the_uniform_draw():
         assert rngs[0].random() == rngs[1].random()
 
 
+@pytest.mark.parametrize("r", [0, 1, 4, 5, 3 * 2**30, 2**31 + 1, 2**32 - 3])
+def test_raw_bounded_draw_is_generator_integers(r):
+    # Lemire's rule rejects a draw with probability (2^32 mod (r + 1)) / 2^32:
+    # about 1/4 at 3 * 2^30 and near 1/2 at 2^31 + 1; the value of each draw and
+    # the state after it, the buffered half word included, are the Generator's
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(seed % 3):  # a half word buffered before the draw, or not
+            assert rng.integers(0, 5) == ref.integers(0, 5)
+        draw = catcorr.cli._RawDraw(rng, 4)
+        values = [draw.bounded(r) for _ in range(9)]
+        draw.close()
+        assert values == [int(ref.integers(0, r + 1)) for _ in range(9)]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_raw_two_of_n_draw_is_generator_choice():
+    for n in range(2, 7):
+        for seed in range(1000):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            draw = catcorr.cli._RawDraw(rng, 2)
+            pairs = [draw.two_of(n) for _ in range(3)]
+            draw.close()
+            assert pairs == [tuple(sorted(int(x) for x in ref.choice(n, 2, replace=False)))
+                             for _ in range(3)]
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_verify_draw_skips_a_spec_that_raises(monkeypatch):
+    # a spec that raises is dropped before its pair is drawn, in the reference
+    # and in the raw-word draw alike: the samples and the end state still match
+    def raising_at(calls):
+        made = []
+
+        def make(**kwargs):
+            made.append(kwargs)
+            if len(made) - 1 in calls:
+                raise DivergentNormalizationError("drawn to raise")
+            return SuperpositionSpec(**kwargs)
+        return make, made
+
+    for seed, calls in ((1, {0}), (2, {3, 4, 9}), (3, set(range(1, 40, 2)))):
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        make, made = raising_at(calls)
+        monkeypatch.setattr(catcorr.cli, "SuperpositionSpec", make)
+        drawn = catcorr.cli._random_verify_samples(rngs[0], 25)
+        assert len(made) == 25 + len(calls)
+        make, _ = raising_at(calls)
+        expected = _uniform_verify_samples(rngs[1], 25, make)
+        assert [(s[0].overlaps, *s[1:]) for s in drawn] == [(s[0].overlaps, *s[1:])
+                                                             for s in expected]
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 def test_verify_fails_a_nan_deviation(monkeypatch, capsys):
     # a NaN gap is the worst of its check, the first NaN sample its worst
     # sample, and no bound passes it
@@ -630,14 +684,15 @@ def test_verify_fails_a_nan_deviation(monkeypatch, capsys):
 
 def test_verify_checks_the_gram_densities_it_reads(monkeypatch, capsys):
     # the Gram route does not check its own result; verify checks the stack
-    # it reads, so a bad member exits 2 rather than reading as a FAIL line
+    # it reads, one index-array call per parity, so a bad member exits 2
+    # rather than reading as a FAIL line
     gram = catcorr.cli.pair_density_from_overlaps
     calls = []
 
-    def bad_third(*args):
+    def bad_third(spec, i, j):
         # the first stack's third member
-        calls.append(args)
-        stack = gram(*args)
+        calls.append((i, j))
+        stack = gram(spec, i, j)
         if len(calls) == 1:
             stack[2] = np.diag([1.5, -0.5, 0.0, 0.0])
         return stack
@@ -646,6 +701,7 @@ def test_verify_checks_the_gram_densities_it_reads(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "verify", "--samples", "5")
     assert (code, out) == (2, "")
     assert err == "error: density has eigenvalue -0.5 below -1e-10\n"
+    assert len(calls) == 2 and all(i.shape == j.shape == (len(i),) for i, j in calls)
 
 
 def _verify_selections(rng, count: int, parity: Parity) -> list:
@@ -667,23 +723,26 @@ def _verify_selections(rng, count: int, parity: Parity) -> list:
 
 
 def test_verify_gram_stack_is_bitwise_each_sample(rng):
-    # reordered to (p_a, p_b, rest) and padded by unit overlaps, each member is
-    # the one-sample Gram density, bit for bit
+    # on the grid of the selections' overlaps in mode order, padded by unit
+    # overlaps, the Gram densities at the index arrays are each sample's own
     for parity in Parity:
         selections = _verify_selections(rng, 60, parity)
-        stack = catcorr.cli._gram_stack([s[:3] for s in selections], parity)
+        grid, a, b = catcorr.cli._selection_grid([s[:3] for s in selections], parity)
+        stack = catcorr.cli.pair_density_from_overlaps(grid, a, b)
         for member, (spec, a, b, *_) in zip(stack, selections):
             assert np.array_equal(member, catcorr.cli.pair_density_from_overlaps(spec, a, b))
 
 
 def test_verify_closed_stack_is_bitwise_each_sample(rng):
-    # the stacked density, closed discord, trajectory and gamma of one
-    # parity's samples, each member bitwise its one-sample value
+    # the grid's pair at the index arrays, and its density, closed discord,
+    # trajectory and gamma, each member bitwise its one-sample value
     for parity in Parity:
         selections = _verify_selections(rng, 60, parity)
         pairs = [spec.pair(a, b) for spec, a, b, *_ in selections]
         rate, t = (np.array([s[k] for s in selections]) for k in (3, 4))
-        pair = catcorr.cli._stacked(pairs)
+        grid, a, b = catcorr.cli._selection_grid([s[:3] for s in selections], parity)
+        pair = grid.pair(a, b)
+        assert pair.traced == any(one.traced for one in pairs)
         rho = reduced_pair_density(pair)
         discord = mixed_discord_closed(pair).discord
         traj = catcorr.cli.discord_trajectory(pair, rate, t)
@@ -752,8 +811,7 @@ def _count_calls(monkeypatch, targets) -> Counter:
 # a sweep evaluates its whole grid in one pass, and evolve its whole time grid
 # (its trajectory pass, its gamma column and sudden_death_time's t = 0 call),
 # so their counts are per request; a selection's inputs are formed once per
-# request, and once per sample in verify, whose closed routes then run once
-# per parity
+# request, and in verify once per parity, as are its closed routes
 @pytest.mark.parametrize("argv, exact", [
     ("sweep --n 3 --parity even --pair 1 2 --steps 100",
      {"pair": 1, "pair_k_spectrum": 1, "reduced_pair_density": 1}),
@@ -771,7 +829,7 @@ def _count_calls(monkeypatch, targets) -> Counter:
     # once, and each numeric route runs once, over all samples, the search on
     # the first 48: 1 + 5 density checks
     ("verify --samples 100",
-     {"pair": 100, "reduced_pair_density": 2, "pair_k_spectrum": 4, "__post_init__": 3,
+     {"pair": 2, "reduced_pair_density": 2, "pair_k_spectrum": 4, "__post_init__": 3,
       "pair_density_from_overlaps": 2, "apply_dephasing": 2, "k_spectrum_discord": 1,
       "discord_by_measurement_search": 1, "check_density": 6}),
 ])

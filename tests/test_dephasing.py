@@ -131,6 +131,36 @@ def test_apply_dephasing_is_bitwise_its_kron_construction(rng):
             assert np.array_equal(apply_dephasing(rho, gamma), expected)
 
 
+def _dephasing_by_products(rho, gamma):
+    """The Kraus sum as matrix products, literally: each left (x) right formed
+    as a broadcast outer product, then op @ rho @ op^dagger summed."""
+    e0, e1 = kraus_ops(gamma)
+    out = np.zeros_like(rho)
+    for left in (e0, e1):
+        for right in (e0, e1):
+            op = (left[..., :, None, :, None] * right[..., None, :, None, :]).reshape(
+                left.shape[:-2] + (4, 4))
+            out = out + op @ rho @ op.conj().swapaxes(-1, -2)
+    return out
+
+
+def test_apply_dephasing_is_bitwise_the_matrix_products(rng):
+    # the diagonal products are the matrix products' own, the sign of each
+    # zero included, on one density and on stacks at one gamma or their own
+    stack = np.array([random_density(rng) for _ in range(12)]
+                     + [reduced_pair_density(spec.pair(1, spec.n))
+                        for spec in (random_spec(rng) for _ in range(12))])
+    gammas = rng.uniform(size=len(stack))
+    gammas[:4] = (0.0, 1.0, 0.0, 1.0)
+    cases = [(stack, gammas), (stack[:5], gammas[:5])]
+    cases += [(stack, g) for g in (0.0, 1.0, float(gammas[7]))]
+    cases += [(rho, g) for rho, g in zip(stack[::3], (0.0, 1.0, *gammas[2::3].tolist()))]
+    for rho, gamma in cases:
+        got, expected = apply_dephasing(rho, gamma), _dephasing_by_products(rho, gamma)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_apply_dephasing_entry_scaling(rng):
     # each index mismatch against the diagonal costs sqrt(1 - gamma)
     rho = random_density(rng)

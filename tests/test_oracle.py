@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import catcorr.oracle
+import catcorr.states
 from catcorr.correlations import geometric_discord_numeric
 from catcorr.dephasing import apply_dephasing
 from catcorr.errors import DomainError, InvalidDensityError
@@ -313,8 +314,9 @@ def _search_by_loop(rho, cap) -> float:
     oracle = catcorr.oracle
     stack = rho[None]
     tables = _sandwiches(stack)
-    g = oracle._screen_terms(stack, tables)[1].reshape(1, 3, 3)
-    frame = oracle._COARSE_FRAMES[_coarse_seeds(stack, tables)[0]]
+    seeds, _, g = _coarse_seeds(stack, tables)
+    g = g.reshape(1, 3, 3)
+    frame = oracle._COARSE_FRAMES[seeds]
     reach = oracle._GRID_REACH
     offsets = [(i, j) for i in range(-reach, reach + 1) for j in range(-reach, reach + 1)]
     a = b = da = db = 0.0
@@ -437,11 +439,11 @@ def test_screened_scan_is_bitwise_the_full_scan(rng):
         for size in (1, 2, 65):
             for first in range(0, len(stack), size):
                 part = stack[first:first + size]
-                seeds, best = _coarse_seeds(part, _sandwiches(part))
+                seeds, best, _ = _coarse_seeds(part, _sandwiches(part))
                 assert seeds.tolist() == expected[0][first:first + size].tolist()
                 assert best.tolist() == expected[1][first:first + size].tolist()
     # every axis ties on I/4, and a classical-quantum state is zero at its axis
-    seeds, best = _coarse_seeds(extra, _sandwiches(extra))
+    seeds, best, _ = _coarse_seeds(extra, _sandwiches(extra))
     assert seeds[0] == 0
     assert seeds[4:8].tolist() == [0, 37, 300, 511] and np.all(np.abs(best[4:8]) < 1e-15)
 
@@ -458,6 +460,58 @@ def test_gram_route_of_a_grid_spec_is_bitwise_each_point(rng):
                            for col in ps.T.tolist()]
                 assert stack.shape == (9, 4, 4)
                 assert all(np.array_equal(a, b) for a, b in zip(stack, singles))
+
+
+def test_index_array_pairs_are_bitwise_each_point(rng):
+    # points of n = 2..width modes padded by unit overlaps to the grid's width,
+    # overlaps down to 1 - 1e-12, either member measured: the pair inputs and
+    # the Gram density at (m,) index arrays are each point's scalar calls
+    for parity in Parity:
+        for width in range(2, 7):
+            sizes = rng.integers(2, width + 1, size=40)
+            sizes[0] = width
+            ps = rng.uniform(0.0, 1.0, size=(40, width))
+            near = rng.uniform(size=ps.shape) < 0.3
+            ps[near] = 1.0 - rng.choice([1e-12, 1e-9, 1e-6], size=near.sum())
+            ps[np.arange(width) >= sizes[:, None]] = 1.0
+            picks = [rng.choice(n, size=2, replace=False) + 1 for n in sizes]
+            a, b = np.array(picks).T
+            grid = SuperpositionSpec(tuple(ps.T), parity)
+            pair, stack = grid.pair(a, b), pair_density_from_overlaps(grid, a, b)
+            assert (pair.sign, pair.traced) == (parity.sign, width > 2)
+            for k, (row, n) in enumerate(zip(ps, sizes)):
+                spec = SuperpositionSpec(tuple(row[:n].tolist()), parity)
+                i, j = int(a[k]), int(b[k])
+                one = spec.pair(i, j)
+                assert all(getattr(pair, name)[k] == x for name, x in vars(one).items()
+                           if name not in ("sign", "traced")), (parity, width, k)
+                assert np.array_equal(stack[k], pair_density_from_overlaps(spec, i, j))
+            for bad, message in (((a, a), "must differ"), ((a, b + width), "must lie in")):
+                with pytest.raises(DomainError, match=message):
+                    grid.pair(*bad)
+                with pytest.raises(DomainError, match=message):
+                    pair_density_from_overlaps(grid, *bad)
+
+
+def _sandwiches_by_products(rho):
+    """The sandwich tables as matrix products, literally: O_a rho O_b for each
+    density of an (m, 4, 4) stack, (m, 9, 32) real."""
+    ops = catcorr.states.PAULI_PRODUCTS[1:, 0]
+    products = ops[:, None] @ rho[:, None, None] @ ops
+    return products.reshape(len(rho), 9, 16).view(np.float64)
+
+
+def test_sandwich_gather_is_bitwise_the_matrix_products(rng):
+    # every float moved and sign-flipped as the products move it, the sign of
+    # each zero included, into C-contiguous tables, which the gemm of the
+    # screen then rounds as it rounds the products' own tables
+    stacks = [np.array(_search_inputs(rng)), np.array([random_density(rng) for _ in range(20)])]
+    stacks.append(swap_qubits(stacks[0]).copy())
+    for stack in stacks:
+        stack = np.ascontiguousarray(stack)
+        tables, expected = _sandwiches(stack), _sandwiches_by_products(stack)
+        assert tables.flags.c_contiguous and tables.shape == expected.shape
+        assert np.array_equal(tables.view(np.uint64), expected.view(np.uint64))
 
 
 def test_search_stack_rejects_its_first_bad_member():

@@ -19,6 +19,7 @@ from catcorr.states import (
     _TRACE_TOL,
     PAULI_PRODUCTS,
     PAULIS,
+    BlochForm,
     Parity,
     SuperpositionSpec,
     bloch_compose,
@@ -299,6 +300,21 @@ def _eigvalsh_only_check(rho):
     return m
 
 
+def test_check_density_reads_a_non_finite_entry_on_either_side_of_the_diagonal(rng):
+    # the skew test reads the upper triangle: a NaN or inf below the diagonal
+    # still makes its mirror's skew NaN or inf, refused as checking all 16 refuses it
+    good = random_density(rng)
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+        for i, j in ((3, 0), (2, 1), (0, 3), (1, 1)):
+            rho = good.copy()
+            rho[i, j] = bad
+            assert _outcome(check_density, rho) == _outcome(_eigvalsh_only_check, rho)
+            assert _outcome(check_density, rho) == "density has a non-finite entry"
+            stack = np.array([good, good, rho, good, rho])
+            assert _outcome(check_density, stack) == "density has a non-finite entry"
+            assert _outcome(check_density, stack) == _outcome(_eigvalsh_only_check, stack)
+
+
 def _outcome(check, rho):
     """None if check passes rho, else its InvalidDensityError's message."""
     try:
@@ -375,6 +391,30 @@ def test_bloch_table_is_bitwise_the_einsum(rng):
         # a -0.0 prints as -0, so the sign of each zero must match too
         assert np.array_equal(table, reference)
         assert np.array_equal(np.signbit(table), np.signbit(reference))
+
+
+def _compose_by_loop(bloch):
+    """The density from its Pauli table as the 15-term loop summed it, literally."""
+    rho = PAULI_PRODUCTS[0, 0]
+    for a in range(1, 4):
+        for ab in ((a, 0), (0, a), (a, 1), (a, 2), (a, 3)):
+            rho = rho + bloch.t[(..., *ab)][..., None, None] * PAULI_PRODUCTS[ab]
+    return rho / 4.0
+
+
+def test_bloch_compose_is_bitwise_the_term_loop(rng):
+    # only each entry's nonzero terms enter, in the loop's order; the sign of
+    # each zero matches too, on tables with exact zeros and -0 entries
+    rho = np.array([random_density(rng) for _ in range(20)])
+    tables = [bloch_decompose(rho).t, *(bloch_decompose(x).t for x in _x_shaped_grid_densities())]
+    signed = rng.normal(size=(50, 4, 4))
+    signed[rng.uniform(size=signed.shape) < 0.4] = 0.0
+    signed[rng.uniform(size=signed.shape) < 0.2] = -0.0
+    tables += [signed, signed[3], bloch_decompose(rho[0]).t]
+    for t in tables:
+        got, expected = bloch_compose(BlochForm(t)), _compose_by_loop(BlochForm(t))
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(expected).view(np.uint64))
 
 
 def test_bloch_roundtrip_on_random_densities(rng):
