@@ -383,7 +383,7 @@ class _RawDraw:
         self._bits.state = state
 
 
-# raw words of the first batch per verify sample; a sample takes about 10.5
+# raw words read per verify sample in a batch; a sample takes 10.9 on average
 _VERIFY_WORDS = 12
 
 

@@ -189,7 +189,8 @@ class PairInputs:
     ones (1.0 when nothing is traced out); d_a, d_b, d_q are their
     complements 1 - p, s_a, s_b = sqrt(d (1 + p)), and denominator is the
     branch denominator 1 + cos(m pi) p_a p_b q. traced says whether any mode
-    is traced out. On a grid spec the numbers are (m,) arrays.
+    lies outside the two groups, one of unit overlap included. On a grid
+    spec the numbers are (m,) arrays.
     """
 
     p_a: float
