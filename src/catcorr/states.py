@@ -162,8 +162,8 @@ class SuperpositionSpec:
                 [_where(h > 0, 1.0, p) for h, p in zip(hits, self.overlaps)])
 
     def _overlap(self, mode):
-        """The overlap of a 1-based mode, or at each point of a grid that of its
-        entry of an (m,) array of modes."""
+        """The overlap of a 1-based mode; for an (m,) array of modes, each grid
+        point's overlap of its own mode."""
         picked = 1.0
         for index, p in enumerate(self.overlaps, start=1):
             picked = _where(mode == index, p, picked)
