@@ -27,8 +27,11 @@ Output: each argv whose exit code, stdout or stderr differs, with its moved
 lines, then a count per kind of argv, then for each kind with moved lines
 their tally by first word, for example `verify moved lines:
 search_vs_spectrum -900 +900, worst: -415 +415`: a deliberate one-line move
-shows there that nothing else moved. Then one JSON object per workload: the
-geometric mean of the per-request time ratios CHANGE/PARENT ("ratio") and
+shows there that nothing else moved. Then, per kind and check, how many of
+the moved `max_deviation=` values fell and how many rose from parent to
+change, for example `verify search_vs_spectrum max_deviation: 200 fell,
+0 rose`. Then one JSON object per workload: the geometric mean of the
+per-request time ratios CHANGE/PARENT ("ratio") and
 the ratio of the total times ("time_ratio"), each with its 95% percentile
 bootstrap interval ("interval", "time_interval"; 2,000 resamples of the
 requests, fixed seed), the number of requests, the seeds, the wall seconds
@@ -224,13 +227,23 @@ def _moved(parent: list, change: list) -> list:
     return lines
 
 
+def _deviations(stdout: str) -> dict:
+    """The printed max_deviation= value of each check line of a verify output,
+    by check name."""
+    return {line.split()[0]: word.removeprefix("max_deviation=")
+            for line in stdout.splitlines() for word in line.split()
+            if word.startswith("max_deviation=")}
+
+
 def _report(requests: list, outcomes: list) -> bool:
     """Print each argv whose bytes moved with its moved lines, a count of such
     argvs per kind, then per kind with moved lines its tally: the moved lines
     counted by their first word ("exit" for an exit code), parent's and
-    change's apart, in order of first appearance. True when any argv moved."""
+    change's apart, in order of first appearance. Then per kind and check
+    with a moved max_deviation= value, how many such values fell and how
+    many rose. True when any argv moved."""
     counts = {name: [0, 0] for name, _ in requests}
-    tallies = {}
+    tallies, shifts = {}, {}
     for (name, request), (old, new) in zip(requests, outcomes, strict=True):
         counts[name][1] += 1
         if old[1] != new[1]:
@@ -241,11 +254,19 @@ def _report(requests: list, outcomes: list) -> bool:
             for label, sign, line in moved:
                 word = "exit" if label == "exit" else next(iter(line.split()), "")
                 tallies.setdefault(name, {}).setdefault(word, collections.Counter())[sign] += 1
+            before = _deviations(old[1][1])
+            for check, value in _deviations(new[1][1]).items():
+                if check in before and value != before[check]:
+                    shifts.setdefault(name, {}).setdefault(check, collections.Counter())[
+                        "fell" if float(value) < float(before[check]) else "rose"] += 1
     for name, (differ, total) in counts.items():
         print(f"{name}: {differ} of {total} argvs differ")
     for name, words in tallies.items():
         print(f"{name} moved lines: " + ", ".join(f"{word} -{signs['-']} +{signs['+']}"
                                                   for word, signs in words.items()))
+    for name, checks in shifts.items():
+        for check, moves in checks.items():
+            print(f"{name} {check} max_deviation: {moves['fell']} fell, {moves['rose']} rose")
     return any(differ for differ, _ in counts.values())
 
 

@@ -4,9 +4,9 @@ Nothing in this module reuses the closed-form expressions elsewhere in
 the package. The pair density is reconstructed from the Gram matrix of
 the two branch vectors, and discord is recovered by brute-force
 minimization of the Hilbert-Schmidt distance to the post-measurement
-state over projective measurement axes: a screened scan of a Fibonacci
-grid, whose screen provably keeps the grid's exact argmin, seeds a grid
-search in the plane tangent to it. Agreement between these routes and the
+state over projective measurement axes: the axis of a Fibonacci grid at
+which the objective's quadratic-form screen is lowest seeds a grid search
+in the plane tangent to it. Agreement between these routes and the
 analytic ones is the package's correctness argument, so this file imports
 nothing from correlations or dephasing. The measurement acts on the first
 qubit of a density, as in every route.
@@ -20,16 +20,9 @@ from .errors import DomainError
 from .states import PAULI_PRODUCTS, SuperpositionSpec, check_density
 
 _COARSE_STEPS = 512
-# densities searched in lockstep: the tables, scan and grid state of a block
-# set the search's peak memory, which then does not grow with the number of
-# densities
+# densities searched in lockstep: a block's tables, screen and grid state set
+# the search's peak memory, which then does not grow with the number of densities
 _SEARCH_BLOCK = 64
-# How far above its minimum the coarse screen keeps an axis. A density that
-# has passed check_density has entries of at most about 1, and a Fibonacci
-# axis has |e|^2 = 1 within a few ulp, so the screen and _distances are each
-# within about 1e-15 of the objective: 1e-12 keeps the exact argmin with a
-# margin of about 1000x.
-_SCREEN_TOL = 1e-12
 # The tangent-plane grid: (2 _GRID_REACH + 1)^2 points a pass, first spaced
 # _GRID_START apart, so the first grid reaches 0.18 from the seed, past the
 # farthest any point of the sphere lies from its nearest coarse axis (about
@@ -119,6 +112,8 @@ def pair_density_from_overlaps(spec: SuperpositionSpec, i, j) -> np.ndarray:
     point. Nothing is validated here: the routes that read the result as a
     density check it.
     """
+    if np.any(np.floor(i) != i) or np.any(np.floor(j) != j):
+        raise DomainError(f"mode indices must be integers, got ({i}, {j})")
     if not np.all((1 <= i) & (i <= spec.n) & (1 <= j) & (j <= spec.n)):
         raise DomainError(f"mode indices must lie in 1..{spec.n}, got ({i}, {j})")
     if np.any(i == j):
@@ -127,8 +122,9 @@ def pair_density_from_overlaps(spec: SuperpositionSpec, i, j) -> np.ndarray:
     p_i = p_j = 1.0
     rest = []
     for m, p in enumerate(spec.overlaps, start=1):
-        p_i, p_j = np.where(m == i, p, p_i), np.where(m == j, p, p_j)
-        rest.append(np.where((m == i) | (m == j), 1.0, p))
+        at_i, at_j = m == i, m == j
+        p_i, p_j = np.where(at_i, p, p_i), np.where(at_j, p, p_j)
+        rest.append(np.where(at_i | at_j, 1.0, p))
     traced, total = _halves(rest), _halves(rest + [p_i, p_j])
     # odd parity swaps the halves: (1 - q)/2 weighs e, (1 + q)/2 weighs o, over (1 - P)/2
     (weight_e, weight_o), norm = traced[::spec.parity.sign], total[spec.parity.sign < 0]
@@ -141,12 +137,6 @@ def pair_density_from_overlaps(spec: SuperpositionSpec, i, j) -> np.ndarray:
     # divided as reals, then cast: numpy's complex division multiplies by a reciprocal
     return ((weight_e * (e[..., :, None] * e[..., None, :])
              + weight_o * (o[..., :, None] * o[..., None, :])) / norm).astype(complex)
-
-
-def _stack(rho: np.ndarray) -> np.ndarray:
-    """A checked density or (..., 4, 4) stack as a contiguous (m, 4, 4) stack,
-    so every member is laid out, and its products computed, as one density's."""
-    return np.ascontiguousarray(rho).reshape(-1, 4, 4)
 
 
 def _sandwiches(rho: np.ndarray) -> np.ndarray:
@@ -194,11 +184,11 @@ def discord_by_measurement_search(rho):
     """Geometric discord by direct minimization over measurement axes, for a
     density or each member of a (..., 4, 4) stack.
 
-    A screened Fibonacci-sphere scan seeds a grid search in the plane
-    tangent to the seed (_lockstep_search), which walks and shrinks its
-    grid until the spacing is below _GRID_STOP or _GRID_PASSES passes are
-    made, then reads the objective at the axis it found. The objective is
-    (Tr rho^2 - e^T g e)/2 for a symmetric g, and a quadratic form has no
+    The objective is (Tr rho^2 - e^T g e)/2 for a symmetric g: the Fibonacci
+    axis of highest e^T g e (_coarse_seeds) seeds a grid search in the plane
+    tangent to it (_lockstep_search), which climbs the same form until the
+    spacing is below _GRID_STOP or _GRID_PASSES passes are made, then reads
+    the literal objective at the axis it found. A quadratic form has no
     local maximum on the sphere but its global one, so the search cannot
     stall at a false optimum; it finds the K-spectrum minimum within 2.5e-15
     on X-shaped and general densities, at axes near a pole or not. Where
@@ -215,7 +205,8 @@ def discord_by_measurement_search(rho):
     one-density call.
     """
     rho = check_density(rho)
-    stack = _stack(rho)
+    # contiguous, so every member is laid out, and its products computed, as one density's
+    stack = np.ascontiguousarray(rho).reshape(-1, 4, 4)
     best = np.empty(len(stack))
     for first in range(0, len(stack), _SEARCH_BLOCK):
         block = slice(first, first + _SEARCH_BLOCK)
@@ -223,54 +214,20 @@ def discord_by_measurement_search(rho):
     return float(best[0]) if rho.ndim == 2 else best.reshape(rho.shape[:-2])
 
 
-def _screen_terms(stack: np.ndarray, tables: np.ndarray) -> tuple:
-    """Tr rho^2 and g_ab = Re Tr[rho T_ab] at 3a + b of each density: (m,) and
-    (m, 9), the terms of the screen (Tr rho^2 - e^T g e)/2 (see _coarse_seeds)."""
-    count = len(stack)
-    # Re Tr[A B] is the dot product of A's interleaved entries with those of B^T's conjugate
-    entries = stack.reshape(count, 16).view(np.float64)
-    adjoint = np.ascontiguousarray(stack.conj().swapaxes(-1, -2)).reshape(count, 16).view(np.float64)
-    purity = (entries * adjoint).sum(axis=1)
-    g = (tables @ adjoint[:, :, None])[..., 0]
-    return purity, g
-
-
 def _coarse_seeds(stack: np.ndarray, tables: np.ndarray) -> tuple:
-    """The argmin and min of each density's objective over the coarse axes,
-    ties to the lowest axis, as the full scan gives them, and the screen's g
-    (see _screen_terms): (m,) seeds and values and (m, 9) g.
+    """Each density's seed, the first coarse axis e of highest e^T g e, and
+    g_ab = Re Tr[rho T_ab] at 3a + b: (m,) seeds and (m, 9) g.
 
     For a unit axis S^2 = 1, so Tr[(rho - chi)^2] = (Tr rho^2 - Tr[rho S rho S])/2
-    = (Tr rho^2 - sum_ab e_a e_b g_ab)/2, g_ab = Re Tr[rho T_ab]: one (512, 9)
-    product per density screens the grid. _distances then runs only at the
-    axes within _SCREEN_TOL of the screen's minimum, in axis order, padded
-    to at least two with further axes, which cannot win: one row would go
-    through BLAS gemv, which rounds differently from the rows of a gemm, so
-    each kept axis's value is bitwise the full scan's. A typical density
-    keeps one or two axes; one that keeps more, such as an isotropic one
-    (I/4, a Werner state) that keeps them all, is evaluated alone, so the
-    rest of its block still evaluates two axes each.
+    = (Tr rho^2 - e^T g e)/2: the seed is this screen's argmin over the
+    coarse axes, ties to the lowest axis. Each density's g and screen are
+    its own matrix products: one product of the stack would go through BLAS
+    gemv for one density and gemm for more, which round differently.
     """
-    count = len(stack)
-    purity, g = _screen_terms(stack, tables)
-    screen = 0.5 * (purity[:, None] - g @ _COARSE_COEFFICIENTS.T)
-    keep = screen <= screen.min(axis=1, keepdims=True) + _SCREEN_TOL
-    kept = np.count_nonzero(keep, axis=1)
-    # a density that keeps more than two axes is evaluated alone, at those axes
-    wide = [([k], np.flatnonzero(keep[k])[None]) for k in np.flatnonzero(kept > 2)]
-    # the others together, at their first kept axis and their second, or else
-    # at the first axis they do not keep: axis 0, or 1 when they keep axis 0
-    first = keep.argmax(axis=1)
-    keep[np.arange(count), first] = False
-    second = np.where(kept > 1, keep.argmax(axis=1), first == 0)
-    narrow = np.flatnonzero(kept <= 2)
-    pairs = np.sort(np.stack([first, second], axis=1)[narrow], axis=1)
-    seeds, best = np.empty(count, dtype=np.intp), np.empty(count)
-    for members, picked in [(narrow, pairs), *wide]:
-        values = _distances(stack[members], tables[members], _COARSE_AXES[picked])
-        rows, column = np.arange(len(members)), values.argmin(axis=1)
-        seeds[members], best[members] = picked[rows, column], values[rows, column]
-    return seeds, best, g
+    # Re Tr[A B] is the dot product of A's interleaved entries with those of B^T's conjugate
+    adjoint = np.ascontiguousarray(stack.conj().swapaxes(-1, -2)).reshape(-1, 16).view(np.float64)
+    g = (tables @ adjoint[:, :, None])[..., 0]
+    return (g[:, None] @ _COARSE_COEFFICIENTS.T)[:, 0].argmax(axis=1), g
 
 
 def _frames(axes: np.ndarray) -> np.ndarray:
@@ -311,11 +268,11 @@ def _lockstep_search(stack: np.ndarray) -> np.ndarray:
     its coarse seed s, in a frame (s, u, v) of _frames: the axis at (a, b)
     is the unit vector along w = s + a u + b v. The plane reaches every
     axis but those at 90 degrees from s, and no point of it is a pole. The
-    screen (Tr rho^2 - w^T g w / w^T w)/2 of _coarse_seeds is lowest where
-    the quotient w^T g w / w^T w is highest. With x = (1, a, b) and the
-    frame's rows F, orthonormal to rounding, that is x^T P x / x^T x for
-    P = F g F^T symmetrized, so a pass scores a grid point in a dozen
-    operations.
+    objective (Tr rho^2 - w^T g w / w^T w)/2 is lowest where the quotient
+    w^T g w / w^T w is highest, the form whose highest coarse axis is s.
+    With x = (1, a, b) and the frame's rows F, orthonormal to rounding,
+    that is x^T P x / x^T x for P = F g F^T symmetrized, so a pass scores
+    a grid point in a dozen operations.
 
     A pass scores the grid around c + d, c the centre and d twice the last
     walk's displacement (0 at first). When its best point beats c, c moves
@@ -335,7 +292,7 @@ def _lockstep_search(stack: np.ndarray) -> np.ndarray:
     """
     tables = _sandwiches(stack)
     count = len(stack)
-    seeds, _, g = _coarse_seeds(stack, tables)
+    seeds, g = _coarse_seeds(stack, tables)
     frames = _COARSE_FRAMES[seeds]
     g = g.reshape(count, 3, 3)
     terms = _plane_terms(frames, g)

@@ -152,6 +152,8 @@ class SuperpositionSpec:
         kept = group_a + group_b
         if not (group_a and group_b):
             raise DomainError("a mode group needs at least one mode")
+        if any(_any(np.floor(m) != m) for m in kept):
+            raise DomainError(f"mode indices must be integers, got ({a}, {b})")
         if any(_any((m < 1) | (m > self.n)) for m in kept):
             raise DomainError(f"mode indices must lie in 1..{self.n}, got ({a}, {b})")
         # how many of the kept modes each mode is, at each point

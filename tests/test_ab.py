@@ -97,6 +97,29 @@ def test_ab_tallies_moved_lines_by_first_word(capsys):
     assert capsys.readouterr().out == "sweep: 0 of 1 argvs differ\n"
 
 
+def test_ab_counts_how_moved_deviations_went(capsys):
+    # per kind and check, the moved max_deviation= values that fell and rose,
+    # after the tally; an unmoved value and a check on one side only are not counted
+    def verify(search, gram="2.22044605e-16"):
+        return [0.001, [0, f"gram_vs_closed           samples=20 max_deviation={gram} PASS\n"
+                           f"search_vs_spectrum       samples=20 max_deviation={search} PASS\n"
+                           "verify: PASS (2/2 assertions within tol=1e-06)\n", ""]]
+
+    requests = [("verify", ["verify", "--seed", str(k)]) for k in range(4)]
+    outcomes = [(verify("1.9e-15"), verify("1.2e-15")),
+                (verify("7e-16"), verify("4e-16", gram="1.1e-16")),
+                (verify("3e-16"), verify("5e-16")),
+                (verify("3e-16"), [0.001, [0, "verify: PASS (0/0 assertions within tol=1e-06)\n",
+                                           ""]])]
+    assert ab._report(requests, outcomes) is True
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-4:] == [
+        "verify: 4 of 4 argvs differ",
+        "verify moved lines: search_vs_spectrum -4 +3, gram_vs_closed -2 +1, verify: -1 +1",
+        "verify search_vs_spectrum max_deviation: 2 fell, 1 rose",
+        "verify gram_vs_closed max_deviation: 1 fell, 0 rose"]
+
+
 def _files() -> set:
     return {path for folder in ("perfbench", "src") for path in (ROOT / folder).rglob("*")}
 

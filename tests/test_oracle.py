@@ -11,6 +11,7 @@ from catcorr.dephasing import apply_dephasing
 from catcorr.errors import DomainError, InvalidDensityError
 from catcorr.oracle import (
     _COARSE_AXES,
+    _COARSE_COEFFICIENTS,
     _coarse_seeds,
     _distances,
     _sandwiches,
@@ -116,14 +117,23 @@ def test_gram_density_matches_its_kron_construction(rng):
 
 def test_gram_route_checks_its_mode_indices():
     spec = SuperpositionSpec(overlaps=(0.3, 0.5, 0.7, 0.9))
-    for i, j, message in ((1, 1, "pair indices must differ"),
-                          (0, 2, r"mode indices must lie in 1\.\.4, got \(0, 2\)"),
-                          (1, 5, r"mode indices must lie in 1\.\.4, got \(1, 5\)")):
+    grid = SuperpositionSpec(overlaps=tuple(np.array([p, 0.4]) for p in spec.overlaps))
+    # a fractional index matches no mode, which would read as a unit overlap
+    fractional = "mode indices must be integers"
+    for s, i, j, message in ((spec, 1, 1, "pair indices must differ"),
+                             (spec, 0, 2, r"mode indices must lie in 1\.\.4, got \(0, 2\)"),
+                             (spec, 1, 5, r"mode indices must lie in 1\.\.4, got \(1, 5\)"),
+                             (spec, 1.5, 2, fractional), (spec, 2, 2.5, fractional),
+                             (spec, np.array([1.5]), 2, fractional),
+                             (spec, float("nan"), 2, fractional),
+                             (grid, np.array([1, 2]), np.array([3, 3.5]), fractional)):
         with pytest.raises(DomainError, match=message):
-            pair_density_from_overlaps(spec, i, j)
-    # a valid pair in either order is a density
+            pair_density_from_overlaps(s, i, j)
+    # a valid pair in either order is a density, an integer-valued float its mode
     for i, j in ((1, 4), (4, 1)):
         check_density(pair_density_from_overlaps(spec, i, j))
+    assert np.array_equal(pair_density_from_overlaps(spec, 1.0, np.array([4.0])),
+                          pair_density_from_overlaps(spec, 1, np.array([4])))
 
 
 def test_objective_zero_for_classical_state():
@@ -314,7 +324,7 @@ def _search_by_loop(rho, cap) -> float:
     oracle = catcorr.oracle
     stack = rho[None]
     tables = _sandwiches(stack)
-    seeds, _, g = _coarse_seeds(stack, tables)
+    seeds, g = _coarse_seeds(stack, tables)
     g = g.reshape(1, 3, 3)
     frame = oracle._COARSE_FRAMES[seeds]
     reach = oracle._GRID_REACH
@@ -361,7 +371,7 @@ def test_lockstep_search_follows_the_one_density_loop(monkeypatch, rng, cap):
     monkeypatch.setattr(catcorr.oracle, "_frames", lambda axes: turned.append(len(axes)) or frames(axes))
     rhos = np.array(_search_inputs(rng)[:9] + [_near_pole(0.21, 240.0)]
                     + list(_flat_valley(rng, 1e-3, 3))
-                    + list(_flat_valley(np.random.default_rng(2), 1e-5, 4)))
+                    + list(_flat_valley(np.random.default_rng(2), 1e-5, 4)) + _isotropic())
     turns = 0
     for stack in (rhos, swap_qubits(rhos)):
         expected = [_search_by_loop(rho, cap) for rho in stack]
@@ -409,6 +419,16 @@ def test_search_meets_the_spectrum_on_general_densities(rank, data):
     _assert_near_spectrum(0.5 * (rho + rho.conj().T)[None], 1e-9)
 
 
+def _isotropic() -> list:
+    """I/4 and the Werner states w |singlet><singlet| + (1 - w) I/4, w = 0.1, 0.5,
+    0.9: their objective is the same at every axis."""
+    singlet = np.zeros((4, 4), dtype=complex)
+    singlet[1, 1] = singlet[2, 2] = 0.5
+    singlet[1, 2] = singlet[2, 1] = -0.5
+    return [np.eye(4, dtype=complex) / 4.0] + [
+        w * singlet + (1.0 - w) * np.eye(4) / 4.0 for w in (0.1, 0.5, 0.9)]
+
+
 def _classical_quantum(axis, rng) -> np.ndarray:
     """sum_+- w_+- P_+- (x) sigma_+-, P_+- = (1 +- axis.sigma)/2: zero discord,
     reached at that axis."""
@@ -418,34 +438,42 @@ def _classical_quantum(axis, rng) -> np.ndarray:
     return 0.6 * np.kron(halves[0], states[0]) + 0.4 * np.kron(halves[1], states[1])
 
 
-def test_screened_scan_is_bitwise_the_full_scan(rng):
-    # the screen keeps the exact argmin, and the values it reads are the full
-    # scan's own bits: the seed and its value, ties to the lowest axis, in
-    # stacks of one, two and more than a search block
-    singlet = np.zeros((4, 4), dtype=complex)
-    singlet[1, 1] = singlet[2, 2] = 0.5
-    singlet[1, 2] = singlet[2, 1] = -0.5
+def test_seed_is_the_screens_first_argmax(rng):
+    # the seed is the first coarse axis of highest e^T g e, g_ab = Re Tr[rho T_ab],
+    # the same in stacks of one, two and more than a search block, and lies
+    # within rounding of the full scan's minimum of the objective
     ket = rng.normal(size=4) + 1j * rng.normal(size=4)
     ket /= np.linalg.norm(ket)
-    isotropic = [np.eye(4, dtype=complex) / 4.0] + [
-        w * singlet + (1.0 - w) * np.eye(4) / 4.0 for w in (0.1, 0.5, 0.9)]
     zero_at = [_classical_quantum(_COARSE_AXES[k], rng) for k in (0, 37, 300, 511)]
-    extra = np.array(isotropic + zero_at + [np.outer(ket, ket.conj())])
+    extra = np.array(_isotropic() + zero_at + [np.outer(ket, ket.conj())])
     inputs = np.concatenate([_search_inputs(rng), _search_inputs(rng), extra])
     assert len(inputs) > 65
     for stack in (inputs, swap_qubits(inputs)):
-        values = _distances(stack, _sandwiches(stack), _COARSE_AXES)
-        expected = values.argmin(axis=1), values.min(axis=1)
+        seeds, g = _coarse_seeds(stack, _sandwiches(stack))
+        literal = np.einsum("mij,mabji->mab", stack, _sandwiches_by_products(stack).view(complex)
+                            .reshape(-1, 3, 3, 4, 4)).real.reshape(-1, 9)
+        assert np.max(np.abs(g - literal)) < 1e-15
+        screen = (g[:, None] @ _COARSE_COEFFICIENTS.T)[:, 0]
+        top = screen == screen.max(axis=1, keepdims=True)
+        assert seeds.tolist() == top.argmax(axis=1).tolist()
         for size in (1, 2, 65):
             for first in range(0, len(stack), size):
                 part = stack[first:first + size]
-                seeds, best, _ = _coarse_seeds(part, _sandwiches(part))
-                assert seeds.tolist() == expected[0][first:first + size].tolist()
-                assert best.tolist() == expected[1][first:first + size].tolist()
-    # every axis ties on I/4, and a classical-quantum state is zero at its axis
-    seeds, best, _ = _coarse_seeds(extra, _sandwiches(extra))
-    assert seeds[0] == 0
-    assert seeds[4:8].tolist() == [0, 37, 300, 511] and np.all(np.abs(best[4:8]) < 1e-15)
+                assert _coarse_seeds(part, _sandwiches(part))[0].tolist() == (
+                    seeds[first:first + size].tolist())
+        values = _distances(stack, _sandwiches(stack), _COARSE_AXES)
+        at_seed = values[np.arange(len(stack)), seeds]
+        assert np.max(at_seed - values.min(axis=1)) < 1e-15
+    # on I/4, g = I/4 and e^T g e = |e|^2 / 4 ties at every axis but for the
+    # rounding of |e|^2, which the seed, its first top, follows; a
+    # classical-quantum state is zero at its axis
+    seeds, g = _coarse_seeds(extra, _sandwiches(extra))
+    assert g[0].tolist() == [0.25, 0, 0, 0, 0.25, 0, 0, 0, 0.25]
+    screen = (g[:1, None] @ _COARSE_COEFFICIENTS.T)[0, 0]
+    assert np.ptp(screen) < 1e-15 and screen[seeds[0]] == screen.max()
+    assert seeds[4:8].tolist() == [0, 37, 300, 511]
+    assert np.all(np.abs(_distances(extra[4:8], _sandwiches(extra[4:8]),
+                                    _COARSE_AXES[seeds[4:8], None])) < 1e-15)
 
 
 def test_gram_route_of_a_grid_spec_is_bitwise_each_point(rng):

@@ -142,6 +142,15 @@ def test_traced_out_product_example_and_validation():
         spec.pair(0, 2)
     with pytest.raises(DomainError):
         spec.pair(1, 5)
+    # a fractional index matches no mode, which would read as a unit overlap
+    grid = SuperpositionSpec(overlaps=tuple(np.array([p, 0.4]) for p in spec.overlaps))
+    for s, *bad in ((spec, 1.5, 2), (spec, 2, 2.5), (spec, np.array([1.5]), 2),
+                    (spec, (1, 2.5), 3), (spec, float("nan"), 2),
+                    (grid, np.array([1, 2]), np.array([3, 3.5]))):
+        with pytest.raises(DomainError, match="mode indices must be integers"):
+            s.pair(*bad)
+    # an integer-valued float is its mode
+    assert vars(spec.pair(1.0, 3.0)) == vars(spec.pair(1, 3))
 
 
 def test_pure_split_even_sector_and_norm():
