@@ -220,14 +220,17 @@ def _coarse_seeds(stack: np.ndarray, tables: np.ndarray) -> tuple:
 
     For a unit axis S^2 = 1, so Tr[(rho - chi)^2] = (Tr rho^2 - Tr[rho S rho S])/2
     = (Tr rho^2 - e^T g e)/2: the seed is this screen's argmin over the
-    coarse axes, ties to the lowest axis. Each density's g and screen are
-    its own matrix products: one product of the stack would go through BLAS
-    gemv for one density and gemm for more, which round differently.
+    coarse axes, ties to the lowest axis. It reads e^T (g - g_xx 1) e, which is
+    e^T g e less g_xx on unit axes and 0 at every axis for an isotropic g, so
+    I/4's tie goes to axis 0, not to the rounding of |e|^2. Each density's g
+    and screen are its own products: a product of the stack would go through
+    BLAS gemv for one density and gemm for more, which round differently.
     """
     # Re Tr[A B] is the dot product of A's interleaved entries with those of B^T's conjugate
     adjoint = np.ascontiguousarray(stack.conj().swapaxes(-1, -2)).reshape(-1, 16).view(np.float64)
     g = (tables @ adjoint[:, :, None])[..., 0]
-    return (g[:, None] @ _COARSE_COEFFICIENTS.T)[:, 0].argmax(axis=1), g
+    level = g - g[:, :1] * np.eye(3).reshape(1, 9)
+    return (level[:, None] @ _COARSE_COEFFICIENTS.T)[:, 0].argmax(axis=1), g
 
 
 def _frames(axes: np.ndarray) -> np.ndarray:
