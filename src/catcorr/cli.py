@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -113,9 +114,10 @@ def _family_from_args(args) -> FamilyParams:
             raise DomainError("the su2 family takes no --bargmann label")
         if args.j is None:
             raise DomainError("--family su2 needs --j")
-        # a non-finite j fails the half-integer test below
-        twice_j = round(2.0 * args.j) if math.isfinite(args.j) else 0
-        if abs(2.0 * args.j - twice_j) > 1e-9 or twice_j <= 0:
+        # a non-finite 2j, |j| near the largest float included, fails the test below
+        twice = 2.0 * args.j
+        twice_j = round(twice) if math.isfinite(twice) else 0
+        if abs(twice - twice_j) > 1e-9 or twice_j <= 0:
             raise DomainError("--j must be a positive integer or half-integer")
         return su2(twice_j)
     if args.j is not None:
@@ -130,6 +132,11 @@ def _reject_given(args, flags, message: str) -> None:
     for flag in flags:
         if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise DomainError(message.format(flag))
+
+
+def _too_large(flag: str, value: int) -> DomainError:
+    """The error of a size flag whose first full-size array cannot be allocated."""
+    return DomainError(f"{flag} {value} needs more memory than can be allocated")
 
 
 def _spec_from_args(args) -> SuperpositionSpec:
@@ -277,7 +284,10 @@ def cmd_sweep(args) -> int:
         stop = 1.0 if args.p_stop is None else args.p_stop
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise DomainError("sweep grid bounds must be finite")
-    grid = np.linspace(start, stop, args.steps)
+    try:
+        grid = np.linspace(start, stop, args.steps)
+    except MemoryError:
+        raise _too_large("--steps", args.steps) from None
     if args.family is not None:
         # as Python floats, an overflowing |z|^2 raises instead of warning
         grid = np.array([overlap(z, params) for z in grid.tolist()])
@@ -312,7 +322,11 @@ def cmd_evolve(args) -> int:
         raise DomainError("evolve needs a positive, finite --t-max")
     if args.steps < 2:
         raise DomainError("a time grid needs at least 2 steps")
-    params = DephasingParams(rate=args.rate, time=np.linspace(0.0, args.t_max, args.steps))
+    try:
+        times = np.linspace(0.0, args.t_max, args.steps)
+    except MemoryError:
+        raise _too_large("--steps", args.steps) from None
+    params = DephasingParams(rate=args.rate, time=times)
     groups = args.pair if args.pair is not None else (1, 2)
     *columns, t0 = _trajectory_cells(spec.pair(*_measured_first(args.side, groups)), params)
     rows = list(zip(*(column.tolist() for column in [params.time, *columns])))
@@ -324,36 +338,42 @@ class _RawDraw:
     """numpy Generator's integers, random and choice draws, read from the raw
     64-bit words of its PCG64 bit generator in batches.
 
-    A double is a word's top 53 bits times 2^-53. A 32-bit draw is the low
-    half of a word, and buffers the high half for the next 32-bit draw, as
-    PCG64 does; a double leaves that buffer alone. bounded(r) is
+    A double is a word's top 53 bits times 2^-53 (_doubles). A 32-bit draw is
+    the low half of a word, and buffers the high half for the next 32-bit
+    draw, as PCG64 does; a double leaves that buffer alone. bounded(r) is
     Generator.integers(0, r + 1) for 0 <= r < 2^32 - 1: Lemire's multiply
     and shift with rejection (arXiv 1805.10941). NEP 19 keeps the raw streams
-    stable; the Generator methods' streams it does not freeze. close() leaves
-    the bit generator where the Generator calls leave it.
+    stable; the Generator methods' streams it does not freeze. The first
+    batch is drawn at once. close() leaves the bit generator where the
+    Generator calls leave it.
     """
 
     def __init__(self, rng, batch: int):
         self._bits, self._batch = rng.bit_generator, batch
         state = self._bits.state
         self._has_half, self._half = state["has_uint32"], state["uinteger"]
-        self._words, self._used = [], 0
+        self._batches = [self._bits.random_raw(batch)]
+        self.words, self._used = self._batches[0].tolist(), 0
 
-    def _take(self, count: int) -> list:
-        while self._used + count > len(self._words):
-            self._words += self._bits.random_raw(self._batch).tolist()
+    def take(self, count: int) -> int:
+        """The offset in words, a list that grows in place, of the next count
+        words: count doubles, as Generator.random(count) draws them, which
+        doubles() reads."""
+        while self._used + count > len(self.words):
+            self._batches.append(self._bits.random_raw(self._batch))
+            self.words += self._batches[-1].tolist()
         self._used += count
-        return self._words[self._used - count:self._used]
+        return self._used - count
 
-    def random(self, count: int) -> list:
-        """count doubles, as Generator.random(count) draws them."""
-        return [(word >> 11) * 2.0 ** -53 for word in self._take(count)]
+    def doubles(self) -> np.ndarray:
+        """Every word drawn so far, read as a double."""
+        return _doubles(np.concatenate(self._batches))
 
     def _uint32(self) -> int:
         if self._has_half:
             self._has_half = 0
             return self._half
-        word, = self._take(1)
+        word = self.words[self.take(1)]
         self._has_half, self._half = 1, word >> 32
         return word & 0xFFFFFFFF
 
@@ -377,104 +397,136 @@ class _RawDraw:
         return (x, y) if x < y else (y, x)
 
     def close(self) -> None:
-        self._bits.advance(self._used - len(self._words))
+        self._bits.advance(self._used - len(self.words))
         state = self._bits.state
         state["has_uint32"], state["uinteger"] = self._has_half, self._half
         self._bits.state = state
+
+
+def _doubles(words) -> np.ndarray:
+    """Raw 64-bit words as Generator.random reads them: the top 53 bits times 2^-53."""
+    return (np.asarray(words, dtype=np.uint64) >> 11) * 2.0 ** -53
 
 
 # raw words read per verify sample in a batch; a sample takes 10.9 on average
 _VERIFY_WORDS = 12
 
 
-def _random_verify_samples(rng, count: int) -> list:
+@dataclass(frozen=True, eq=False)
+class _VerifySamples:
+    """verify's samples as (S,) columns: each sample's n modes, its overlaps
+    in mode order padded by unit overlaps to (S, 6), whether its parity is
+    odd, its pair i < j, whether the first of them is measured, and its rate,
+    time t and damping probability gamma."""
+
+    n: np.ndarray
+    overlaps: np.ndarray
+    odd: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    first: np.ndarray
+    rate: np.ndarray
+    t: np.ndarray
+    gamma: np.ndarray
+
+
+def _random_verify_samples(rng, count: int) -> _VerifySamples:
     """count verify samples, as the Generator calls integers(2, 7), random(n),
     random(), choice(n, 2, replace=False) and random() four times draw them,
     read from raw words by _RawDraw; a spec that raises is skipped before its
-    pair is drawn."""
-    draw = _RawDraw(rng, _VERIFY_WORDS * count)
-    samples = []
-    while len(samples) < count:
+    pair is drawn.
+
+    The loop draws each sample's n and pair and notes where its doubles lie;
+    numpy reads them from the words afterwards. Only an odd spec with every
+    overlap above 1/2 can be null, so only such a sample builds its spec,
+    which alone judges whether it is skipped.
+    """
+    try:
+        draw = _RawDraw(rng, _VERIFY_WORDS * count)
+    except MemoryError:
+        raise _too_large("--samples", count) from None
+    words, drawn = draw.words, []
+    while len(drawn) < count:
         n = 2 + draw.bounded(4)
-        *ps, u = draw.random(n + 1)
-        parity = Parity.EVEN if u < 0.5 else Parity.ODD
-        try:
-            spec = SuperpositionSpec(overlaps=tuple(ps), parity=parity)
-        except CatcorrError:
-            continue
-        i, j = (m + 1 for m in draw.two_of(n))
-        u, rate, t, gamma = draw.random(4)
-        side = "first" if u < 0.5 else "second"
-        samples.append((spec, i, j, side, 0.2 + 1.8 * rate, 3.0 * t, gamma))
+        at = draw.take(n + 1)  # n overlaps, then the parity draw
+        # an odd parity double has the word's top bit set; an overlap above
+        # 1/2 has the word's top 53 bits above 2^52
+        if words[at + n] >> 63 and min(words[at:at + n]) >> 11 > 1 << 52:
+            try:
+                SuperpositionSpec(overlaps=tuple(_doubles(words[at:at + n])), parity=Parity.ODD)
+            except CatcorrError:
+                continue
+        x, y = draw.two_of(n)
+        drawn.append((n, at, x + 1, y + 1, draw.take(4)))
     draw.close()
-    return samples
+    n, at, i, j, tail = np.array(drawn).T
+    doubles, modes = draw.doubles(), np.arange(6)  # n is at most 2 + 4
+    overlaps = np.where(modes < n[:, None], doubles[at[:, None] + modes], 1.0)
+    side, rate, t, gamma = doubles[tail[:, None] + np.arange(4)].T
+    return _VerifySamples(n, overlaps, doubles[at + n] >= 0.5, i, j, side < 0.5,
+                          0.2 + 1.8 * rate, 3.0 * t, gamma)
 
 
-def _describe_sample(sample) -> str:
-    spec, i, j, side, rate, t, gamma = sample
-    ps = ",".join(_fmt(p) for p in spec.overlaps)
-    return (f"n={spec.n} parity={spec.parity.value} p=[{ps}] pair=({i},{j}) "
-            f"side={side} rate={_fmt(rate)} t={_fmt(t)} gamma={_fmt(gamma)}")
+def _describe_sample(samples: _VerifySamples, k: int) -> str:
+    n = samples.n[k]
+    ps = ",".join(map(_fmt, samples.overlaps[k, :n].tolist()))
+    parity = "odd" if samples.odd[k] else "even"
+    side = "first" if samples.first[k] else "second"
+    return (f"n={n} parity={parity} p=[{ps}] pair=({samples.i[k]},{samples.j[k]}) "
+            f"side={side} rate={_fmt(samples.rate[k])} t={_fmt(samples.t[k])} "
+            f"gamma={_fmt(samples.gamma[k])}")
 
 
 _VERIFY_CHECKS = ("gram_vs_closed", "closed_vs_numeric", "kraus_vs_bloch_scaling",
                   "trajectory_consistency", "search_vs_spectrum")
 
 
-def _selection_grid(selections: list, parity: Parity) -> tuple:
-    """One parity's (spec, a, b) selections as a grid spec, each spec's
-    overlaps in mode order padded by unit overlaps, and (S,) arrays of a and
-    b: the grid's pair and Gram density at (a, b) are each selection's own,
-    bit for bit (see SuperpositionSpec.pair)."""
-    width = max(spec.n for spec, _, _ in selections)
-    overlaps = np.array([spec.overlaps + (1.0,) * (width - spec.n) for spec, _, _ in selections])
-    a, b = np.array([ab for _, *ab in selections]).T
-    return SuperpositionSpec(tuple(overlaps.T), parity), a, b
-
-
-def _verify_gaps(samples, searched: int) -> np.ndarray:
+def _verify_gaps(samples: _VerifySamples, searched: int) -> np.ndarray:
     """The deviations of every sample, one row per check in _VERIFY_CHECKS
     order; the search row holds the first `searched` samples only.
 
     A second-side sample measures the first mode of its reversed pair (j, i).
-    The samples of one parity are one grid spec (_selection_grid), whose
-    pair inputs and Gram densities at each sample's modes are formed in one
-    call each; the closed routes then run once per parity too. The Gram
-    stack is checked once, and every numeric route runs once, over all
-    samples. The search reads the pair density, or the density dephased to
-    time t when t > 1.5.
+    The samples of one parity are one grid spec, their padded overlaps cut to
+    the parity's widest n, whose pair inputs and Gram densities at each
+    sample's modes are formed in one call each (see SuperpositionSpec.pair);
+    the closed routes then run once per parity too. The Gram stack is
+    checked once, and every numeric route runs once, over all samples; one
+    Kraus call dephases the stack by gamma and by the damping at time t. The
+    search reads the pair density, or the density dephased to time t when
+    t > 1.5.
     """
-    count = len(samples)
+    count = samples.n.size
     rho = np.empty((count, 4, 4), dtype=complex)
     gram = np.empty_like(rho)
     closed, traj_discord, traj_concurrence = np.empty((3, count))
-    rates, times, gamma = map(np.array, list(zip(*samples))[4:])
-    gamma_t = DephasingParams(rate=rates, time=times).gamma
-    for parity in Parity:
-        members = [k for k, sample in enumerate(samples) if sample[0].parity is parity]
-        if not members:
+    gamma_t = DephasingParams(rate=samples.rate, time=samples.t).gamma
+    a = np.where(samples.first, samples.i, samples.j)
+    b = np.where(samples.first, samples.j, samples.i)
+    for parity, members in ((Parity.EVEN, ~samples.odd), (Parity.ODD, samples.odd)):
+        if not members.any():
             continue
-        selections = [(spec, *_measured_first(side, (i, j)))
-                      for spec, i, j, side, *_ in (samples[k] for k in members)]
-        grid, a, b = _selection_grid(selections, parity)
-        pair = grid.pair(a, b)
+        width = samples.n[members].max()
+        grid = SuperpositionSpec(tuple(samples.overlaps[members, :width].T), parity)
+        modes = a[members], b[members]
+        pair = grid.pair(*modes)
         rho[members] = reduced_pair_density(pair)
-        gram[members] = pair_density_from_overlaps(grid, a, b)
+        gram[members] = pair_density_from_overlaps(grid, *modes)
         closed[members] = mixed_discord_closed(pair).discord
-        traj = discord_trajectory(pair, rates[members], times[members])
+        traj = discord_trajectory(pair, samples.rate[members], samples.t[members])
         traj_discord[members], traj_concurrence[members] = traj.discord, traj.concurrence
     gaps = np.empty((len(_VERIFY_CHECKS), count))
     gaps[0] = np.abs(check_density(gram) - rho).reshape(count, 16).max(axis=1)
     # the first route that reads the stack as densities checks it
     discord = k_spectrum_discord(rho)
     gaps[1] = np.abs(closed - discord)
-    rebuilt = bloch_compose(dephased_bloch(_bloch(rho), gamma))
-    gaps[2] = np.abs(apply_dephasing(rho, gamma) - rebuilt).reshape(count, 16).max(axis=1)
-    evolved = apply_dephasing(rho, gamma_t)
+    rebuilt = bloch_compose(dephased_bloch(_bloch(rho), samples.gamma))
+    dephased, evolved = np.split(apply_dephasing(np.concatenate([rho, rho]),
+                                                 np.concatenate([samples.gamma, gamma_t])), 2)
+    gaps[2] = np.abs(dephased - rebuilt).reshape(count, 16).max(axis=1)
     numeric = geometric_discord_numeric(evolved)
     gaps[3] = np.maximum(np.abs(traj_discord - numeric.discord),
                          np.abs(traj_concurrence - numeric.concurrence))
-    late = (times > 1.5)[:searched]
+    late = (samples.t > 1.5)[:searched]
     target = np.where(late[:, None, None], evolved[:searched], rho[:searched])
     expected = np.where(late, numeric.discord[:searched], discord[:searched])
     gaps[4, :searched] = np.abs(discord_by_measurement_search(target) - expected)
@@ -505,7 +557,7 @@ def cmd_verify(args) -> int:
         lines.append(f"{name:<24} samples={row.size} max_deviation={_fmt(deviation)} "
                      + ("PASS" if ok else "FAIL"))
         if not ok:
-            lines.append(f"    worst: {_describe_sample(samples[worst])}")
+            lines.append(f"    worst: {_describe_sample(samples, worst)}")
     all_pass = passed == len(_VERIFY_CHECKS)
     lines.append(f"verify: {'PASS' if all_pass else 'FAIL'} ({passed}/{len(_VERIFY_CHECKS)} "
                  f"assertions within tol={_fmt(args.tol)})")

@@ -84,11 +84,12 @@ def _sandwich_table() -> tuple:
 _SANDWICH_GATHER, _SANDWICH_SIGNS = _sandwich_table()
 
 
-def _halves(overlaps) -> tuple:
+def _halves(overlaps, even=1.0, odd=0.0) -> tuple:
     """(1 + P)/2 and (1 - P)/2, P = prod p: the weights of the even- and the
     odd-weight entries of the product of the kets (c, s), c^2 = (1 + p)/2,
-    s^2 = (1 - p)/2. Only sums of nonnegative terms enter, so neither cancels."""
-    even, odd = 1.0, 0.0
+    s^2 = (1 - p)/2. Only sums of nonnegative terms enter, so neither cancels.
+    Given the halves of earlier overlaps, even and odd, the fold continues
+    from them: the halves of those overlaps followed by these."""
     for p in overlaps:
         plus, minus = (1.0 + p) / 2.0, (1.0 - p) / 2.0
         even, odd = even * plus + odd * minus, odd * plus + even * minus
@@ -125,7 +126,8 @@ def pair_density_from_overlaps(spec: SuperpositionSpec, i, j) -> np.ndarray:
         at_i, at_j = m == i, m == j
         p_i, p_j = np.where(at_i, p, p_i), np.where(at_j, p, p_j)
         rest.append(np.where(at_i | at_j, 1.0, p))
-    traced, total = _halves(rest), _halves(rest + [p_i, p_j])
+    traced = _halves(rest)
+    total = _halves([p_i, p_j], *traced)
     # odd parity swaps the halves: (1 - q)/2 weighs e, (1 + q)/2 weighs o, over (1 - P)/2
     (weight_e, weight_o), norm = traced[::spec.parity.sign], total[spec.parity.sign < 0]
     c_i, s_i = np.sqrt((1.0 + p_i) / 2.0), np.sqrt((1.0 - p_i) / 2.0)

@@ -99,6 +99,9 @@ def test_family_labels_are_checked_not_ignored(capsys):
          "error: --bargmann needs --family\n"),
         (["--n", "3", "--family", "su2", "--z", "0.3", "--j", "inf"], spin),
         (["--n", "3", "--family", "su2", "--z", "0.3", "--j", "nan"], spin),
+        # 2j overflows a float: no half-integer, not an OverflowError traceback
+        (["--n", "3", "--family", "su2", "--z", "0.3", "--j", "1e308"], spin),
+        (["--n", "3", "--family", "su2", "--z", "0.3", "--j=-1e308"], spin),
         (["--n", "3", "--family", "su2", "--z", "0.3", "--j", "1", "--bargmann", "1"],
          "error: the su2 family takes no --bargmann label\n"),
         (["--n", "3", "--family", "su11", "--z", "0.3", "--bargmann", "inf"],
@@ -237,6 +240,11 @@ def test_sweep_validation(capsys):
                              "--z-stop", "1e200", "--steps", "3")
     assert (code, out, err) == (
         2, "", "error: family label |z|^2 overflows a float, got z = 5e+199\n")
+    for j in ("--j=1e308", "--j=-1e308"):
+        code, out, err = run_cli(capsys, "sweep", "--n", "3", "--family", "su2", j,
+                                 "--z-start", "0", "--z-stop", "0.3", "--steps", "3")
+        assert (code, out, err) == (
+            2, "", "error: --j must be a positive integer or half-integer\n"), j
 
 
 def test_family_help_names_the_label_flags_of_each_command(capsys):
@@ -506,6 +514,30 @@ def test_evolve_validation(capsys):
         assert err == f"error: {message}\n", flags
 
 
+def test_oversized_grids_and_sample_counts_exit_2(monkeypatch, tmp_path, capsys):
+    # no address space holds 10^15 doubles: the first full-size array fails to
+    # allocate, the time or overlap grid or verify's raw words, before any
+    # sample is drawn, and reads as one error line, not as a traceback or as
+    # verify's exit 1 for a violated tolerance
+    def unreached(*args):
+        raise AssertionError("verify drew a sample")
+
+    monkeypatch.setattr(catcorr.cli._RawDraw, "bounded", unreached)
+    size = str(10 ** 15)
+    target = tmp_path / "out.txt"
+    for argv, flag in (
+            (["sweep", "--n", "3", "--steps", size], "--steps"),
+            (["sweep", "--n", "3", "--family", "wh", "--z-start", "0", "--z-stop", "1",
+              "--steps", size], "--steps"),
+            (["evolve", "--n", "3", "--p", "0.5", "0.5", "0.5", "--rate", "1", "--t-max", "1",
+              "--steps", size], "--steps"),
+            (["verify", "--samples", size], "--samples")):
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {flag} {size} needs more memory than can be allocated\n", argv
+        assert not target.exists(), argv
+
+
 def test_out_file_writing(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     code, out, _ = run_cli(capsys, "sweep", "--n", "3", "--pair", "1", "2",
@@ -589,20 +621,51 @@ def _uniform_verify_samples(rng, count: int, make_spec=SuperpositionSpec) -> lis
     return samples
 
 
+def _gated(overlaps, parity) -> bool:
+    """Whether the raw-word draw builds a sample's spec: odd, every overlap above 1/2."""
+    return parity is Parity.ODD and min(overlaps) > 0.5
+
+
+def _rows(samples) -> list:
+    """A verify draw's columns as the reference's samples, a spec's overlaps
+    and parity in place of the spec."""
+    columns = zip(samples.n.tolist(), samples.overlaps.tolist(), samples.odd.tolist(),
+                  samples.i.tolist(), samples.j.tolist(), samples.first.tolist(),
+                  samples.rate.tolist(), samples.t.tolist(), samples.gamma.tolist())
+    return [(tuple(ps[:n]), Parity.ODD if odd else Parity.EVEN, i, j,
+             "first" if first else "second", *rest)
+            for n, ps, odd, i, j, first, *rest in columns]
+
+
+def _reference_rows(samples) -> list:
+    return [(spec.overlaps, spec.parity, *rest) for spec, *rest in samples]
+
+
 def test_verify_draw_is_bitwise_the_uniform_draw():
     # uniform(lo, hi) is lo + (hi - lo) * random() in numpy's Generator, so the
-    # cheaper calls give the same values, of the same types, and leave the
-    # generator in the same state
-    def fields(sample):
-        spec, *rest = sample
-        return [(type(v), v) for v in (*spec.overlaps, spec.parity, *rest)]
+    # raw words give the same values, of the same types, and leave the
+    # generator in the same state; each column is one array of one dtype, and
+    # the overlaps are padded by unit overlaps
+    def fields(row):
+        overlaps, *rest = row
+        return [(type(v), v) for v in (*overlaps, *rest)]
 
+    kinds = {"n": np.int64, "overlaps": np.float64, "odd": np.bool_, "i": np.int64,
+             "j": np.int64, "first": np.bool_, "rate": np.float64, "t": np.float64,
+             "gamma": np.float64}
     for seed in range(100):
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
         drawn = catcorr.cli._random_verify_samples(rngs[0], 60)
         expected = _uniform_verify_samples(rngs[1], 60)
-        assert [fields(s) for s in drawn] == [fields(s) for s in expected]
-        assert rngs[0].random() == rngs[1].random()
+        assert {name: (type(column), column.dtype, column.shape)
+                for name, column in vars(drawn).items()} == {
+            name: (np.ndarray, kind, (60, 6) if name == "overlaps" else (60,))
+            for name, kind in kinds.items()}
+        assert [fields(row) for row in _rows(drawn)] == [
+            fields(row) for row in _reference_rows(expected)]
+        assert all(row[spec.n:] == [1.0] * (6 - spec.n)
+                   for row, (spec, *_) in zip(drawn.overlaps.tolist(), expected))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 @pytest.mark.parametrize("r", [0, 1, 4, 5, 3 * 2**30, 2**31 + 1, 2**32 - 3])
@@ -634,28 +697,37 @@ def test_raw_two_of_n_draw_is_generator_choice():
 
 
 def test_verify_draw_skips_a_spec_that_raises(monkeypatch):
-    # a spec that raises is dropped before its pair is drawn, in the reference
-    # and in the raw-word draw alike: the samples and the end state still match
+    # only a sample that could be null builds a spec in the raw-word draw; a
+    # spec that raises is dropped before its pair is drawn, there and in the
+    # reference, which raises at the same samples: the samples and the end
+    # state still match
     def raising_at(calls):
-        made = []
+        gated = []
 
         def make(**kwargs):
-            made.append(kwargs)
-            if len(made) - 1 in calls:
-                raise DivergentNormalizationError("drawn to raise")
-            return SuperpositionSpec(**kwargs)
-        return make, made
+            spec = SuperpositionSpec(**kwargs)
+            if _gated(**kwargs):
+                gated.append(kwargs)
+                if len(gated) - 1 in calls:
+                    raise DivergentNormalizationError("drawn to raise")
+            return spec
+        return make, gated
 
     for seed, calls in ((1, {0}), (2, {3, 4, 9}), (3, set(range(1, 40, 2)))):
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
         make, made = raising_at(calls)
-        monkeypatch.setattr(catcorr.cli, "SuperpositionSpec", make)
-        drawn = catcorr.cli._random_verify_samples(rngs[0], 25)
-        assert len(made) == 25 + len(calls)
-        make, _ = raising_at(calls)
-        expected = _uniform_verify_samples(rngs[1], 25, make)
-        assert [(s[0].overlaps, *s[1:]) for s in drawn] == [(s[0].overlaps, *s[1:])
-                                                             for s in expected]
+        built = []
+        monkeypatch.setattr(catcorr.cli, "SuperpositionSpec",
+                            lambda **kwargs: built.append(kwargs) or make(**kwargs))
+        drawn = catcorr.cli._random_verify_samples(rngs[0], 1000)
+        make, expected_made = raising_at(calls)
+        expected = _uniform_verify_samples(rngs[1], 1000, make)
+        assert built == made and len(made) > max(calls)
+        kept = sum(_gated(overlaps, parity) for overlaps, parity, *_ in _rows(drawn))
+        assert len(made) == kept + len(calls)
+        assert [(tuple(map(float, k["overlaps"])), k["parity"]) for k in made] == [
+            (tuple(map(float, k["overlaps"])), k["parity"]) for k in expected_made]
+        assert _rows(drawn) == _reference_rows(expected)
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
@@ -664,7 +736,7 @@ def test_verify_fails_a_nan_deviation(monkeypatch, capsys):
     # sample, and no bound passes it
     closed = catcorr.cli.discord_trajectory
     samples = catcorr.cli._random_verify_samples(np.random.default_rng(20260817), 5)
-    nan_times = [samples[2][5], samples[4][5]]
+    nan_times = samples.t[[2, 4]]
 
     def nan_discord(pair, rate, time):
         # a stacked call: NaN at the members that are samples 2 and 4
@@ -677,7 +749,10 @@ def test_verify_fails_a_nan_deviation(monkeypatch, capsys):
     assert code == 1
     lines = out.splitlines()
     assert lines[3] == "trajectory_consistency   samples=5 max_deviation=nan FAIL"
-    assert lines[4] == "    worst: " + catcorr.cli._describe_sample(samples[2])
+    assert lines[4] == "    worst: " + catcorr.cli._describe_sample(samples, 2)
+    assert lines[4] == ("    worst: n=4 parity=even p=[0.0825683574,0.489811506,0.0489067429,"
+                        "0.894569387] pair=(2,4) side=first rate=1.3068484 t=1.87474718 "
+                        "gamma=0.196771763")
     assert [line.split()[-1] for line in lines[:3] + lines[5:-1]] == ["PASS"] * 4
     assert lines[-1].startswith("verify: FAIL (4/5")
 
@@ -722,37 +797,74 @@ def _verify_selections(rng, count: int, parity: Parity) -> list:
     return selections
 
 
-def test_verify_gram_stack_is_bitwise_each_sample(rng):
-    # on the grid of the selections' overlaps in mode order, padded by unit
-    # overlaps, the Gram densities at the index arrays are each sample's own
+def _columns(rng, selections):
+    """verify's columns of (spec, a, b, rate, t) selections, the pair (a, b)
+    measured first, with random gammas."""
+    specs, a, b, rate, t = (list(column) for column in zip(*selections))
+    a, b = np.array(a), np.array(b)
+    return catcorr.cli._VerifySamples(
+        n=np.array([spec.n for spec in specs]),
+        overlaps=np.array([spec.overlaps + (1.0,) * (6 - spec.n) for spec in specs]),
+        odd=np.array([spec.parity is Parity.ODD for spec in specs]),
+        i=np.minimum(a, b), j=np.maximum(a, b), first=a < b, rate=np.array(rate),
+        t=np.array(t), gamma=rng.uniform(size=len(specs)))
+
+
+def _recording(monkeypatch, name: str) -> list:
+    """Record the arguments and result of each call verify makes to a route."""
+    original, calls = getattr(catcorr.cli, name), []
+
+    def wrapper(*args):
+        calls.append((*args, original(*args)))
+        return calls[-1][-1]
+    monkeypatch.setattr(catcorr.cli, name, wrapper)
+    return calls
+
+
+def test_verify_gram_stack_is_bitwise_each_sample(monkeypatch, rng):
+    # verify's grid of one parity, the samples' overlaps in mode order padded
+    # by unit overlaps to the widest n, gives at the index arrays of each
+    # sample's measured-first pair its own Gram density
+    gram = catcorr.cli.pair_density_from_overlaps
+    calls = _recording(monkeypatch, "pair_density_from_overlaps")
     for parity in Parity:
         selections = _verify_selections(rng, 60, parity)
-        grid, a, b = catcorr.cli._selection_grid([s[:3] for s in selections], parity)
-        stack = catcorr.cli.pair_density_from_overlaps(grid, a, b)
+        calls.clear()
+        catcorr.cli._verify_gaps(_columns(rng, selections), 1)
+        (grid, a, b, stack), = calls
+        assert grid.n == max(spec.n for spec, *_ in selections) and grid.parity is parity
+        assert (a.tolist(), b.tolist()) == ([s[1] for s in selections], [s[2] for s in selections])
         for member, (spec, a, b, *_) in zip(stack, selections):
-            assert np.array_equal(member, catcorr.cli.pair_density_from_overlaps(spec, a, b))
+            assert np.array_equal(member, gram(spec, a, b))
 
 
-def test_verify_closed_stack_is_bitwise_each_sample(rng):
+def test_verify_closed_stack_is_bitwise_each_sample(monkeypatch, rng):
     # the grid's pair at the index arrays, and its density, closed discord,
-    # trajectory and gamma, each member bitwise its one-sample value
+    # trajectory and gamma, each member bitwise its one-sample value; one
+    # Kraus call reads the densities twice, with the drawn gammas and then
+    # the damping at time t
+    trajectories = _recording(monkeypatch, "discord_trajectory")
+    dephasings = _recording(monkeypatch, "apply_dephasing")
     for parity in Parity:
         selections = _verify_selections(rng, 60, parity)
+        samples = _columns(rng, selections)
         pairs = [spec.pair(a, b) for spec, a, b, *_ in selections]
-        rate, t = (np.array([s[k] for s in selections]) for k in (3, 4))
-        grid, a, b = catcorr.cli._selection_grid([s[:3] for s in selections], parity)
-        pair = grid.pair(a, b)
+        trajectories.clear(), dephasings.clear()
+        catcorr.cli._verify_gaps(samples, 1)
+        (pair, rate, t, traj), = trajectories
+        (stack, gammas, _), = dephasings
+        assert np.array_equal(rate, samples.rate) and np.array_equal(t, samples.t)
         assert pair.traced == any(one.traced for one in pairs)
         rho = reduced_pair_density(pair)
         discord = mixed_discord_closed(pair).discord
-        traj = catcorr.cli.discord_trajectory(pair, rate, t)
-        gamma = DephasingParams(rate=rate, time=t).gamma
+        assert np.array_equal(stack, np.concatenate([rho, rho]))
+        assert np.array_equal(gammas[:60], samples.gamma)
         for k, one in enumerate(pairs):
             assert np.array_equal(rho[k], reduced_pair_density(one))
             assert discord[k] == mixed_discord_closed(one).discord
-            alone = catcorr.cli.discord_trajectory(one, float(rate[k]), float(t[k]))
+            alone = catcorr.dephasing.discord_trajectory(one, float(rate[k]), float(t[k]))
             assert (traj.discord[k], traj.concurrence[k]) == (alone.discord, alone.concurrence)
-            assert gamma[k] == DephasingParams(rate=float(rate[k]), time=float(t[k])).gamma
+            assert gammas[60 + k] == DephasingParams(rate=float(rate[k]), time=float(t[k])).gamma
 
 
 def test_verify_rejects_sample_counts_below_one(capsys):
@@ -827,11 +939,11 @@ def _count_calls(monkeypatch, targets) -> Counter:
     # trajectory each form the K spectrum; the trajectory checks the rate),
     # the time-t damping once over all samples; the Gram stack is checked
     # once, and each numeric route runs once, over all samples, the search on
-    # the first 48: 1 + 5 density checks
+    # the first 48, one Kraus call for both dephasings: 1 + 4 density checks
     ("verify --samples 100",
      {"pair": 2, "reduced_pair_density": 2, "pair_k_spectrum": 4, "__post_init__": 3,
-      "pair_density_from_overlaps": 2, "apply_dephasing": 2, "k_spectrum_discord": 1,
-      "discord_by_measurement_search": 1, "check_density": 6}),
+      "pair_density_from_overlaps": 2, "apply_dephasing": 1, "k_spectrum_discord": 1,
+      "discord_by_measurement_search": 1, "check_density": 5}),
 ])
 def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact):
     correlations, states = catcorr.correlations, catcorr.states
@@ -844,6 +956,22 @@ def test_each_point_computes_closed_data_once(monkeypatch, capsys, argv, exact):
     code, _, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert {name: counts[name] for name in exact} == exact
+
+
+def test_verify_builds_a_spec_per_parity_and_per_gated_sample(monkeypatch, capsys):
+    # one grid spec per parity, and one spec per drawn sample that could be
+    # null (odd, every overlap above 1/2); no other sample builds a spec
+    gated = []
+
+    def make(**kwargs):
+        gated.append(_gated(**kwargs))
+        return SuperpositionSpec(**kwargs)
+
+    _uniform_verify_samples(np.random.default_rng(20260817), 100, make)
+    counts = _count_calls(monkeypatch, [(SuperpositionSpec, "__post_init__")])
+    code, _, _ = run_cli(capsys, "verify", "--samples", "100")
+    assert code == 0
+    assert sum(gated) > 0 and counts["__post_init__"] == 2 + sum(gated)
 
 
 def test_a_failing_sweep_runs_no_closed_route(monkeypatch, capsys):
