@@ -356,9 +356,9 @@ class _RawDraw:
         self.words, self._used = self._batches[0].tolist(), 0
 
     def take(self, count: int) -> int:
-        """The offset in words, a list that grows in place, of the next count
-        words: count doubles, as Generator.random(count) draws them, which
-        doubles() reads."""
+        """Claim the next count words, the count doubles Generator.random(count)
+        draws, and return their offset in words, a list that grows in place;
+        doubles() reads them as doubles."""
         while self._used + count > len(self.words):
             self._batches.append(self._bits.random_raw(self._batch))
             self.words += self._batches[-1].tolist()
